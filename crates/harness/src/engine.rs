@@ -267,8 +267,9 @@ impl SweepEngine {
     /// Propagates [`execute_cell`] errors.
     pub fn run_cell_outcome(&self, spec: &CellSpec) -> Result<CellOutcome, String> {
         if let Some(memo) = &self.memo {
+            let digest = spec.digest();
             let (report, provenance) =
-                memo.get_or_execute(spec.digest(), || self.fill_from_disk_or_simulate(spec))?;
+                memo.get_or_execute(digest, || self.fill_from_disk_or_simulate(spec, digest))?;
             match provenance {
                 MemoProvenance::Memory => self.memo_hits.fetch_add(1, Ordering::Relaxed),
                 MemoProvenance::Disk => self.cache_hits.fetch_add(1, Ordering::Relaxed),
@@ -304,9 +305,14 @@ impl SweepEngine {
 
     /// The executor closure behind the memo index: disk lookup, then
     /// simulation, then a best-effort store whose outcome decides whether
-    /// the result is durable enough to index.
-    fn fill_from_disk_or_simulate(&self, spec: &CellSpec) -> Result<MemoFill, String> {
-        let key = spec.digest_hex();
+    /// the result is durable enough to index. `digest` is `spec.digest()`,
+    /// hashed once by the caller for both the index and the disk key.
+    fn fill_from_disk_or_simulate(
+        &self,
+        spec: &CellSpec,
+        digest: u128,
+    ) -> Result<MemoFill, String> {
+        let key = format!("{digest:032x}");
         if let Some(cache) = &self.cache {
             if let Some(hit) = cache.load(&key) {
                 return Ok(MemoFill {

@@ -10,7 +10,7 @@
 
 use crate::digest::SCHEMA_VERSION;
 use ctbia_machine::Counters;
-use std::collections::HashMap;
+use std::fmt::Write;
 
 /// Every `u64` counter field, by cache-file key and `Counters` field path.
 /// One list drives both the serializer and the parser so they can never
@@ -126,16 +126,13 @@ impl CellReport {
         let c = &self.counters;
         let mut out = String::with_capacity(1600);
         out.push_str(SCHEMA_VERSION);
-        out.push('\n');
-        out.push_str("label ");
+        out.push_str("\nlabel ");
         out.push_str(&self.label);
-        out.push('\n');
-        out.push_str(&format!("digest {}\n", self.digest));
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(out, "\ndigest {}", self.digest);
         macro_rules! emit {
             ($key:expr, $($f:ident).+) => {
-                out.push_str(concat!($key, " "));
-                out.push_str(&c.$($f).+.to_string());
-                out.push('\n');
+                let _ = writeln!(out, concat!($key, " {}"), c.$($f).+);
             };
         }
         with_counter_fields!(emit);
@@ -143,48 +140,36 @@ impl CellReport {
         out
     }
 
-    /// Decodes a report from the cache text format. Any anomaly — wrong
-    /// version, missing field, unparsable value, missing `end` trailer —
+    /// Decodes a report from the cache text format in one pass, reading
+    /// the lines in exactly the order [`CellReport::to_cache_text`] writes
+    /// them. Any anomaly — wrong version, a missing, reordered, duplicated
+    /// or extra line, an unparsable value, a missing `end` trailer —
     /// returns `None`, which callers treat as a cache miss.
     pub fn from_cache_text(text: &str) -> Option<CellReport> {
         let mut lines = text.lines();
         if lines.next()? != SCHEMA_VERSION {
             return None;
         }
-        let mut label = None;
-        let mut digest = None;
-        let mut fields: HashMap<&str, u64> = HashMap::new();
-        let mut closed = false;
-        for line in lines {
-            if line == "end" {
-                closed = true;
-                break;
-            }
-            let (key, value) = line.split_once(' ')?;
-            match key {
-                "label" => label = Some(value.to_string()),
-                "digest" => digest = Some(value.parse().ok()?),
-                _ => {
-                    fields.insert(key, value.parse().ok()?);
-                }
-            }
-        }
-        if !closed {
-            return None;
-        }
-        let mut c = Counters::default();
+        let label = lines.next()?.strip_prefix("label ")?.to_string();
+        let digest = value_of(lines.next()?, "digest")?;
+        let mut counters = Counters::default();
         macro_rules! take {
             ($key:expr, $($f:ident).+) => {
-                c.$($f).+ = *fields.get($key)?;
+                counters.$($f).+ = value_of(lines.next()?, $key)?;
             };
         }
         with_counter_fields!(take);
-        Some(CellReport {
-            label: label?,
-            digest: digest?,
-            counters: c,
+        (lines.next()? == "end").then_some(CellReport {
+            label,
+            digest,
+            counters,
         })
     }
+}
+
+/// The value of a `key value` line, if the line carries exactly `key`.
+fn value_of(line: &str, key: &str) -> Option<u64> {
+    line.strip_prefix(key)?.strip_prefix(' ')?.parse().ok()
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! which the server turns into a typed error envelope instead of dropping
 //! the connection.
 
-use std::fmt;
+use std::fmt::Write;
 
 /// One field value of a flat protocol object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,16 +21,6 @@ pub enum Value {
     Num(u64),
     /// `true` or `false`.
     Bool(bool),
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Str(s) => write!(f, "\"{}\"", escape(s)),
-            Value::Num(n) => write!(f, "{n}"),
-            Value::Bool(b) => write!(f, "{b}"),
-        }
-    }
 }
 
 /// An ordered flat JSON object: the envelope currency of the protocol.
@@ -99,37 +89,82 @@ impl Object {
 
     /// Serializes the object on one line — the wire form of an envelope.
     pub fn to_line(&self) -> String {
-        let mut out = String::with_capacity(64);
+        // Quotes and separators take 8 bytes a field and an integer at
+        // most 20; only escapes can outgrow this.
+        let len: usize = self
+            .fields
+            .iter()
+            .map(|(k, v)| {
+                k.len()
+                    + 8
+                    + match v {
+                        Value::Str(s) => s.len(),
+                        _ => 20,
+                    }
+            })
+            .sum();
+        let mut out = String::with_capacity(len + 2);
         out.push('{');
         for (i, (key, value)) in self.fields.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
             out.push('"');
-            out.push_str(&escape(key));
+            escape_into(&mut out, key);
             out.push_str("\": ");
-            out.push_str(&value.to_string());
+            match value {
+                Value::Str(s) => {
+                    out.push('"');
+                    escape_into(&mut out, s);
+                    out.push('"');
+                }
+                // Writing into a `String` cannot fail.
+                Value::Num(n) => {
+                    let _ = write!(out, "{n}");
+                }
+                Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            }
         }
         out.push('}');
         out
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if c.is_control() => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Appends `s` to `out` escaped for a JSON string literal: quotes,
+/// backslashes and newlines get their short escapes, every other control
+/// character a `\u` escape, and runs of plain characters are copied as
+/// one slice.
+fn escape_into(out: &mut String, s: &str) {
+    let bytes = s.as_bytes();
+    let mut plain = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        // Printable ASCII other than `"` and `\` is always plain; only
+        // the rest is decoded, since a control char may be multi-byte.
+        if matches!(bytes[i], 0x20..=0x7e) && bytes[i] != b'"' && bytes[i] != b'\\' {
+            i += 1;
+            continue;
+        }
+        let c = s[i..].chars().next().unwrap_or_default();
+        let at = i;
+        i += c.len_utf8();
+        let short = match c {
+            '"' => "\\\"",
+            '\\' => "\\\\",
+            '\n' => "\\n",
+            c if c.is_control() => "",
+            _ => continue,
+        };
+        out.push_str(&s[plain..at]);
+        plain = i;
+        if short.is_empty() {
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, "\\u{:04x}", c as u32);
+        } else {
+            out.push_str(short);
         }
     }
-    out
+    out.push_str(&s[plain..]);
 }
 
 /// Parses one flat JSON object. Strict by design: the input must be a
@@ -140,15 +175,12 @@ pub fn escape(s: &str) -> String {
 ///
 /// Returns a description of the first problem found.
 pub fn parse_object(input: &str) -> Result<Object, String> {
-    let mut p = Parser {
-        chars: input.chars().collect(),
-        pos: 0,
-    };
+    let mut p = Parser { input, pos: 0 };
     p.skip_ws();
-    p.expect('{')?;
+    p.expect(b'{')?;
     let mut obj = Object::new();
     p.skip_ws();
-    if p.peek() == Some('}') {
+    if p.peek() == Some(b'}') {
         p.pos += 1;
     } else {
         loop {
@@ -158,130 +190,163 @@ pub fn parse_object(input: &str) -> Result<Object, String> {
                 return Err(format!("duplicate key {key:?}"));
             }
             p.skip_ws();
-            p.expect(':')?;
+            p.expect(b':')?;
             p.skip_ws();
             let value = p.value()?;
             obj.fields.push((key, value));
             p.skip_ws();
-            match p.next() {
-                Some(',') => continue,
-                Some('}') => break,
-                Some(c) => return Err(format!("expected ',' or '}}', found {c:?}")),
+            match p.peek() {
+                Some(b',') => p.pos += 1,
+                Some(b'}') => {
+                    p.pos += 1;
+                    break;
+                }
+                Some(_) => return Err(format!("expected ',' or '}}', found {:?}", p.found())),
                 None => return Err("unterminated object".into()),
             }
         }
     }
     p.skip_ws();
-    if let Some(c) = p.next() {
-        return Err(format!("trailing content after object: {c:?}"));
+    if p.peek().is_some() {
+        return Err(format!("trailing content after object: {:?}", p.found()));
     }
     Ok(obj)
 }
 
-struct Parser {
-    chars: Vec<char>,
+/// A cursor over the input's bytes. Every byte the grammar acts on is
+/// ASCII, and a UTF-8 continuation or lead byte is never ASCII, so the
+/// cursor only ever rests on a char boundary and a run of plain string
+/// bytes is always whole UTF-8 that can be copied as one slice.
+struct Parser<'a> {
+    input: &'a str,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.input.as_bytes().get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
+    /// The whole (possibly multi-byte) char at the cursor, decoded only
+    /// to quote it in an error message. Callers have seen a byte there.
+    fn found(&self) -> char {
+        self.input[self.pos..].chars().next().unwrap_or_default()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\r' | '\n')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        match self.next() {
-            Some(c) if c == want => Ok(()),
-            Some(c) => Err(format!("expected {want:?}, found {c:?}")),
-            None => Err(format!("expected {want:?}, found end of input")),
+    fn expect(&mut self, want: u8) -> Result<(), String> {
+        let want_char = char::from(want);
+        match self.peek() {
+            Some(b) if b == want => {
+                self.pos += 1;
+                Ok(())
+            }
+            Some(_) => Err(format!("expected {want_char:?}, found {:?}", self.found())),
+            None => Err(format!("expected {want_char:?}, found end of input")),
         }
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
+        self.expect(b'"')?;
+        let bytes = self.input.as_bytes();
         let mut out = String::new();
         loop {
-            match self.next() {
-                Some('"') => return Ok(out),
-                Some('\\') => match self.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('t') => out.push('\t'),
-                    Some('r') => out.push('\r'),
-                    Some('u') => {
-                        let mut hex = String::new();
-                        for _ in 0..4 {
-                            hex.push(self.next().ok_or("truncated \\u escape")?);
-                        }
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    Some(c) => return Err(format!("unknown escape \\{c}")),
-                    None => return Err("unterminated string escape".into()),
-                },
-                Some(c) if (c as u32) < 0x20 => {
-                    return Err("raw control character in string".into());
+            let run = self.pos;
+            while bytes
+                .get(self.pos)
+                .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
+            {
+                self.pos += 1;
+            }
+            out.push_str(&self.input[run..self.pos]);
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
                 }
-                Some(c) => out.push(c),
+                Some(b'\\') => {
+                    self.pos += 1;
+                    self.escape(&mut out)?;
+                }
+                Some(_) => return Err("raw control character in string".into()),
                 None => return Err("unterminated string".into()),
             }
         }
     }
 
+    /// Decodes the escape after a backslash into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        let Some(c) = self.input[self.pos..].chars().next() else {
+            return Err("unterminated string escape".into());
+        };
+        self.pos += c.len_utf8();
+        match c {
+            '"' => out.push('"'),
+            '\\' => out.push('\\'),
+            '/' => out.push('/'),
+            'n' => out.push('\n'),
+            't' => out.push('\t'),
+            'r' => out.push('\r'),
+            'u' => {
+                // Four *chars*, not bytes: a multi-byte char inside the
+                // escape is quoted whole in the error.
+                let rest = &self.input[self.pos..];
+                let len = rest
+                    .char_indices()
+                    .nth(3)
+                    .map(|(i, c)| i + c.len_utf8())
+                    .ok_or("truncated \\u escape")?;
+                let hex = &rest[..len];
+                self.pos += len;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+            }
+            c => return Err(format!("unknown escape \\{c}")),
+        }
+        Ok(())
+    }
+
     fn value(&mut self) -> Result<Value, String> {
+        let bytes = self.input.as_bytes();
         match self.peek() {
-            Some('"') => Ok(Value::Str(self.string()?)),
-            Some('t') | Some('f') => {
-                let word: String = self
-                    .chars
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't' | b'f') => {
+                let len = bytes[self.pos..]
                     .iter()
-                    .skip(self.pos)
-                    .take_while(|c| c.is_ascii_alphabetic())
-                    .collect();
-                self.pos += word.len();
-                match word.as_str() {
+                    .take_while(|b| b.is_ascii_alphabetic())
+                    .count();
+                let word = &self.input[self.pos..self.pos + len];
+                self.pos += len;
+                match word {
                     "true" => Ok(Value::Bool(true)),
                     "false" => Ok(Value::Bool(false)),
                     other => Err(format!("unknown literal {other:?}")),
                 }
             }
-            Some(c) if c.is_ascii_digit() => {
+            Some(b) if b.is_ascii_digit() => {
                 let mut n: u64 = 0;
-                while let Some(c) = self.peek() {
-                    if !c.is_ascii_digit() {
-                        break;
-                    }
+                while let Some(b) = self.peek().filter(u8::is_ascii_digit) {
                     n = n
                         .checked_mul(10)
-                        .and_then(|n| n.checked_add(c as u64 - '0' as u64))
+                        .and_then(|n| n.checked_add(u64::from(b - b'0')))
                         .ok_or("integer overflows u64")?;
                     self.pos += 1;
                 }
-                if matches!(self.peek(), Some('.' | 'e' | 'E')) {
+                if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
                     return Err("floating-point values are not part of the protocol".into());
                 }
                 Ok(Value::Num(n))
             }
-            Some('{') | Some('[') => {
+            Some(b'{' | b'[') => {
                 Err("nested objects and arrays are not part of the protocol".into())
             }
-            Some(c) => Err(format!("unexpected character {c:?}")),
+            Some(_) => Err(format!("unexpected character {:?}", self.found())),
             None => Err("expected a value, found end of input".into()),
         }
     }
@@ -325,6 +390,61 @@ mod tests {
         }
     }
 
+    /// The exact error text for a fixed table of malformed lines. The
+    /// text reaches clients inside `bad_json` envelopes, so it is part of
+    /// the wire contract.
+    #[test]
+    fn error_texts_are_pinned() {
+        for (bad, want) in [
+            ("", "expected '{', found end of input"),
+            ("é", "expected '{', found 'é'"),
+            ("{é", "expected '\"', found 'é'"),
+            ("{\u{1}", "expected '\"', found '\\u{1}'"),
+            ("{\"a\" é", "expected ':', found 'é'"),
+            ("{\"a\": é}", "unexpected character 'é'"),
+            ("{\"a\": -1}", "unexpected character '-'"),
+            ("{\"a\": nul}", "unexpected character 'n'"),
+            ("{\"a\": \"x\"é", "expected ',' or '}', found 'é'"),
+            ("{}é", "trailing content after object: 'é'"),
+            ("{\"a\": 1}😀", "trailing content after object: '😀'"),
+            ("{\"a\": 1} x", "trailing content after object: 'x'"),
+            ("{\"a\": \"\\uZZZZ\"}", "bad \\u escape \"ZZZZ\""),
+            ("{\"a\": \"\\u00é1\"}", "bad \\u escape \"00é1\""),
+            ("{\"a\": \"\\u12\"}", "bad \\u escape \"12\\\"}\""),
+            ("{\"a\": \"\\u1", "truncated \\u escape"),
+            ("{\"a\": \"\\ud800\"}", "bad \\u code point"),
+            ("{\"a\": \"\\é\"}", "unknown escape \\é"),
+            ("{\"a\": \"\\", "unterminated string escape"),
+            ("{\"a\": \"x\u{1}y\"}", "raw control character in string"),
+            ("{\"a\": \"é\ty\"}", "raw control character in string"),
+            ("{\"a\": \"abc", "unterminated string"),
+            (
+                "{\"a\": {\"b\": 1}}",
+                "nested objects and arrays are not part of the protocol",
+            ),
+            (
+                "{\"a\": [1]}",
+                "nested objects and arrays are not part of the protocol",
+            ),
+            (
+                "{\"a\": 1.5}",
+                "floating-point values are not part of the protocol",
+            ),
+            (
+                "{\"a\": 1e9}",
+                "floating-point values are not part of the protocol",
+            ),
+            ("{\"a\": 99999999999999999999}", "integer overflows u64"),
+            ("{\"a\": tru}", "unknown literal \"tru\""),
+            ("{\"a\": tréé}", "unknown literal \"tr\""),
+            ("{\"é\": 1, \"é\": 2}", "duplicate key \"é\""),
+            ("{\"a\": 1", "unterminated object"),
+            ("{\"a\": ", "expected a value, found end of input"),
+        ] {
+            assert_eq!(parse_object(bad).unwrap_err(), want, "input {bad:?}");
+        }
+    }
+
     #[test]
     fn empty_object_and_whitespace_are_fine() {
         assert_eq!(parse_object(" {} ").unwrap(), Object::new());
@@ -340,5 +460,83 @@ mod tests {
         assert_eq!(obj.get_str("s"), Some("x"));
         assert_eq!(obj.get_bool("b"), Some(false));
         assert_eq!(obj.get_num("missing"), None);
+    }
+}
+
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Characters every escaping rule touches: plain ASCII, quotes,
+    /// backslashes, the short-escaped newline, C0 controls, DEL, a C1
+    /// control, and two- to four-byte UTF-8.
+    const ALPHABET: &[char] = &[
+        'a', 'Z', '0', ' ', '/', ':', ',', '{', '}', '"', '\\', '\n', '\t', '\r', '\u{0}',
+        '\u{1f}', '\u{7f}', '\u{85}', 'é', 'ß', '€', '字', '😀',
+    ];
+
+    fn text() -> impl Strategy<Value = String> {
+        vec(0..ALPHABET.len(), 0..12).prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            text().prop_map(Value::Str),
+            any::<u64>().prop_map(Value::Num),
+            any::<bool>().prop_map(Value::Bool),
+        ]
+    }
+
+    /// The escaper `escape_into` replaced: one allocation per string.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                c if c.is_control() => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// The wire form as the per-field encoder wrote it, for byte equality.
+    fn reference_line(obj: &Object) -> String {
+        let fields: Vec<String> = obj
+            .fields()
+            .iter()
+            .map(|(k, v)| {
+                let v = match v {
+                    Value::Str(s) => format!("\"{}\"", reference_escape(s)),
+                    Value::Num(n) => n.to_string(),
+                    Value::Bool(b) => b.to_string(),
+                };
+                format!("\"{}\": {v}", reference_escape(k))
+            })
+            .collect();
+        format!("{{{}}}", fields.join(", "))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn to_line_round_trips_through_parse_object(fields in vec((text(), value()), 0..6)) {
+            let mut obj = Object::new();
+            for (i, (key, value)) in fields.into_iter().enumerate() {
+                // An index prefix keeps keys distinct: duplicates are an error.
+                obj.fields.push((format!("{i}{key}"), value));
+            }
+            let line = obj.to_line();
+            prop_assert!(!line.contains('\n'), "wire form is one line: {line:?}");
+            prop_assert_eq!(&line, &reference_line(&obj));
+            prop_assert_eq!(parse_object(&line), Ok(obj));
+        }
     }
 }
