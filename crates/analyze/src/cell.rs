@@ -16,16 +16,12 @@ use crate::lint::lint;
 use crate::recmem::extract;
 use ctbia_core::taint::LeakViolation;
 use ctbia_harness::{CellSpec, Digest, WorkloadSpec};
-use ctbia_verify::{leak_kind_tag, parse_leak_kind};
+use ctbia_verify::{write_violations, CacheTextReader, STORED_VIOLATIONS};
 use std::fmt;
 
 /// Version tag of the certification-report cache encoding. Bump whenever
 /// the analyzer's semantics change so stale verdicts miss.
 pub const ANALYZE_SCHEMA_VERSION: &str = "ctbia-analyze-v1";
-
-/// How many violations a report stores verbatim (the count is always
-/// exact; the samples are for display).
-const STORED_VIOLATIONS: usize = 8;
 
 /// One static-analysis cell: the workload/strategy/placement/config to
 /// certify.
@@ -55,15 +51,15 @@ impl AnalyzeCell {
         format!("analyze:{}", self.spec.label())
     }
 
-    /// The cache key: the underlying cell digest extended with the
+    /// The content digest: the underlying cell digest extended with the
     /// analyze schema marker.
-    pub fn digest_hex(&self) -> String {
+    pub fn digest(&self) -> u128 {
         let mut d = Digest::new();
         d.field_str("analyze", ANALYZE_SCHEMA_VERSION);
         let cell = self.spec.digest();
         d.field_u64("cell.hi", (cell >> 64) as u64);
         d.field_u64("cell.lo", cell as u64);
-        d.hex()
+        d.finish()
     }
 }
 
@@ -124,90 +120,30 @@ impl AnalyzeReport {
         out.push_str(&format!("trace_millibits {}\n", self.trace_millibits));
         out.push_str(&format!("state_lines {}\n", self.state_lines));
         out.push_str(&format!("predicted_insts {}\n", self.predicted_insts));
-        for v in &self.violations {
-            let kind = leak_kind_tag(v.kind);
-            let addr = v
-                .addr
-                .map_or_else(|| "-".to_string(), |a| format!("{a:#x}"));
-            out.push_str(&format!("viol {kind} {addr} {}\n", v.context));
-            for step in &v.provenance {
-                out.push_str(&format!("prov {step}\n"));
-            }
-        }
+        write_violations(&mut out, &self.violations);
         out.push_str("end\n");
         out
     }
 
-    /// Decodes a report from the cache text format. Any anomaly — wrong
-    /// version, missing field, garbage value, missing `end` trailer —
-    /// returns `None` (a cache miss, so the cell re-analyzes).
+    /// Decodes a report from the cache text format in one pass, in the
+    /// order [`AnalyzeReport::to_cache_text`] writes it. Any anomaly —
+    /// wrong version, a missing, reordered or duplicated line, a garbage
+    /// value, a missing `end` trailer — returns `None` (a cache miss, so
+    /// the cell re-analyzes).
     pub fn from_cache_text(text: &str) -> Option<AnalyzeReport> {
-        let mut lines = text.lines();
-        if lines.next()? != ANALYZE_SCHEMA_VERSION {
-            return None;
-        }
-        let mut report = AnalyzeReport {
-            label: String::new(),
-            ops: 0,
-            ds_ops: 0,
-            aborted: false,
-            violation_count: 0,
-            violations: Vec::new(),
-            trace_millibits: 0,
-            state_lines: 0,
-            predicted_insts: 0,
-        };
-        let (mut saw_label, mut closed) = (false, false);
-        for line in lines {
-            if line == "end" {
-                closed = true;
-                break;
-            }
-            let (key, value) = line.split_once(' ')?;
-            match key {
-                "label" => {
-                    report.label = value.to_string();
-                    saw_label = true;
-                }
-                "ops" => report.ops = value.parse().ok()?,
-                "ds_ops" => report.ds_ops = value.parse().ok()?,
-                "aborted" => report.aborted = parse_flag(value)?,
-                "violation_count" => report.violation_count = value.parse().ok()?,
-                "trace_millibits" => report.trace_millibits = value.parse().ok()?,
-                "state_lines" => report.state_lines = value.parse().ok()?,
-                "predicted_insts" => report.predicted_insts = value.parse().ok()?,
-                "viol" => {
-                    let (kind, rest) = value.split_once(' ')?;
-                    let (addr, context) = rest.split_once(' ')?;
-                    let kind = parse_leak_kind(kind)?;
-                    let addr = match addr {
-                        "-" => None,
-                        hex => Some(u64::from_str_radix(hex.strip_prefix("0x")?, 16).ok()?),
-                    };
-                    report.violations.push(LeakViolation {
-                        kind,
-                        context: context.to_string(),
-                        addr,
-                        provenance: Vec::new(),
-                    });
-                }
-                "prov" => report
-                    .violations
-                    .last_mut()?
-                    .provenance
-                    .push(value.to_string()),
-                _ => return None,
-            }
-        }
-        (closed && saw_label).then_some(report)
-    }
-}
-
-fn parse_flag(value: &str) -> Option<bool> {
-    match value {
-        "0" => Some(false),
-        "1" => Some(true),
-        _ => None,
+        let mut r = CacheTextReader::open(text, ANALYZE_SCHEMA_VERSION)?;
+        // Struct fields evaluate in the order written: the encoding order.
+        Some(AnalyzeReport {
+            label: r.text("label")?.to_string(),
+            ops: r.number("ops")?,
+            ds_ops: r.number("ds_ops")?,
+            aborted: r.flag("aborted")?,
+            violation_count: r.number("violation_count")?,
+            trace_millibits: r.number("trace_millibits")?,
+            state_lines: r.number("state_lines")?,
+            predicted_insts: r.number("predicted_insts")?,
+            violations: r.violations_then_end()?,
+        })
     }
 }
 
@@ -350,15 +286,15 @@ mod tests {
     #[test]
     fn digest_separates_cells_and_schemas() {
         let a = cell("hist", 200, StrategySpec::Ct);
-        assert_eq!(a.digest_hex(), a.digest_hex());
+        assert_eq!(a.digest(), a.digest());
         let b = cell("hist", 201, StrategySpec::Ct);
-        assert_ne!(a.digest_hex(), b.digest_hex());
+        assert_ne!(a.digest(), b.digest());
         let c = cell("hist", 200, StrategySpec::Bia);
-        assert_ne!(a.digest_hex(), c.digest_hex());
+        assert_ne!(a.digest(), c.digest());
         assert_eq!(a.label(), "analyze:hist_200/CT");
         // Same spec, different schema namespace than verify cells.
         let v = ctbia_verify::VerifyCell::new(a.spec.clone(), vec![]);
-        assert_ne!(a.digest_hex(), v.digest_hex());
+        assert_ne!(a.digest(), v.digest());
     }
 
     #[test]

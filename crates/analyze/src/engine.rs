@@ -1,152 +1,38 @@
-//! The analysis engine: the sweep-engine pattern over [`AnalyzeCell`]s,
-//! plus the canonical certification grids.
+//! The certification grid: [`AnalyzeCell`] as a [`GridCell`], the
+//! [`AnalyzeEngine`] that runs it, and the canonical certification grids.
 //!
-//! [`AnalyzeEngine`] mirrors `ctbia_harness::SweepEngine` and
-//! `ctbia_verify::VerifyEngine` exactly — workers claim cells from a
-//! shared atomic index, results land in grid-order slots so parallel
-//! output is byte-identical to serial, and an optional [`DiskCache`]
-//! memoizes completed verdicts under the cell's content digest (using
-//! the cache's raw text API with the analyzer's own
-//! [`ANALYZE_SCHEMA_VERSION`](crate::cell::ANALYZE_SCHEMA_VERSION)
-//! encoding, so analyze, verify, and simulation cells share one store
-//! without colliding).
+//! The engine is `ctbia_harness`'s one [`GridEngine`] pool (DESIGN.md
+//! §9). Verdicts are memoized under the cell's content digest in the
+//! same [`DiskCache`](ctbia_harness::DiskCache) as simulation and
+//! verification cells, encoded with the analyzer's own
+//! [`ANALYZE_SCHEMA_VERSION`](crate::cell::ANALYZE_SCHEMA_VERSION) text,
+//! so the kinds share one store without colliding.
 
 use crate::cell::{execute_analyze_cell, AnalyzeCell, AnalyzeReport};
-use ctbia_harness::{CellSpec, CryptoKernel, DiskCache, StrategySpec, WorkloadSpec};
+use ctbia_harness::{CellSpec, CryptoKernel, GridCell, GridEngine, StrategySpec, WorkloadSpec};
 use ctbia_machine::BiaPlacement;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
+use ctbia_verify::ghostrider_workloads;
 
-/// A worker pool plus optional memo cache for running certification
-/// grids.
-#[derive(Debug)]
-pub struct AnalyzeEngine {
-    threads: usize,
-    cache: Option<DiskCache>,
-    executed: AtomicU64,
-    cache_hits: AtomicU64,
-}
+/// The worker pool and memo layers for certification grids.
+pub type AnalyzeEngine = GridEngine<AnalyzeCell>;
 
-impl AnalyzeEngine {
-    /// An engine sized from [`std::thread::available_parallelism`], with
-    /// no cache.
-    pub fn new() -> Self {
-        let threads = thread::available_parallelism().map_or(1, |n| n.get());
-        AnalyzeEngine {
-            threads,
-            cache: None,
-            executed: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-        }
+impl GridCell for AnalyzeCell {
+    type Report = AnalyzeReport;
+
+    fn digest(&self) -> u128 {
+        AnalyzeCell::digest(self)
     }
 
-    /// A single-threaded engine with no cache — the reference ordering
-    /// the parallel pool must reproduce byte-for-byte.
-    pub fn serial() -> Self {
-        AnalyzeEngine::new().with_threads(1)
+    fn execute(&self) -> Result<AnalyzeReport, String> {
+        execute_analyze_cell(self)
     }
 
-    /// Overrides the worker count (clamped to at least 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+    fn to_cache_text(report: &AnalyzeReport) -> String {
+        report.to_cache_text()
     }
 
-    /// Attaches a memo cache for completed verdicts.
-    #[must_use]
-    pub fn with_cache(mut self, cache: DiskCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The attached cache, if any.
-    pub fn cache(&self) -> Option<&DiskCache> {
-        self.cache.as_ref()
-    }
-
-    /// Cells this engine actually analyzed (cache hits excluded).
-    pub fn cells_executed(&self) -> u64 {
-        self.executed.load(Ordering::Relaxed)
-    }
-
-    /// Cells this engine served from the cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Runs one cell: cache lookup, then analysis on a miss, then a
-    /// best-effort store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`execute_analyze_cell`] errors.
-    pub fn run_cell(&self, cell: &AnalyzeCell) -> Result<AnalyzeReport, String> {
-        let key = cell.digest_hex();
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache
-                .load_text(&key)
-                .as_deref()
-                .and_then(AnalyzeReport::from_cache_text)
-            {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
-        }
-        let report = execute_analyze_cell(cell)?;
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        if let Some(cache) = &self.cache {
-            let _ = cache.store_text(&key, &report.to_cache_text());
-        }
-        Ok(report)
-    }
-
-    /// Runs every cell of `cells`, returning reports **ordered by grid
-    /// index** regardless of worker scheduling.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the lowest-indexed failing cell; the sweep
-    /// does not short-circuit cells already claimed by other workers.
-    pub fn run(&self, cells: &[AnalyzeCell]) -> Result<Vec<AnalyzeReport>, String> {
-        let n = cells.len();
-        let workers = self.threads.min(n.max(1));
-        if workers <= 1 {
-            return cells.iter().map(|cell| self.run_cell(cell)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Result<AnalyzeReport, String>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-        thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = self.run_cell(&cells[i]);
-                    slots.lock().unwrap()[i] = Some(result);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|slot| slot.expect("worker pool covered every cell"))
-            .collect()
-    }
-}
-
-impl Default for AnalyzeEngine {
-    fn default() -> Self {
-        AnalyzeEngine::new()
+    fn from_cache_text(text: &str) -> Option<AnalyzeReport> {
+        AnalyzeReport::from_cache_text(text)
     }
 }
 
@@ -173,31 +59,13 @@ pub fn analyze_grid(quick: bool) -> Vec<AnalyzeCell> {
         )));
     };
 
-    let sizes: &[(&str, usize)] = if quick {
-        &[
-            ("dij", 24),
-            ("hist", 300),
-            ("perm", 300),
-            ("bin", 400),
-            ("heap", 400),
-        ]
-    } else {
-        &[
-            ("dij", 32),
-            ("hist", 500),
-            ("perm", 500),
-            ("bin", 600),
-            ("heap", 600),
-        ]
-    };
     let bia_placements: &[BiaPlacement] = if quick {
         &[BiaPlacement::L1d]
     } else {
         &[BiaPlacement::L1d, BiaPlacement::L2, BiaPlacement::Llc]
     };
 
-    for &(name, size) in sizes {
-        let wl = WorkloadSpec::named(name, size).expect("known workload");
+    for wl in ghostrider_workloads(quick) {
         push(wl, StrategySpec::Ct, BiaPlacement::L1d);
         for &placement in bia_placements {
             push(wl, StrategySpec::Bia, placement);
@@ -232,6 +100,7 @@ pub fn analyze_grid(quick: bool) -> Vec<AnalyzeCell> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctbia_harness::DiskCache;
 
     fn tiny_grid() -> Vec<AnalyzeCell> {
         let mut cells: Vec<AnalyzeCell> = [("hist", 150), ("perm", 120), ("bin", 200)]
@@ -294,7 +163,7 @@ mod tests {
         assert_eq!(quick.iter().filter(|c| c.expects_leak()).count(), 6);
         assert_eq!(full.iter().filter(|c| c.expects_leak()).count(), 11);
         // Every cell key is distinct — no cache collisions inside a grid.
-        let mut keys: Vec<String> = full.iter().map(AnalyzeCell::digest_hex).collect();
+        let mut keys: Vec<u128> = full.iter().map(AnalyzeCell::digest).collect();
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), full.len());

@@ -25,13 +25,14 @@
 //!    distinctions an attacker could draw. A bound of exactly 0 bits
 //!    certifies the cell.
 //!
-//! [`cell`] and [`engine`] package the pipeline as memoizing grid cells
-//! in the same content-addressed store the simulation and verification
-//! sweeps use: [`analyze_grid`] is the canonical certification grid
-//! (Ghostrider and crypto kernels under CT and BIA must certify; every
-//! insecure cell and the leaky control must fail with a named
-//! violation *and* a positive bound), and [`AnalyzeEngine`] runs it in
-//! parallel with on-disk verdict caching.
+//! [`cell`] and [`engine`] package the pipeline as a
+//! [`GridCell`](ctbia_harness::GridCell) kind memoized in the same
+//! content-addressed store the simulation and verification grids use:
+//! [`analyze_grid`] is the canonical certification grid (Ghostrider and
+//! crypto kernels under CT and BIA must certify; every insecure cell and
+//! the leaky control must fail with a named violation *and* a positive
+//! bound), and [`AnalyzeEngine`] — the harness's one grid engine over
+//! analyze cells — runs it in parallel with on-disk verdict caching.
 //!
 //! The analysis is sound for the recorded trace under the assumptions
 //! spelled out in `DESIGN.md` §15 (public control flow enforced by the

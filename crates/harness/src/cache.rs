@@ -107,8 +107,8 @@ impl DiskCache {
     }
 
     /// Raw read of the text cached under `key` (`None` when absent or
-    /// unreadable). For callers with their own versioned encodings —
-    /// e.g. verification cells — which validate the text themselves.
+    /// unreadable). The grid engine reads every cell kind through it and
+    /// decodes with the kind's own versioned codec.
     pub fn load_text(&self, key: &str) -> Option<String> {
         fs::read_to_string(self.path_of(key)).ok()
     }
@@ -203,7 +203,8 @@ impl DiskCache {
 
 /// Whether a cache file looks complete: a versioned `ctbia-` header line
 /// and the `end` trailer every trailer-closed schema (cell reports,
-/// verify reports) writes last. Anything else is a torn write.
+/// verify reports, analyze reports) writes last. Anything else is a torn
+/// write.
 fn entry_is_complete(path: &Path) -> bool {
     let Ok(text) = fs::read_to_string(path) else {
         return false; // unreadable or non-UTF-8

@@ -1,12 +1,15 @@
-//! The sweep engine: a deterministic worker pool over experiment cells.
+//! The grid engine: one deterministic worker pool for every cell kind.
 //!
-//! [`SweepEngine::run`] takes a grid of [`CellSpec`]s and returns one
-//! [`CellReport`] per cell, **in grid order**. Workers claim cells from a
-//! shared atomic index and write results into the cell's own output slot,
-//! so the merged output never depends on completion order; combined with
-//! cells owning their seeds, a parallel sweep is byte-identical to a serial
-//! one. An optional [`DiskCache`] memoizes completed cells across runs and
-//! across binaries.
+//! [`GridEngine::run`] takes a grid of [`GridCell`]s and returns one
+//! report per cell, **in grid order**. Workers claim cells from a shared
+//! atomic index and write results into the cell's own output slot, so the
+//! merged output never depends on completion order; combined with cells
+//! owning their seeds, a parallel run is byte-identical to a serial one.
+//! An optional [`DiskCache`] memoizes completed cells across runs and
+//! across binaries, and an optional [`MemoIndex`] serves warm cells from
+//! memory. [`SweepEngine`] is the engine over simulation cells
+//! ([`CellSpec`] → [`CellReport`], executed by [`execute_cell`]); the
+//! verify and analyze crates alias it over their own cells.
 
 use crate::cache::DiskCache;
 use crate::memo::{MemoFill, MemoIndex, MemoProvenance};
@@ -133,38 +136,91 @@ pub fn execute_cell_traced<S: TraceSink + 'static>(
     ))
 }
 
+/// One kind of grid cell: a content digest that keys both memo layers,
+/// an executor, and the report's versioned cache text.
+///
+/// Simulation cells ([`CellSpec`]), verification cells and analysis
+/// cells each implement it once; [`GridEngine`] is the one pool that
+/// runs any of them.
+pub trait GridCell: Sync {
+    /// What executing the cell produces.
+    type Report: Clone + Send;
+
+    /// The cell's 128-bit content digest. Its 32-digit hex form is the
+    /// disk cache key, so it must cover every input the report depends
+    /// on, and cell kinds sharing one cache must not collide.
+    fn digest(&self) -> u128;
+
+    /// Computes the report from scratch — a pure function of the cell.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the cell when it cannot run.
+    fn execute(&self) -> Result<Self::Report, String>;
+
+    /// Encodes a report as the cache text stored under the digest.
+    fn to_cache_text(report: &Self::Report) -> String;
+
+    /// Decodes a cache text; `None` (a miss) on any anomaly.
+    fn from_cache_text(text: &str) -> Option<Self::Report>;
+}
+
+impl GridCell for CellSpec {
+    type Report = CellReport;
+
+    fn digest(&self) -> u128 {
+        CellSpec::digest(self)
+    }
+
+    fn execute(&self) -> Result<CellReport, String> {
+        execute_cell(self)
+    }
+
+    fn to_cache_text(report: &CellReport) -> String {
+        report.to_cache_text()
+    }
+
+    fn from_cache_text(text: &str) -> Option<CellReport> {
+        CellReport::from_cache_text(text)
+    }
+}
+
 /// The result of resolving one cell, with its provenance: whether the
-/// report was served from the memo cache or freshly simulated.
+/// report was served from a memo layer or freshly executed.
 ///
 /// Long-running callers (the `ctbia-serve` daemon, `ctbia submit`) surface
 /// the flag to their clients; batch callers that only want the report can
-/// keep using [`SweepEngine::run`].
+/// keep using [`GridEngine::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellOutcome {
-    /// The cell's report — identical whether cached or simulated.
-    pub report: CellReport,
-    /// `true` when the report came from the memo cache without simulating.
+pub struct CellOutcome<R = CellReport> {
+    /// The cell's report — identical whether cached or executed.
+    pub report: R,
+    /// `true` when the report came from a memo layer without executing.
     pub cached: bool,
 }
 
-/// A worker pool plus optional memo cache for running cell grids.
+/// A worker pool plus optional memo layers for running grids of any
+/// [`GridCell`] kind.
 #[derive(Debug)]
-pub struct SweepEngine {
+pub struct GridEngine<C: GridCell> {
     threads: usize,
     cache: Option<DiskCache>,
-    memo: Option<Arc<MemoIndex>>,
+    memo: Option<Arc<MemoIndex<C::Report>>>,
     executed: AtomicU64,
     cache_hits: AtomicU64,
     memo_hits: AtomicU64,
     store_failures: AtomicU64,
 }
 
-impl SweepEngine {
+/// The simulation grid engine.
+pub type SweepEngine = GridEngine<CellSpec>;
+
+impl<C: GridCell> GridEngine<C> {
     /// An engine sized from [`std::thread::available_parallelism`], with no
     /// cache.
     pub fn new() -> Self {
         let threads = thread::available_parallelism().map_or(1, |n| n.get());
-        SweepEngine {
+        GridEngine {
             threads,
             cache: None,
             memo: None,
@@ -178,7 +234,7 @@ impl SweepEngine {
     /// A single-threaded engine with no cache — the reference ordering the
     /// parallel pool must reproduce byte-for-byte.
     pub fn serial() -> Self {
-        SweepEngine::new().with_threads(1)
+        GridEngine::new().with_threads(1)
     }
 
     /// Overrides the worker count (clamped to at least 1).
@@ -189,7 +245,7 @@ impl SweepEngine {
     }
 
     /// Attaches a memo cache: completed cells are stored, and matching
-    /// cells are served from disk without touching the simulator.
+    /// cells are served from disk without executing.
     #[must_use]
     pub fn with_cache(mut self, cache: DiskCache) -> Self {
         self.cache = Some(cache);
@@ -203,9 +259,9 @@ impl SweepEngine {
     ///
     /// Only durable results (disk store succeeded, or no cache attached)
     /// are indexed, so a failed store still costs exactly one future
-    /// re-simulation.
+    /// re-execution.
     #[must_use]
-    pub fn with_memo_index(mut self, memo: Arc<MemoIndex>) -> Self {
+    pub fn with_memo_index(mut self, memo: Arc<MemoIndex<C::Report>>) -> Self {
         self.memo = Some(memo);
         self
     }
@@ -220,12 +276,12 @@ impl SweepEngine {
         self.cache.as_ref()
     }
 
-    /// Cells this engine actually simulated (cache hits excluded).
+    /// Cells this engine actually executed (memo hits excluded).
     pub fn cells_executed(&self) -> u64 {
         self.executed.load(Ordering::Relaxed)
     }
 
-    /// Cells this engine served from the cache.
+    /// Cells this engine served from the disk cache.
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits.load(Ordering::Relaxed)
     }
@@ -235,86 +291,64 @@ impl SweepEngine {
         self.memo_hits.load(Ordering::Relaxed)
     }
 
-    /// The attached memo index, if any.
-    pub fn memo_index(&self) -> Option<&Arc<MemoIndex>> {
-        self.memo.as_ref()
-    }
-
     /// Memo-cache stores that failed. Each failure costs a future
-    /// re-simulation, never correctness, but a serving front end surfaces
+    /// re-execution, never correctness, but a serving front end surfaces
     /// the count so a sick disk is visible instead of silent.
     pub fn cache_store_failures(&self) -> u64 {
         self.store_failures.load(Ordering::Relaxed)
     }
 
-    /// Runs one cell: cache lookup, then simulation on a miss, then a
-    /// best-effort store (a failed store costs a future re-simulation, not
+    /// Runs one cell: memo lookup, then execution on a miss, then a
+    /// best-effort store (a failed store costs a future re-execution, not
     /// correctness).
     ///
     /// # Errors
     ///
-    /// Propagates [`execute_cell`] errors.
-    pub fn run_cell(&self, spec: &CellSpec) -> Result<CellReport, String> {
-        self.run_cell_outcome(spec).map(|o| o.report)
+    /// Propagates [`GridCell::execute`] errors.
+    pub fn run_cell(&self, cell: &C) -> Result<C::Report, String> {
+        self.run_cell_outcome(cell).map(|o| o.report)
     }
 
-    /// Like [`SweepEngine::run_cell`], but also reports whether the cell was
-    /// served from the memo cache — the provenance a serving front end
+    /// Like [`GridEngine::run_cell`], but also reports whether the cell was
+    /// served from a memo layer — the provenance a serving front end
     /// forwards to its clients.
     ///
     /// # Errors
     ///
-    /// Propagates [`execute_cell`] errors.
-    pub fn run_cell_outcome(&self, spec: &CellSpec) -> Result<CellOutcome, String> {
-        if let Some(memo) = &self.memo {
-            let digest = spec.digest();
-            let (report, provenance) =
-                memo.get_or_execute(digest, || self.fill_from_disk_or_simulate(spec, digest))?;
-            match provenance {
-                MemoProvenance::Memory => self.memo_hits.fetch_add(1, Ordering::Relaxed),
-                MemoProvenance::Disk => self.cache_hits.fetch_add(1, Ordering::Relaxed),
-                MemoProvenance::Simulated => self.executed.fetch_add(1, Ordering::Relaxed),
-            };
-            return Ok(CellOutcome {
-                report,
-                cached: provenance != MemoProvenance::Simulated,
-            });
-        }
-        let key = spec.digest_hex();
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.load(&key) {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(CellOutcome {
-                    report: hit,
-                    cached: true,
-                });
+    /// Propagates [`GridCell::execute`] errors.
+    pub fn run_cell_outcome(&self, cell: &C) -> Result<CellOutcome<C::Report>, String> {
+        let digest = cell.digest();
+        let (report, provenance) = match &self.memo {
+            Some(memo) => memo.get_or_execute(digest, || self.fill(cell, digest))?,
+            None => {
+                let fill = self.fill(cell, digest)?;
+                let provenance = fill.provenance();
+                (fill.report, provenance)
             }
-        }
-        let report = execute_cell(spec)?;
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        if let Some(cache) = &self.cache {
-            if cache.store(&key, &report).is_err() {
-                self.store_failures.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        };
+        match provenance {
+            MemoProvenance::Memory => self.memo_hits.fetch_add(1, Ordering::Relaxed),
+            MemoProvenance::Disk => self.cache_hits.fetch_add(1, Ordering::Relaxed),
+            MemoProvenance::Simulated => self.executed.fetch_add(1, Ordering::Relaxed),
+        };
         Ok(CellOutcome {
             report,
-            cached: false,
+            cached: provenance != MemoProvenance::Simulated,
         })
     }
 
-    /// The executor closure behind the memo index: disk lookup, then
-    /// simulation, then a best-effort store whose outcome decides whether
-    /// the result is durable enough to index. `digest` is `spec.digest()`,
-    /// hashed once by the caller for both the index and the disk key.
-    fn fill_from_disk_or_simulate(
-        &self,
-        spec: &CellSpec,
-        digest: u128,
-    ) -> Result<MemoFill, String> {
+    /// Resolves a cell below the memo index: disk lookup, then execution,
+    /// then a best-effort store whose outcome decides whether the result
+    /// is durable enough to index. `digest` is `cell.digest()`, hashed
+    /// once by the caller for both the index and the disk key.
+    fn fill(&self, cell: &C, digest: u128) -> Result<MemoFill<C::Report>, String> {
         let key = format!("{digest:032x}");
         if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.load(&key) {
+            if let Some(hit) = cache
+                .load_text(&key)
+                .as_deref()
+                .and_then(C::from_cache_text)
+            {
                 return Ok(MemoFill {
                     report: hit,
                     from_disk: true,
@@ -322,10 +356,10 @@ impl SweepEngine {
                 });
             }
         }
-        let report = execute_cell(spec)?;
+        let report = cell.execute()?;
         let durable = match &self.cache {
             Some(cache) => {
-                let stored = cache.store(&key, &report).is_ok();
+                let stored = cache.store_text(&key, &C::to_cache_text(&report)).is_ok();
                 if !stored {
                     self.store_failures.fetch_add(1, Ordering::Relaxed);
                 }
@@ -346,32 +380,24 @@ impl SweepEngine {
     ///
     /// # Errors
     ///
-    /// Returns the error of the lowest-indexed failing cell; the sweep does
-    /// not short-circuit cells already claimed by other workers.
-    pub fn run(&self, cells: &[CellSpec]) -> Result<Vec<CellReport>, String> {
-        self.run_batch(cells)
-            .into_iter()
-            .map(|r| r.map(|o| o.report))
-            .collect()
+    /// Returns the error of the lowest-indexed failing cell; the run does
+    /// not short-circuit, so every other cell still executes.
+    pub fn run(&self, cells: &[C]) -> Result<Vec<C::Report>, String> {
+        self.run_all(cells).into_iter().collect()
     }
 
-    /// The batch-submit API: runs every cell of `cells` on the pool and
-    /// returns one result **per cell**, ordered by grid index, without
-    /// short-circuiting on failures. A serving front end uses this to
-    /// answer each request in a batch independently — one infeasible cell
-    /// yields one typed error, not a failed batch.
-    pub fn run_batch(&self, cells: &[CellSpec]) -> Vec<Result<CellOutcome, String>> {
+    /// Runs every cell on the pool and returns one result per cell, in
+    /// grid order. Workers claim cells from a shared atomic index and
+    /// write into the cell's own slot, so the output never depends on
+    /// completion order.
+    fn run_all(&self, cells: &[C]) -> Vec<Result<C::Report, String>> {
         let n = cells.len();
         let workers = self.threads.min(n.max(1));
         if workers <= 1 {
-            return cells
-                .iter()
-                .map(|spec| self.run_cell_outcome(spec))
-                .collect();
+            return cells.iter().map(|cell| self.run_cell(cell)).collect();
         }
         let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Result<CellOutcome, String>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
+        let slots = Mutex::new((0..n).map(|_| None).collect::<Vec<_>>());
         thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
@@ -379,23 +405,25 @@ impl SweepEngine {
                     if i >= n {
                         break;
                     }
-                    let result = self.run_cell_outcome(&cells[i]);
-                    slots.lock().unwrap()[i] = Some(result);
+                    let result = self.run_cell(&cells[i]);
+                    // A worker only panics inside `run_cell`, never while
+                    // holding this lock, and the scope re-raises its panic.
+                    slots.lock().expect("slot lock never poisoned")[i] = Some(result);
                 });
             }
         });
         slots
             .into_inner()
-            .unwrap()
+            .expect("slot lock never poisoned")
             .into_iter()
             .map(|slot| slot.expect("worker pool covered every cell"))
             .collect()
     }
 }
 
-impl Default for SweepEngine {
+impl<C: GridCell> Default for GridEngine<C> {
     fn default() -> Self {
-        SweepEngine::new()
+        GridEngine::new()
     }
 }
 
@@ -491,22 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_does_not_short_circuit_on_failures() {
-        let mut bad = cell(StrategySpec::Bia);
-        bad.placement = BiaPlacement::Llc;
-        bad.config.hierarchy = ctbia_sim::config::HierarchyConfig::sliced_llc(8, 6);
-        let grid = [cell(StrategySpec::Insecure), bad, cell(StrategySpec::Bia)];
-        let results = SweepEngine::serial().run_batch(&grid);
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err(), "infeasible cell fails alone");
-        assert!(results[2].is_ok(), "later cells still run");
-        // Batch results agree with the plain grid runner cell-for-cell.
-        let solo = execute_cell(&grid[2]).unwrap();
-        assert_eq!(results[2].as_ref().unwrap().report, solo);
-    }
-
-    #[test]
     fn infeasible_cells_report_errors() {
         // LLC placement on an 8-slice hierarchy with page-granularity BIA
         // (M = 12 > LS_Hash = 6) is rejected by the machine; the engine must
@@ -518,5 +530,129 @@ mod tests {
             .run(std::slice::from_ref(&spec))
             .unwrap_err();
         assert!(err.contains("hist_200"), "error names the cell: {err}");
+    }
+
+    /// A cheap cell for exercising the pool itself: its report is a
+    /// function of its digest, it fails on request, and it counts how
+    /// often it actually executes.
+    #[derive(Debug)]
+    struct Fake {
+        digest: u128,
+        fails: bool,
+        runs: Arc<AtomicU64>,
+    }
+
+    impl GridCell for Fake {
+        type Report = u64;
+
+        fn digest(&self) -> u128 {
+            self.digest
+        }
+
+        fn execute(&self) -> Result<u64, String> {
+            self.runs.fetch_add(1, Ordering::SeqCst);
+            if self.fails {
+                return Err(format!("fake {} failed", self.digest));
+            }
+            Ok(self.digest as u64 * 3 + 1)
+        }
+
+        fn to_cache_text(report: &u64) -> String {
+            format!("ctbia-fake-v1\n{report}\nend\n")
+        }
+
+        fn from_cache_text(text: &str) -> Option<u64> {
+            let mut lines = text.lines();
+            (lines.next()? == "ctbia-fake-v1").then_some(())?;
+            let report = lines.next()?.parse().ok()?;
+            (lines.next()? == "end").then_some(report)
+        }
+    }
+
+    /// `n` fake cells, cell `i` with digest `digest(i)`, sharing one run
+    /// counter.
+    fn fakes(n: usize, digest: impl Fn(usize) -> u128) -> (Vec<Fake>, Arc<AtomicU64>) {
+        let runs = Arc::new(AtomicU64::new(0));
+        let cells = (0..n)
+            .map(|i| Fake {
+                digest: digest(i),
+                fails: false,
+                runs: Arc::clone(&runs),
+            })
+            .collect();
+        (cells, runs)
+    }
+
+    fn temp_cache(tag: &str) -> DiskCache {
+        let dir =
+            std::env::temp_dir().join(format!("ctbia-grid-engine-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        DiskCache::open(dir).unwrap()
+    }
+
+    #[test]
+    fn threaded_output_is_serial_output_in_grid_order() {
+        let (cells, runs) = fakes(64, |i| (i as u128) << 64 | 7);
+        let serial = GridEngine::serial().run(&cells).unwrap();
+        let threaded = GridEngine::new().with_threads(4).run(&cells).unwrap();
+        let expected: Vec<u64> = cells.iter().map(|c| c.digest as u64 * 3 + 1).collect();
+        assert_eq!(serial, expected);
+        assert_eq!(threaded, expected);
+        assert_eq!(runs.load(Ordering::SeqCst), 128);
+    }
+
+    #[test]
+    fn lowest_index_error_wins_and_later_cells_still_run() {
+        for threads in [1, 4] {
+            let (mut cells, runs) = fakes(8, |i| i as u128);
+            cells[5].fails = true;
+            cells[3].fails = true;
+            let engine = GridEngine::new().with_threads(threads);
+            assert_eq!(engine.run(&cells).unwrap_err(), "fake 3 failed");
+            assert_eq!(runs.load(Ordering::SeqCst), 8, "every cell ran");
+            assert_eq!(engine.cells_executed(), 6, "cells after the failures ran");
+        }
+    }
+
+    #[test]
+    fn duplicate_digests_execute_once_under_a_memo_index() {
+        let (cells, runs) = fakes(32, |i| (i % 4) as u128);
+        let memo = Arc::new(MemoIndex::new(4));
+        let engine = GridEngine::new()
+            .with_threads(4)
+            .with_memo_index(Arc::clone(&memo));
+        let reports = engine.run(&cells).unwrap();
+        let expected: Vec<u64> = (0..32).map(|i| i % 4 * 3 + 1).collect();
+        assert_eq!(reports, expected, "grid order survives coalescing");
+        assert_eq!(runs.load(Ordering::SeqCst), 4);
+        assert_eq!(engine.cells_executed(), 4);
+        assert_eq!(engine.memo_hits(), 28);
+        assert_eq!(memo.len(), 4);
+    }
+
+    #[test]
+    fn a_failed_store_is_counted_not_indexed_and_re_executed() {
+        let cache = temp_cache("store-fault");
+        let (cells, runs) = fakes(1, |_| 42);
+        let memo = Arc::new(MemoIndex::new(1));
+        let engine = GridEngine::serial()
+            .with_cache(cache.clone())
+            .with_memo_index(Arc::clone(&memo));
+        cache.fail_next_stores(1);
+        assert_eq!(engine.run_cell(&cells[0]).unwrap(), 127);
+        assert_eq!(engine.cache_store_failures(), 1);
+        assert!(memo.lookup(42).is_none(), "a lost store is not indexed");
+
+        let fresh = GridEngine::serial().with_cache(cache.clone());
+        assert_eq!(fresh.run_cell(&cells[0]).unwrap(), 127);
+        assert_eq!(fresh.cells_executed(), 1, "the lost store costs a re-run");
+        assert_eq!(fresh.cache_store_failures(), 0);
+
+        let warm = GridEngine::serial().with_cache(cache.clone());
+        let outcome = warm.run_cell_outcome(&cells[0]).unwrap();
+        assert!(outcome.cached);
+        assert_eq!((warm.cells_executed(), warm.cache_hits()), (0, 1));
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

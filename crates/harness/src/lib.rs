@@ -6,12 +6,14 @@
 //!
 //! 1. **Grid → cells.** A [`CellSpec`] is a pure-data description of one
 //!    simulation; grids are plain `Vec<CellSpec>`.
-//! 2. **Cells → pool.** [`SweepEngine`] executes cells on a
+//! 2. **Cells → pool.** [`GridEngine`] executes cells on a
 //!    [`std::thread::scope`] worker pool sized from
 //!    [`std::thread::available_parallelism`]. Workers claim cells from an
 //!    atomic index and write into per-cell output slots, so merged output
 //!    is ordered by grid index — never by completion order — and a parallel
-//!    sweep is byte-identical to a serial one.
+//!    sweep is byte-identical to a serial one. The engine is generic over
+//!    the [`GridCell`] trait; [`SweepEngine`] is its simulation instance,
+//!    and the verify and analyze crates run their grids on the same pool.
 //! 3. **Cells → cache.** A [`DiskCache`] memoizes completed cells under
 //!    `results/cache/`, keyed by a 128-bit content digest of everything
 //!    that determines the result (workload descriptor, strategy, placement,
@@ -45,7 +47,9 @@ pub mod spec;
 
 pub use cache::{DiskCache, RecoveryReport};
 pub use digest::Digest;
-pub use engine::{execute_cell, execute_cell_traced, CellOutcome, SweepEngine};
+pub use engine::{
+    execute_cell, execute_cell_traced, CellOutcome, GridCell, GridEngine, SweepEngine,
+};
 pub use memo::{MemoFill, MemoIndex, MemoProvenance};
 pub use report::{counter_fields, CellReport};
 pub use spec::{CellSpec, CryptoKernel, FaultSpec, SimConfig, StrategySpec, WorkloadSpec};

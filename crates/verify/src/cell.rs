@@ -17,15 +17,17 @@ use crate::oracle::trace_equivalence;
 use ctbia_core::taint::{LeakKind, LeakViolation};
 use ctbia_harness::{CellSpec, Digest, WorkloadSpec};
 use ctbia_machine::Machine;
-use std::fmt;
+use std::fmt::{self, Write};
+use std::iter::Peekable;
+use std::str::Lines;
 
 /// Version tag of the verification-report cache encoding. Bump whenever
 /// the verifier's semantics change so stale verdicts miss.
 pub const VERIFY_SCHEMA_VERSION: &str = "ctbia-verify-v2";
 
-/// How many violations a report stores verbatim (the count is always
-/// exact; the samples are for display).
-const STORED_VIOLATIONS: usize = 8;
+/// How many violations a verify or analyze report stores verbatim (the
+/// count is always exact; the samples are for display).
+pub const STORED_VIOLATIONS: usize = 8;
 
 /// One verification cell: a simulation cell plus the secret seeds the
 /// oracle draws.
@@ -63,9 +65,9 @@ impl VerifyCell {
         format!("verify:{}", self.spec.label())
     }
 
-    /// The cache key: the underlying cell digest extended with the
+    /// The content digest: the underlying cell digest extended with the
     /// verify schema marker and the seed family.
-    pub fn digest_hex(&self) -> String {
+    pub fn digest(&self) -> u128 {
         let mut d = Digest::new();
         d.field_str("verify", VERIFY_SCHEMA_VERSION);
         let cell = self.spec.digest();
@@ -75,7 +77,7 @@ impl VerifyCell {
         for &s in &self.seeds {
             d.write_u64(s);
         }
-        d.hex()
+        d.finish()
     }
 }
 
@@ -136,87 +138,35 @@ impl VerifyReport {
         if let Some(d) = &self.first_divergence {
             out.push_str(&format!("divergence {d}\n"));
         }
-        for v in &self.violations {
-            let kind = leak_kind_tag(v.kind);
-            let addr = v
-                .addr
-                .map_or_else(|| "-".to_string(), |a| format!("{a:#x}"));
-            out.push_str(&format!("viol {kind} {addr} {}\n", v.context));
-            for step in &v.provenance {
-                out.push_str(&format!("prov {step}\n"));
-            }
-        }
+        write_violations(&mut out, &self.violations);
         out.push_str("end\n");
         out
     }
 
-    /// Decodes a report from the cache text format. Any anomaly — wrong
-    /// version, missing field, garbage value, missing `end` trailer —
-    /// returns `None` (a cache miss, so the cell re-verifies).
+    /// Decodes a report from the cache text format in one pass, in the
+    /// order [`VerifyReport::to_cache_text`] writes it. Any anomaly —
+    /// wrong version, a missing, reordered or duplicated line, a garbage
+    /// value, a missing `end` trailer — returns `None` (a cache miss, so
+    /// the cell re-verifies).
     pub fn from_cache_text(text: &str) -> Option<VerifyReport> {
-        let mut lines = text.lines();
-        if lines.next()? != VERIFY_SCHEMA_VERSION {
-            return None;
-        }
-        let mut report = VerifyReport {
-            label: String::new(),
-            taint_checked: false,
-            outputs_ok: false,
-            leak_violations: 0,
-            violations: Vec::new(),
-            pairs: 0,
-            traces_equal: false,
-            first_divergence: None,
-            obs_digest: 0,
-        };
-        let (mut saw_label, mut closed) = (false, false);
-        for line in lines {
-            if line == "end" {
-                closed = true;
-                break;
-            }
-            let (key, value) = line.split_once(' ')?;
-            match key {
-                "label" => {
-                    report.label = value.to_string();
-                    saw_label = true;
-                }
-                "taint_checked" => report.taint_checked = parse_flag(value)?,
-                "outputs_ok" => report.outputs_ok = parse_flag(value)?,
-                "leak_violations" => report.leak_violations = value.parse().ok()?,
-                "pairs" => report.pairs = value.parse().ok()?,
-                "traces_equal" => report.traces_equal = parse_flag(value)?,
-                "obs_digest" => report.obs_digest = value.parse().ok()?,
-                "divergence" => report.first_divergence = Some(value.to_string()),
-                "viol" => {
-                    let (kind, rest) = value.split_once(' ')?;
-                    let (addr, context) = rest.split_once(' ')?;
-                    let kind = parse_leak_kind(kind)?;
-                    let addr = match addr {
-                        "-" => None,
-                        hex => Some(u64::from_str_radix(hex.strip_prefix("0x")?, 16).ok()?),
-                    };
-                    report.violations.push(LeakViolation {
-                        kind,
-                        context: context.to_string(),
-                        addr,
-                        provenance: Vec::new(),
-                    });
-                }
-                "prov" => report
-                    .violations
-                    .last_mut()?
-                    .provenance
-                    .push(value.to_string()),
-                _ => return None,
-            }
-        }
-        (closed && saw_label).then_some(report)
+        let mut r = CacheTextReader::open(text, VERIFY_SCHEMA_VERSION)?;
+        // Struct fields evaluate in the order written: the encoding order.
+        Some(VerifyReport {
+            label: r.text("label")?.to_string(),
+            taint_checked: r.flag("taint_checked")?,
+            outputs_ok: r.flag("outputs_ok")?,
+            leak_violations: r.number("leak_violations")?,
+            pairs: r.number("pairs")?,
+            traces_equal: r.flag("traces_equal")?,
+            obs_digest: r.number("obs_digest")?,
+            first_divergence: r.optional("divergence").map(str::to_string),
+            violations: r.violations_then_end()?,
+        })
     }
 }
 
 /// Stable one-token cache-text tag for a [`LeakKind`], shared by the
-/// `ctbia-verify-v1` and `ctbia-analyze-v1` report encodings.
+/// `ctbia-verify-v2` and `ctbia-analyze-v1` report encodings.
 pub fn leak_kind_tag(kind: LeakKind) -> &'static str {
     match kind {
         LeakKind::RawAddress => "raw-addr",
@@ -244,12 +194,102 @@ pub fn parse_leak_kind(tag: &str) -> Option<LeakKind> {
     })
 }
 
-fn parse_flag(value: &str) -> Option<bool> {
-    match value {
-        "0" => Some(false),
-        "1" => Some(true),
-        _ => None,
+/// Appends the evidence section of a verify or analyze cache text: one
+/// `viol KIND ADDR CONTEXT` line per violation (`ADDR` is `-` or hex),
+/// each followed by one `prov STEP` line per provenance step.
+pub fn write_violations(out: &mut String, violations: &[LeakViolation]) {
+    // Writing into a `String` cannot fail.
+    for v in violations {
+        let _ = write!(out, "viol {} ", leak_kind_tag(v.kind));
+        match v.addr {
+            Some(a) => {
+                let _ = write!(out, "{a:#x}");
+            }
+            None => out.push('-'),
+        }
+        let _ = writeln!(out, " {}", v.context);
+        for step in &v.provenance {
+            let _ = writeln!(out, "prov {step}");
+        }
     }
+}
+
+/// A one-pass reader over a verify or analyze report's cache text, in
+/// the order its encoder writes it: the schema line, the fixed
+/// `key value` lines, optional lines, the [`write_violations`] evidence
+/// section, and the `end` trailer. Every read returns `None` on a line
+/// that is not the one expected there.
+#[derive(Debug)]
+pub struct CacheTextReader<'a> {
+    lines: Peekable<Lines<'a>>,
+}
+
+impl<'a> CacheTextReader<'a> {
+    /// Starts reading `text`; `None` unless its first line is `schema`.
+    pub fn open(text: &'a str, schema: &str) -> Option<Self> {
+        let mut lines = text.lines().peekable();
+        (lines.next()? == schema).then_some(CacheTextReader { lines })
+    }
+
+    /// The value of the next line, which must carry exactly `key`.
+    pub fn text(&mut self, key: &str) -> Option<&'a str> {
+        value_of(self.lines.next()?, key)
+    }
+
+    /// The next line's `u64` value.
+    pub fn number(&mut self, key: &str) -> Option<u64> {
+        self.text(key)?.parse().ok()
+    }
+
+    /// The next line's `0`/`1` flag.
+    pub fn flag(&mut self, key: &str) -> Option<bool> {
+        match self.text(key)? {
+            "0" => Some(false),
+            "1" => Some(true),
+            _ => None,
+        }
+    }
+
+    /// The value of the next line if it carries `key`; otherwise `None`,
+    /// leaving that line for the next read.
+    pub fn optional(&mut self, key: &str) -> Option<&'a str> {
+        let value = value_of(self.lines.peek()?, key)?;
+        self.lines.next();
+        Some(value)
+    }
+
+    /// Reads the [`write_violations`] evidence section through the `end`
+    /// trailer. Text after `end` is ignored.
+    pub fn violations_then_end(mut self) -> Option<Vec<LeakViolation>> {
+        let mut violations: Vec<LeakViolation> = Vec::new();
+        loop {
+            let line = self.lines.next()?;
+            if line == "end" {
+                return Some(violations);
+            }
+            if let Some(step) = value_of(line, "prov") {
+                violations.last_mut()?.provenance.push(step.to_string());
+                continue;
+            }
+            let (kind, rest) = value_of(line, "viol")?.split_once(' ')?;
+            let (addr, context) = rest.split_once(' ')?;
+            let addr = match addr {
+                "-" => None,
+                hex => Some(u64::from_str_radix(hex.strip_prefix("0x")?, 16).ok()?),
+            };
+            violations.push(LeakViolation {
+                kind: parse_leak_kind(kind)?,
+                context: context.to_string(),
+                addr,
+                provenance: Vec::new(),
+            });
+        }
+    }
+}
+
+/// The value of a `key value` line, if the line carries exactly `key`.
+fn value_of<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    line.strip_prefix(key)?.strip_prefix(' ')
 }
 
 impl fmt::Display for VerifyReport {
@@ -393,11 +433,11 @@ mod tests {
     #[test]
     fn digest_covers_spec_and_seeds() {
         let a = cell("hist", 200, StrategySpec::Ct, &[1, 2, 3]);
-        assert_eq!(a.digest_hex(), a.digest_hex());
+        assert_eq!(a.digest(), a.digest());
         let b = cell("hist", 200, StrategySpec::Ct, &[1, 2, 4]);
-        assert_ne!(a.digest_hex(), b.digest_hex());
+        assert_ne!(a.digest(), b.digest());
         let c = cell("hist", 201, StrategySpec::Ct, &[1, 2, 3]);
-        assert_ne!(a.digest_hex(), c.digest_hex());
+        assert_ne!(a.digest(), c.digest());
         assert_eq!(a.label(), "verify:hist_200/CT");
     }
 
@@ -435,7 +475,7 @@ mod tests {
         let mut c32 = cell("spectre", 128, StrategySpec::Insecure, &[1, 2]);
         c32.spec.config.spec_window = 32;
         assert!(c32.expects_leak());
-        assert_ne!(c0.digest_hex(), c32.digest_hex());
+        assert_ne!(c0.digest(), c32.digest());
         let report = execute_verify_cell(&c32).unwrap();
         assert!(report.passed(true), "{report}");
         assert!(report.leak_violations > 0);

@@ -1,151 +1,37 @@
-//! The verification engine: the sweep-engine pattern over
-//! [`VerifyCell`]s, plus the canonical verification grids.
+//! The verification grid: [`VerifyCell`] as a [`GridCell`], the
+//! [`VerifyEngine`] that runs it, and the canonical verification grids.
 //!
-//! [`VerifyEngine`] mirrors `ctbia_harness::SweepEngine` exactly —
-//! workers claim cells from a shared atomic index, results land in
-//! grid-order slots so parallel output is byte-identical to serial, and
-//! an optional [`DiskCache`] memoizes completed verdicts under the
-//! cell's content digest (using the cache's raw text API with the
-//! verifier's own [`VERIFY_SCHEMA_VERSION`](crate::cell::VERIFY_SCHEMA_VERSION)
-//! encoding, so verify cells and simulation cells share one store
-//! without colliding).
+//! The engine is `ctbia_harness`'s one [`GridEngine`] pool (DESIGN.md
+//! §9). Verdicts are memoized under the cell's content digest in the
+//! same [`DiskCache`](ctbia_harness::DiskCache) as simulation cells,
+//! encoded with the verifier's own
+//! [`VERIFY_SCHEMA_VERSION`](crate::cell::VERIFY_SCHEMA_VERSION) text, so
+//! the kinds share one store without colliding.
 
 use crate::cell::{execute_verify_cell, VerifyCell, VerifyReport};
-use ctbia_harness::{CellSpec, CryptoKernel, DiskCache, StrategySpec, WorkloadSpec};
+use ctbia_harness::{CellSpec, CryptoKernel, GridCell, GridEngine, StrategySpec, WorkloadSpec};
 use ctbia_machine::BiaPlacement;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
 
-/// A worker pool plus optional memo cache for running verification
-/// grids.
-#[derive(Debug)]
-pub struct VerifyEngine {
-    threads: usize,
-    cache: Option<DiskCache>,
-    executed: AtomicU64,
-    cache_hits: AtomicU64,
-}
+/// The worker pool and memo layers for verification grids.
+pub type VerifyEngine = GridEngine<VerifyCell>;
 
-impl VerifyEngine {
-    /// An engine sized from [`std::thread::available_parallelism`], with
-    /// no cache.
-    pub fn new() -> Self {
-        let threads = thread::available_parallelism().map_or(1, |n| n.get());
-        VerifyEngine {
-            threads,
-            cache: None,
-            executed: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-        }
+impl GridCell for VerifyCell {
+    type Report = VerifyReport;
+
+    fn digest(&self) -> u128 {
+        VerifyCell::digest(self)
     }
 
-    /// A single-threaded engine with no cache — the reference ordering
-    /// the parallel pool must reproduce byte-for-byte.
-    pub fn serial() -> Self {
-        VerifyEngine::new().with_threads(1)
+    fn execute(&self) -> Result<VerifyReport, String> {
+        execute_verify_cell(self)
     }
 
-    /// Overrides the worker count (clamped to at least 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+    fn to_cache_text(report: &VerifyReport) -> String {
+        report.to_cache_text()
     }
 
-    /// Attaches a memo cache for completed verdicts.
-    #[must_use]
-    pub fn with_cache(mut self, cache: DiskCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The attached cache, if any.
-    pub fn cache(&self) -> Option<&DiskCache> {
-        self.cache.as_ref()
-    }
-
-    /// Cells this engine actually verified (cache hits excluded).
-    pub fn cells_executed(&self) -> u64 {
-        self.executed.load(Ordering::Relaxed)
-    }
-
-    /// Cells this engine served from the cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Runs one cell: cache lookup, then verification on a miss, then a
-    /// best-effort store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`execute_verify_cell`] errors.
-    pub fn run_cell(&self, cell: &VerifyCell) -> Result<VerifyReport, String> {
-        let key = cell.digest_hex();
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache
-                .load_text(&key)
-                .as_deref()
-                .and_then(VerifyReport::from_cache_text)
-            {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
-        }
-        let report = execute_verify_cell(cell)?;
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        if let Some(cache) = &self.cache {
-            let _ = cache.store_text(&key, &report.to_cache_text());
-        }
-        Ok(report)
-    }
-
-    /// Runs every cell of `cells`, returning reports **ordered by grid
-    /// index** regardless of worker scheduling.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the lowest-indexed failing cell; the sweep
-    /// does not short-circuit cells already claimed by other workers.
-    pub fn run(&self, cells: &[VerifyCell]) -> Result<Vec<VerifyReport>, String> {
-        let n = cells.len();
-        let workers = self.threads.min(n.max(1));
-        if workers <= 1 {
-            return cells.iter().map(|cell| self.run_cell(cell)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Result<VerifyReport, String>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-        thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = self.run_cell(&cells[i]);
-                    slots.lock().unwrap()[i] = Some(result);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|slot| slot.expect("worker pool covered every cell"))
-            .collect()
-    }
-}
-
-impl Default for VerifyEngine {
-    fn default() -> Self {
-        VerifyEngine::new()
+    fn from_cache_text(text: &str) -> Option<VerifyReport> {
+        VerifyReport::from_cache_text(text)
     }
 }
 
@@ -156,6 +42,32 @@ pub fn verify_seeds(quick: bool) -> Vec<u64> {
     let n = if quick { 4 } else { 9 };
     (0..n)
         .map(|i| 0x5ec2e7 ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .collect()
+}
+
+/// The five Ghostrider workloads at the sizes both verdict grids (this
+/// one and `ctbia-analyze`'s) check: CI-sized in quick mode.
+pub fn ghostrider_workloads(quick: bool) -> Vec<WorkloadSpec> {
+    let sizes = if quick {
+        [
+            ("dij", 24),
+            ("hist", 300),
+            ("perm", 300),
+            ("bin", 400),
+            ("heap", 400),
+        ]
+    } else {
+        [
+            ("dij", 32),
+            ("hist", 500),
+            ("perm", 500),
+            ("bin", 600),
+            ("heap", 600),
+        ]
+    };
+    sizes
+        .iter()
+        .map(|&(name, size)| WorkloadSpec::named(name, size).expect("known workload"))
         .collect()
 }
 
@@ -176,23 +88,6 @@ pub fn verify_grid(quick: bool) -> Vec<VerifyCell> {
         ));
     };
 
-    let sizes: &[(&str, usize)] = if quick {
-        &[
-            ("dij", 24),
-            ("hist", 300),
-            ("perm", 300),
-            ("bin", 400),
-            ("heap", 400),
-        ]
-    } else {
-        &[
-            ("dij", 32),
-            ("hist", 500),
-            ("perm", 500),
-            ("bin", 600),
-            ("heap", 600),
-        ]
-    };
     let strategies: &[(StrategySpec, &[BiaPlacement])] = if quick {
         &[
             (StrategySpec::Ct, &[BiaPlacement::L1d]),
@@ -212,8 +107,7 @@ pub fn verify_grid(quick: bool) -> Vec<VerifyCell> {
         ]
     };
 
-    for &(name, size) in sizes {
-        let wl = WorkloadSpec::named(name, size).expect("known workload");
+    for wl in ghostrider_workloads(quick) {
         for (strategy, placements) in strategies {
             for &placement in *placements {
                 push(wl, *strategy, placement);
@@ -251,6 +145,7 @@ pub fn verify_grid(quick: bool) -> Vec<VerifyCell> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctbia_harness::DiskCache;
 
     fn tiny_grid() -> Vec<VerifyCell> {
         let seeds = verify_seeds(true);
@@ -348,7 +243,7 @@ mod tests {
             assert!(cell.seeds.len() >= 9, "full grid replays >= 8 pairs");
         }
         // Every cell key is distinct — no cache collisions inside a grid.
-        let mut keys: Vec<String> = full.iter().map(VerifyCell::digest_hex).collect();
+        let mut keys: Vec<u128> = full.iter().map(VerifyCell::digest).collect();
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), full.len());

@@ -23,17 +23,19 @@
 //!    `CTStore` response bitmaps, LLC probe slices — to be
 //!    byte-identical across all of them.
 //!
-//! [`cell`] and [`engine`] package the two analyses as memoizing grid
-//! cells, exactly like the simulation sweep: [`verify_grid`] is the
+//! [`cell`] and [`engine`] package the two analyses as a
+//! [`GridCell`](ctbia_harness::GridCell) kind: [`verify_grid`] is the
 //! canonical coverage grid (all five workloads × software CT, BIA, and
 //! BIA-loads × all placements, the crypto kernels, and an intentionally
 //! leaky negative control that must fail *both* analyses), and
-//! [`VerifyEngine`] runs it in parallel with on-disk verdict caching.
+//! [`VerifyEngine`] — the harness's one grid engine over verify cells —
+//! runs it in parallel with on-disk verdict caching.
 //!
-//! The verifier models the *memory-system* side channel only: there is
-//! no speculation model, and timing is covered indirectly (the cost
-//! model is a deterministic function of the observation trace). See
-//! `DESIGN.md` §10 for the precise claims and their limits.
+//! The verifier models the *memory-system* side channel only:
+//! speculation is covered through the machine's bounded wrong-path
+//! windows (`DESIGN.md` §17), and timing indirectly (the cost model is a
+//! deterministic function of the observation trace). See `DESIGN.md`
+//! §10 for the precise claims and their limits.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,10 +49,10 @@ pub mod oracle;
 pub mod table;
 
 pub use cell::{
-    execute_verify_cell, leak_kind_tag, parse_leak_kind, VerifyCell, VerifyReport,
-    VERIFY_SCHEMA_VERSION,
+    execute_verify_cell, leak_kind_tag, parse_leak_kind, write_violations, CacheTextReader,
+    VerifyCell, VerifyReport, STORED_VIOLATIONS, VERIFY_SCHEMA_VERSION,
 };
-pub use engine::{verify_grid, verify_seeds, VerifyEngine};
+pub use engine::{ghostrider_workloads, verify_grid, verify_seeds, VerifyEngine};
 pub use kernels::{run_mirror, taint_check, TaintOutcome};
 pub use mem::{tv_addr, TaintMem, TaintSink};
 pub use oracle::{trace_equivalence, OracleOutcome};

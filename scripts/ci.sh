@@ -28,12 +28,16 @@
 #                                the spectre gadget verifies clean at
 #                                spec-window 0 but is caught — with a
 #                                wrong-path-fill provenance report — at
-#                                spec-window 32
+#                                spec-window 32; a second run of the
+#                                grid verifies 0 cells, every one from
+#                                results/cache
 #  10. ctbia analyze --quick  -- static-certification smoke run (hard
 #                                60s timeout): the quick grid certifies
 #                                0 bits for every protected cell, flags
 #                                every insecure cell, and the leaky
-#                                control fails `ctbia analyze` non-zero
+#                                control fails `ctbia analyze` non-zero;
+#                                a second run of the grid analyzes 0
+#                                cells, every one from results/cache
 #  11. serve suites + smoke    -- the e2e/protocol/stress/chaos/tenants/
 #                                loadgen suites for the batch-simulation
 #                                daemon (chaos runs its first scenario
@@ -61,6 +65,22 @@ cd "$(dirname "$0")/.."
 run() {
     echo "==> $*"
     "$@"
+}
+
+# Warm-memoization gate for a verdict grid: rerunning the grid (the
+# command after VERB) must execute zero cells and serve every cell from
+# results/cache. N is read from the grid_summary line itself, so the
+# check survives grid changes.
+warm_grid_is_memoized() {
+    local verb="$1"
+    shift
+    echo "==> $* (warm: must be fully memoized)"
+    local summary n
+    summary=$(timeout 60 "$@" | grep -E '^[0-9]+ cell\(s\): ')
+    echo "$summary"
+    n=${summary%% *}
+    test -n "$n" && test "$n" -gt 0
+    echo "$summary" | grep -q "^$n cell(s): 0 $verb, $n from results/cache, "
 }
 
 run cargo fmt --all --check
@@ -104,6 +124,7 @@ run ./target/release/ctbia trace histogram 400 --top 5
 echo "==> trace cycle attribution reconciles"
 
 run ./target/release/ctbia verify --quick
+warm_grid_is_memoized verified ./target/release/ctbia verify --quick
 echo "==> ctbia verify leaky-bin 300 (must fail)"
 if ./target/release/ctbia verify leaky-bin 300 >/dev/null 2>&1; then
     echo "leaky control verified clean — the verifier is blind" >&2
@@ -133,6 +154,7 @@ echo "==> verifier catches the spectre gadget's wrong-path fills"
 # cells at 0 bits, insecure cells caught) within a hard timeout, and the
 # leaky control must fail `ctbia analyze` with a non-zero exit.
 run timeout 60 ./target/release/ctbia analyze --quick
+warm_grid_is_memoized analyzed ./target/release/ctbia analyze --quick
 echo "==> ctbia analyze leaky-bin 300 --strategy insecure (must fail)"
 if timeout 60 ./target/release/ctbia analyze leaky-bin 300 --strategy insecure \
     >/dev/null 2>&1; then

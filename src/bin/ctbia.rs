@@ -20,9 +20,10 @@ use ctbia::analyze::{analyze_grid, AnalyzeCell, AnalyzeEngine, AnalyzeReport};
 use ctbia::attacks::{empirical_leakage_bits, set_access_profiles, PrimeProbe};
 use ctbia::core::ctmem::Width;
 use ctbia::core::ds::DataflowSet;
+use ctbia::core::taint::LeakViolation;
 use ctbia::harness::{
     counter_fields, execute_cell_traced, CellReport, CellSpec, CryptoKernel, DiskCache, FaultSpec,
-    StrategySpec, SweepEngine, WorkloadSpec,
+    GridCell, GridEngine, StrategySpec, SweepEngine, WorkloadSpec,
 };
 use ctbia::machine::{BiaPlacement, Machine};
 use ctbia::serve::{
@@ -173,11 +174,95 @@ fn parse_size(s: &str) -> Result<usize, String> {
 /// Attaches the default `results/cache/` memo cache; if the directory
 /// cannot be created (read-only checkout, say) the engine simply runs
 /// uncached.
-fn attach_default_cache(engine: SweepEngine) -> SweepEngine {
+fn attach_default_cache<C: GridCell>(engine: GridEngine<C>) -> GridEngine<C> {
     match DiskCache::open_default() {
         Ok(cache) => engine.with_cache(cache),
         Err(_) => engine,
     }
+}
+
+/// A grid engine with `threads` workers (default: one per core) and the
+/// default memo cache attached.
+fn grid_engine<C: GridCell>(threads: Option<usize>) -> GridEngine<C> {
+    let engine = GridEngine::new();
+    attach_default_cache(match threads {
+        Some(n) => engine.with_threads(n),
+        None => engine,
+    })
+}
+
+/// The arguments `ctbia verify` and `ctbia analyze` share.
+struct VerdictArgs {
+    quick: bool,
+    threads: Option<usize>,
+    /// The single cell to check, when a workload was named.
+    cell: Option<CellSpec>,
+}
+
+/// Parses `[--quick] [--threads N] [WORKLOAD [SIZE]] [--strategy S]
+/// [--placement P]`, plus `--spec-window W` (single-cell only) when
+/// `spec_window_ok`.
+fn parse_verdict_args(args: &[String], spec_window_ok: bool) -> Result<VerdictArgs, String> {
+    let mut quick = false;
+    let mut threads = None;
+    let mut name = None;
+    let mut size = None;
+    let mut strategy = StrategySpec::Ct;
+    let mut placement = BiaPlacement::L1d;
+    let mut spec_window = None;
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--quick" => quick = true,
+            "--threads" => {
+                i += 1;
+                let s = args.get(i).ok_or("--threads needs a value")?;
+                threads = Some(
+                    s.parse()
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .ok_or_else(|| format!("invalid thread count '{s}'"))?,
+                );
+            }
+            "--strategy" => {
+                i += 1;
+                strategy = StrategySpec::parse(args.get(i).ok_or("--strategy needs a value")?)?;
+            }
+            "--placement" => {
+                i += 1;
+                placement = parse_placement(args.get(i).ok_or("--placement needs a value")?)?;
+            }
+            "--spec-window" if spec_window_ok => {
+                i += 1;
+                spec_window = Some(parse_spec_window(
+                    args.get(i).ok_or("--spec-window needs a value")?,
+                )?);
+            }
+            v if name.is_none() && !v.starts_with('-') => name = Some(v.to_string()),
+            v if size.is_none() && !v.starts_with('-') => size = Some(parse_size(v)?),
+            other => return Err(format!("unexpected argument '{other}'")),
+        }
+        i += 1;
+    }
+    if spec_window.is_some() && name.is_none() {
+        return Err("--spec-window needs a workload (the grid fixes its own windows)".into());
+    }
+    let cell = match name {
+        Some(name) => {
+            let size = size.unwrap_or_else(|| default_size(&name).min(500));
+            let mut spec = CellSpec::new(WorkloadSpec::named(&name, size)?, strategy, placement);
+            if let Some(w) = spec_window {
+                spec.config.spec_window = w;
+            }
+            Some(spec)
+        }
+        None => None,
+    };
+    Ok(VerdictArgs {
+        quick,
+        threads,
+        cell,
+    })
 }
 
 fn print_report(label: &str, report: &CellReport, baseline: Option<u64>) {
@@ -972,28 +1057,23 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Attaches the default memo cache to a verify engine, mirroring
-/// [`attach_default_cache`].
-fn attach_verify_cache(engine: VerifyEngine) -> VerifyEngine {
-    match DiskCache::open_default() {
-        Ok(cache) => engine.with_cache(cache),
-        Err(_) => engine,
+/// Prints up to three of a report's stored violations, then how many of
+/// its exact `total` were never stored.
+fn print_violations(sampled: &[LeakViolation], total: u64) {
+    for v in sampled.iter().take(3) {
+        // LeakViolation's Display already renders the provenance chain.
+        println!("    {v}");
+    }
+    let stored = sampled.len() as u64;
+    if total > stored {
+        println!("    ... and {} more violation(s)", total - stored);
     }
 }
 
 /// Prints one verify verdict with its evidence: sampled violations with
 /// their provenance chains, and the first trace divergence.
 fn print_verify_evidence(report: &VerifyReport) {
-    for v in report.violations.iter().take(3) {
-        // LeakViolation's Display already renders the provenance chain.
-        println!("    {v}");
-    }
-    if report.leak_violations > report.violations.len() as u64 {
-        println!(
-            "    ... and {} more violation(s)",
-            report.leak_violations - report.violations.len() as u64
-        );
-    }
+    print_violations(&report.violations, report.leak_violations);
     if let Some(d) = &report.first_divergence {
         println!("    trace divergence: {d}");
     }
@@ -1004,60 +1084,11 @@ fn print_verify_evidence(report: &VerifyReport) {
 /// [--placement ..]` — verify a single cell, exiting non-zero if it
 /// leaks.
 fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let mut quick = false;
-    let mut threads = None;
-    let mut name = None;
-    let mut size = None;
-    let mut strategy = StrategySpec::Ct;
-    let mut placement = BiaPlacement::L1d;
-    let mut spec_window = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--threads" => {
-                i += 1;
-                let s = args.get(i).ok_or("--threads needs a value")?;
-                threads = Some(
-                    s.parse()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("invalid thread count '{s}'"))?,
-                );
-            }
-            "--strategy" => {
-                i += 1;
-                strategy = StrategySpec::parse(args.get(i).ok_or("--strategy needs a value")?)?;
-            }
-            "--placement" => {
-                i += 1;
-                placement = parse_placement(args.get(i).ok_or("--placement needs a value")?)?;
-            }
-            "--spec-window" => {
-                i += 1;
-                spec_window = Some(parse_spec_window(
-                    args.get(i).ok_or("--spec-window needs a value")?,
-                )?);
-            }
-            v if name.is_none() && !v.starts_with('-') => name = Some(v.to_string()),
-            v if size.is_none() && !v.starts_with('-') => size = Some(parse_size(v)?),
-            other => return Err(format!("unexpected argument '{other}'")),
-        }
-        i += 1;
-    }
-    if spec_window.is_some() && name.is_none() {
-        return Err("--spec-window needs a workload (the grid fixes its own windows)".into());
-    }
-
-    if let Some(name) = name {
+    let args = parse_verdict_args(args, true)?;
+    if let Some(spec) = args.cell {
         // Single-target mode: verify one cell and report what it does.
-        let size = size.unwrap_or_else(|| default_size(&name).min(500));
-        let mut spec = CellSpec::new(WorkloadSpec::named(&name, size)?, strategy, placement);
-        if let Some(w) = spec_window {
-            spec.config.spec_window = w;
-        }
-        let cell = VerifyCell::new(spec, verify_seeds(quick));
-        let engine = attach_verify_cache(VerifyEngine::serial());
+        let cell = VerifyCell::new(spec, verify_seeds(args.quick));
+        let engine = attach_default_cache(VerifyEngine::serial());
         let report = engine.run_cell(&cell)?;
         println!("{report}");
         if !report.clean() {
@@ -1069,13 +1100,9 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     }
 
     // Grid mode: the canonical coverage grid, leaky control included.
-    let grid = verify_grid(quick);
-    let seeds = verify_seeds(quick);
-    let mut engine = VerifyEngine::new();
-    if let Some(n) = threads {
-        engine = engine.with_threads(n);
-    }
-    let engine = attach_verify_cache(engine);
+    let grid = verify_grid(args.quick);
+    let seeds = verify_seeds(args.quick);
+    let engine: VerifyEngine = grid_engine(args.threads);
     println!(
         "verify sweep: {} cells, {} secret pairs each, {} worker(s)",
         grid.len(),
@@ -1119,28 +1146,10 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Attaches the default memo cache to an analyze engine, mirroring
-/// [`attach_verify_cache`].
-fn attach_analyze_cache(engine: AnalyzeEngine) -> AnalyzeEngine {
-    match DiskCache::open_default() {
-        Ok(cache) => engine.with_cache(cache),
-        Err(_) => engine,
-    }
-}
-
 /// Prints one certification verdict's evidence: sampled violations with
 /// their provenance chains and the abstract leakage bound.
 fn print_analyze_evidence(report: &AnalyzeReport) {
-    for v in report.violations.iter().take(3) {
-        // LeakViolation's Display already renders the provenance chain.
-        println!("    {v}");
-    }
-    if report.violation_count > report.violations.len() as u64 {
-        println!(
-            "    ... and {} more violation(s)",
-            report.violation_count - report.violations.len() as u64
-        );
-    }
+    print_violations(&report.violations, report.violation_count);
     if report.trace_millibits > 0 {
         println!(
             "    abstract bound: <= {}.{:03} bit(s) through the monitored cache",
@@ -1155,47 +1164,11 @@ fn print_analyze_evidence(report: &AnalyzeReport) {
 /// [--placement ..]` — certify a single cell, exiting non-zero unless
 /// the abstract bound is exactly 0 bits with no lint violations.
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let mut quick = false;
-    let mut threads = None;
-    let mut name = None;
-    let mut size = None;
-    let mut strategy = StrategySpec::Ct;
-    let mut placement = BiaPlacement::L1d;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--threads" => {
-                i += 1;
-                let s = args.get(i).ok_or("--threads needs a value")?;
-                threads = Some(
-                    s.parse()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("invalid thread count '{s}'"))?,
-                );
-            }
-            "--strategy" => {
-                i += 1;
-                strategy = StrategySpec::parse(args.get(i).ok_or("--strategy needs a value")?)?;
-            }
-            "--placement" => {
-                i += 1;
-                placement = parse_placement(args.get(i).ok_or("--placement needs a value")?)?;
-            }
-            v if name.is_none() && !v.starts_with('-') => name = Some(v.to_string()),
-            v if size.is_none() && !v.starts_with('-') => size = Some(parse_size(v)?),
-            other => return Err(format!("unexpected argument '{other}'")),
-        }
-        i += 1;
-    }
-
-    if let Some(name) = name {
+    let args = parse_verdict_args(args, false)?;
+    if let Some(spec) = args.cell {
         // Single-target mode: certify one cell and report what it does.
-        let size = size.unwrap_or_else(|| default_size(&name).min(500));
-        let spec = CellSpec::new(WorkloadSpec::named(&name, size)?, strategy, placement);
         let cell = AnalyzeCell::new(spec);
-        let engine = attach_analyze_cache(AnalyzeEngine::serial());
+        let engine = attach_default_cache(AnalyzeEngine::serial());
         let report = engine.run_cell(&cell)?;
         println!("{report}");
         if !report.certified() {
@@ -1206,12 +1179,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     }
 
     // Grid mode: the canonical certification grid, negative cells included.
-    let grid = analyze_grid(quick);
-    let mut engine = AnalyzeEngine::new();
-    if let Some(n) = threads {
-        engine = engine.with_threads(n);
-    }
-    let engine = attach_analyze_cache(engine);
+    let grid = analyze_grid(args.quick);
+    let engine: AnalyzeEngine = grid_engine(args.threads);
     println!(
         "analyze sweep: {} cells, {} worker(s)",
         grid.len(),
