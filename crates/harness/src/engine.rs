@@ -298,6 +298,17 @@ impl<C: GridCell> GridEngine<C> {
         self.store_failures.load(Ordering::Relaxed)
     }
 
+    /// Answers a cell from the in-memory memo index alone, counting a
+    /// memo hit: no disk read, no execution, no per-digest claim. `None`
+    /// when no index is attached or `digest` (the cell's
+    /// [`GridCell::digest`]) is not indexed; resolve those through
+    /// [`GridEngine::run_cell_outcome`].
+    pub fn memo_hit(&self, digest: u128) -> Option<C::Report> {
+        let report = self.memo.as_ref()?.lookup(digest)?;
+        self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        Some(report)
+    }
+
     /// Runs one cell: memo lookup, then execution on a miss, then a
     /// best-effort store (a failed store costs a future re-execution, not
     /// correctness).
@@ -628,6 +639,31 @@ mod tests {
         assert_eq!(engine.cells_executed(), 4);
         assert_eq!(engine.memo_hits(), 28);
         assert_eq!(memo.len(), 4);
+    }
+
+    #[test]
+    fn memo_hit_answers_only_from_the_index() {
+        let cache = temp_cache("memo-hit");
+        let (cells, runs) = fakes(2, |i| 10 + i as u128);
+        let engine = GridEngine::serial()
+            .with_cache(cache.clone())
+            .with_memo_index(Arc::new(MemoIndex::new(1)));
+        assert_eq!(engine.memo_hit(10), None, "cold index");
+        assert_eq!(engine.run_cell(&cells[0]).unwrap(), 31);
+        assert_eq!(engine.memo_hit(10), Some(31));
+        assert_eq!(engine.memo_hits(), 1);
+
+        // A disk entry the index has not seen is not a memo hit.
+        GridEngine::serial()
+            .with_cache(cache.clone())
+            .run_cell(&cells[1])
+            .unwrap();
+        assert_eq!(engine.memo_hit(11), None, "never reads the disk");
+        assert_eq!(GridEngine::<Fake>::serial().memo_hit(10), None, "no index");
+        assert_eq!(engine.memo_hits(), 1);
+        assert_eq!((engine.cache_hits(), engine.cells_executed()), (0, 1));
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! (`ctbia serve --chaos panic:2,stall:1,seed:7`). The running server
 //! wraps it in a [`ChaosState`], which hands out at most one injection per
 //! *fresh* job (coalesced waiters share their job's fate) until every
-//! budget is spent, then gets out of the way.
+//! budget is spent, then gets out of the way. A submit the daemon answers
+//! from its memo index draws too, as if it were a fresh job, and is
+//! queued as one when it draws a fault.
 //!
 //! Everything is deterministic: given the same spec (seed included) and
 //! the same submit order, the same jobs receive the same faults. That is

@@ -151,8 +151,12 @@ impl Client {
     ///
     /// Returns the I/O error on a broken connection.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")
+        // One write, so a `TCP_NODELAY` stream sends one segment and the
+        // server's reader wakes once per request.
+        let mut framed = String::with_capacity(line.len() + 1);
+        framed.push_str(line);
+        framed.push('\n');
+        self.writer.write_all(framed.as_bytes())
     }
 
     /// Reads one response line; `None` on a clean EOF.

@@ -4,15 +4,25 @@
 //! Architecture, one connection at a time:
 //!
 //! ```text
-//!   accept threads ──spawn──> connection reader ──submit──> DRR scheduler
-//!    (UDS + TCP)                    │                            │
-//!                                   │ status/ping/errors         │ worker pool
-//!                                   v                            v   (supervised)
-//!                             response channel <──report── job completion
+//!   accept threads ──spawn──> connection reader ──submit (miss)──> DRR scheduler
+//!    (UDS + TCP)                    │                                   │
+//!                                   │ memo-index hits, status,          │ worker pool
+//!                                   │ ping, health, every error         v   (supervised)
+//!                                   │                    completion channel <── job completion
+//!                                   │                                   │      (and watchdog)
+//!                                   v                                   v
+//!                             write lock ───── one line per response ── connection writer
 //!                                   │
 //!                                   v
-//!                             connection writer (one line per response)
+//!                                stream
 //! ```
+//!
+//! The reader writes its own answers through the connection's write
+//! lock; the channel and the writer thread carry only answers that come
+//! back from the job queue, so a worker never blocks on a client's
+//! socket. Every response is one `write_all` of the line and its
+//! newline under the lock, so lines from the two writers never
+//! interleave.
 //!
 //! * **Two transports, one protocol.** The daemon always binds a Unix
 //!   domain socket and may additionally bind a TCP listener
@@ -33,9 +43,13 @@
 //!   against their tenant's quota.
 //! * **Sharded memo index.** When [`ServerConfig::shards`] > 0 the engine
 //!   carries a digest-prefix-sharded in-memory index over the disk cache
-//!   ([`MemoIndex`]): warm hits resolve under one shard lock without
-//!   touching disk, and concurrent identical digests execute exactly
-//!   once.
+//!   ([`MemoIndex`]). A submit whose digest is indexed is answered on the
+//!   connection's reader thread under one shard lock: no job, no
+//!   coalescing map, no scheduler, no worker, no channel. Like
+//!   coalescers, such hits are always admitted — they cost no execution
+//!   and no queue slot — and they count in the job and metrics counters
+//!   exactly as a queued hit would. Disk hits and misses take the job
+//!   queue, where concurrent identical digests execute exactly once.
 //! * **Supervision.** Jobs execute under `catch_unwind`; a panicking cell
 //!   answers its waiters with `cell_failed` and the supervisor respawns
 //!   the poisoned worker (see [`crate::supervisor`]). The same thread is
@@ -60,7 +74,9 @@ use crate::proto::{
 };
 use crate::supervisor::{execute_guarded, spawn_worker, supervisor_loop};
 use crate::tenant::{DrrScheduler, TenantSpec};
-use ctbia_harness::{counter_fields, CellOutcome, CellSpec, DiskCache, MemoIndex, SweepEngine};
+use ctbia_harness::{
+    counter_fields, CellOutcome, CellReport, CellSpec, DiskCache, MemoIndex, SweepEngine,
+};
 use ctbia_trace::MetricsDoc;
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -143,14 +159,31 @@ impl ServerConfig {
     }
 }
 
+/// How answers from the job queue reach one connection: the channel its
+/// writer thread drains, and the count of its submits registered on a
+/// job and not yet answered.
+#[derive(Debug, Clone)]
+struct ConnRoute {
+    tx: mpsc::Sender<String>,
+    conn_inflight: Arc<AtomicUsize>,
+}
+
 /// One response consumer of a job: which connection, which request id,
 /// and whether it coalesced onto an execution another submit started.
 #[derive(Debug)]
 struct Waiter {
-    tx: mpsc::Sender<String>,
+    route: ConnRoute,
     id: String,
     coalesced: bool,
-    conn_inflight: Arc<AtomicUsize>,
+}
+
+impl Waiter {
+    /// Hands the waiter its answer and frees its connection-window slot.
+    fn answer(self, line: String) {
+        // A send failure means the client hung up; its loss.
+        let _ = self.route.tx.send(line);
+        self.route.conn_inflight.fetch_sub(1, Ordering::Release);
+    }
 }
 
 /// One in-flight cell resolution, shared by every submit that asked for
@@ -205,6 +238,9 @@ impl TenantRt {
 
 /// Whether `submit` accepted a request into the system.
 enum Admission {
+    /// Answered from the memo index on the spot; nothing was registered.
+    /// (Boxed: a `CellReport` dwarfs every other variant.)
+    Hit(Box<CellReport>),
     /// Enqueued fresh or coalesced onto an in-flight digest.
     Accepted,
     /// Shed by the global queue-depth limit; nothing was registered.
@@ -349,20 +385,42 @@ impl Core {
         }
     }
 
-    /// Registers one submit: coalesce onto an in-flight duplicate digest,
-    /// reject on the tenant's quotas, shed when the global queue is full,
-    /// or create and enqueue a fresh job (with its effective deadline and
-    /// its draw from the chaos budget) under the tenant's DRR queue.
+    /// Admits one submit of the cell `spec` with digest `digest`: answer
+    /// it from the memo index, coalesce it onto an in-flight duplicate
+    /// digest, reject it on the tenant's quotas, shed it when the global
+    /// queue is full, or create and enqueue a fresh job (with its
+    /// effective deadline and its draw from the chaos budget) under the
+    /// tenant's DRR queue. Only a registered waiter takes a slot of the
+    /// connection's window.
+    ///
+    /// Memo-index hits are always admitted, like coalescers: they cost no
+    /// execution and no queue slot. Under chaos a submit draws from the
+    /// budget exactly when it would have created a job had hits been
+    /// queued too — coalesced and refused submits draw nothing — so an
+    /// indexed hit draws before it is answered, and one that draws a
+    /// fault is queued as a job carrying it.
     fn submit(
         &self,
         spec: CellSpec,
+        digest: u128,
         tenant: usize,
         deadline_ms: Option<u64>,
-        tx: mpsc::Sender<String>,
-        id: String,
-        conn_inflight: Arc<AtomicUsize>,
+        id: &str,
+        route: &ConnRoute,
     ) -> Admission {
-        let digest = spec.digest();
+        if self.chaos.is_none() {
+            if let Some(report) = self.answer_hit(digest) {
+                return Admission::Hit(report);
+            }
+        }
+        let waiter = |coalesced| {
+            route.conn_inflight.fetch_add(1, Ordering::AcqRel);
+            Waiter {
+                route: route.clone(),
+                id: id.to_string(),
+                coalesced,
+            }
+        };
         let mut map = self.inflight.lock().unwrap();
         if let Some(job) = map.get(&digest) {
             // Duplicate of an in-flight cell: share its execution. A job
@@ -372,26 +430,35 @@ impl Core {
             // costs no execution and no queue slot.
             self.stats.submitted.fetch_add(1, Ordering::Relaxed);
             self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
-            job.waiters.lock().unwrap().push(Waiter {
-                tx,
-                id,
-                coalesced: true,
-                conn_inflight,
-            });
+            job.waiters.lock().unwrap().push(waiter(true));
             return Admission::Accepted;
         }
         let rt = &self.tenants[tenant];
-        if rt.inflight.load(Ordering::Acquire) >= rt.max_inflight {
-            return Admission::QuotaExceeded;
-        }
-        if self.sched.lock().unwrap().queued(tenant) >= rt.queue_share {
-            return Admission::TenantBackpressure;
-        }
-        if self.stats.inflight_jobs.load(Ordering::Acquire) >= self.queue_limit as u64 {
+        let refusal = if rt.inflight.load(Ordering::Acquire) >= rt.max_inflight {
+            Some(Admission::QuotaExceeded)
+        } else if self.sched.lock().unwrap().queued(tenant) >= rt.queue_share {
+            Some(Admission::TenantBackpressure)
+        } else if self.stats.inflight_jobs.load(Ordering::Acquire) >= self.queue_limit as u64 {
             // Admission control: a fresh job would grow the queue past the
             // high-water mark. Shed it before registering anything.
-            self.stats.shed_submits.fetch_add(1, Ordering::Relaxed);
-            return Admission::Shed;
+            Some(Admission::Shed)
+        } else {
+            None
+        };
+        let fault = match (&self.chaos, &refusal) {
+            (Some(chaos), None) => chaos.next_injection(),
+            _ => None,
+        };
+        if self.chaos.is_some() && fault.is_none() {
+            if let Some(report) = self.answer_hit(digest) {
+                return Admission::Hit(report);
+            }
+        }
+        if let Some(refusal) = refusal {
+            if matches!(refusal, Admission::Shed) {
+                self.stats.shed_submits.fetch_add(1, Ordering::Relaxed);
+            }
+            return refusal;
         }
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
         let deadline = deadline_ms
@@ -401,16 +468,11 @@ impl Core {
             spec,
             digest,
             tenant,
-            waiters: Mutex::new(vec![Waiter {
-                tx,
-                id,
-                coalesced: false,
-                conn_inflight,
-            }]),
+            waiters: Mutex::new(vec![waiter(false)]),
             created: Instant::now(),
             deadline,
             resolved: AtomicBool::new(false),
-            chaos: self.chaos.as_ref().and_then(|c| c.next_injection()),
+            chaos: fault,
         });
         map.insert(digest, Arc::clone(&job));
         drop(map);
@@ -419,6 +481,30 @@ impl Core {
         self.sched.lock().unwrap().push(tenant, job);
         self.queue_cv.notify_one();
         Admission::Accepted
+    }
+
+    /// Resolves a submit from the memo index alone, counting it submitted
+    /// and completed exactly as a queued hit's job would be.
+    fn answer_hit(&self, digest: u128) -> Option<Box<CellReport>> {
+        let report = self.engine.memo_hit(digest)?;
+        self.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        self.record_completion(&report);
+        Some(Box::new(report))
+    }
+
+    /// Counts one successfully resolved job and rolls its counters into
+    /// the `--metrics` sums.
+    fn record_completion(&self, report: &CellReport) {
+        self.stats.completed.fetch_add(1, Ordering::Relaxed);
+        let fields = counter_fields(&report.counters);
+        let mut sums = self.sums.lock().unwrap();
+        if sums.is_empty() {
+            *sums = fields;
+        } else {
+            for (acc, field) in sums.iter_mut().zip(fields) {
+                acc.1 += field.1;
+            }
+        }
     }
 
     /// Releases a resolved job's accounting: the creating tenant's quota
@@ -441,18 +527,7 @@ impl Core {
         }
         self.inflight.lock().unwrap().remove(&job.digest);
         match &outcome {
-            Ok(o) => {
-                self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                let fields = counter_fields(&o.report.counters);
-                let mut sums = self.sums.lock().unwrap();
-                if sums.is_empty() {
-                    *sums = fields;
-                } else {
-                    for (acc, field) in sums.iter_mut().zip(fields) {
-                        acc.1 += field.1;
-                    }
-                }
-            }
+            Ok(o) => self.record_completion(&o.report),
             Err(_) => {
                 self.stats.failed.fetch_add(1, Ordering::Relaxed);
             }
@@ -463,9 +538,7 @@ impl Core {
                 Ok(o) => report_response(&w.id, o.cached, w.coalesced, &o.report),
                 Err(msg) => error_response(Some(&w.id), ErrorCode::CellFailed, msg),
             };
-            // A send failure means the client hung up; its loss.
-            let _ = w.tx.send(line);
-            w.conn_inflight.fetch_sub(1, Ordering::Release);
+            w.answer(line);
         }
         self.release(job);
     }
@@ -498,12 +571,12 @@ impl Core {
             let deadline_ms = job.deadline.map_or(0, |d| d.as_millis() as u64);
             let waiters = std::mem::take(&mut *job.waiters.lock().unwrap());
             for w in waiters {
-                let _ = w.tx.send(error_response(
+                let line = error_response(
                     Some(&w.id),
                     ErrorCode::DeadlineExceeded,
                     &format!("job exceeded its {deadline_ms}ms deadline"),
-                ));
-                w.conn_inflight.fetch_sub(1, Ordering::Release);
+                );
+                w.answer(line);
             }
             self.release(&job);
         }
@@ -805,46 +878,68 @@ fn accept_loop<L: ConnListener>(listener: L, core: Arc<Core>) {
 }
 
 /// Serves one connection (either transport): a reader loop that answers
-/// or enqueues each request line, plus a writer thread serializing
-/// responses (from this reader *and* from worker completions) onto the
-/// stream one line at a time.
+/// or enqueues each request line, writing its own answers straight to
+/// the stream, plus a writer thread for the answers that come back from
+/// the job queue. Both write through one lock, one line per response.
 fn handle_connection<S: Conn>(stream: S, core: Arc<Core>) {
     if stream.set_read_timeout_conn(Some(POLL_INTERVAL)).is_err() {
         return;
     }
-    let write_half = match stream.try_clone_conn() {
-        Ok(s) => s,
+    let writer = match stream.try_clone_conn() {
+        Ok(s) => Arc::new(Mutex::new(s)),
         Err(_) => return,
     };
     let (tx, rx) = mpsc::channel::<String>();
-    let writer = thread::spawn(move || writer_loop(write_half, rx));
-    let conn_inflight = Arc::new(AtomicUsize::new(0));
-    reader_loop(stream, &core, &tx, &conn_inflight);
-    // Writer exits once every sender is gone: ours now, the workers' when
-    // the last pending job for this connection has responded.
-    drop(tx);
-    let _ = writer.join();
+    let completions = {
+        let writer = Arc::clone(&writer);
+        thread::spawn(move || writer_loop(&writer, rx))
+    };
+    let replies = Replies {
+        writer,
+        route: ConnRoute {
+            tx,
+            conn_inflight: Arc::new(AtomicUsize::new(0)),
+        },
+    };
+    reader_loop(stream, &core, &replies);
+    // The writer thread exits once every sender is gone: ours now, the
+    // workers' when the last pending job for this connection has
+    // responded.
+    drop(replies);
+    let _ = completions.join();
 }
 
-fn writer_loop<S: Conn>(mut stream: S, rx: mpsc::Receiver<String>) {
+/// The reader's two ways to answer: the write half it shares with the
+/// writer thread, and the route it hands to queued jobs.
+struct Replies<S> {
+    writer: Arc<Mutex<S>>,
+    route: ConnRoute,
+}
+
+/// Writes one response line and its newline as a single `write_all`
+/// under the connection's write lock. A failed write means the client
+/// hung up; the line is its loss.
+fn write_line<S: Conn>(writer: &Mutex<S>, mut line: String) {
+    line.push('\n');
+    let mut stream = writer
+        .lock()
+        .expect("no thread panics while holding a connection's write lock");
+    let _ = stream.write_all(line.as_bytes());
+}
+
+fn writer_loop<S: Conn>(writer: &Mutex<S>, rx: mpsc::Receiver<String>) {
+    // Keeps draining after the client hangs up, so senders never see the
+    // channel as an inflight leak.
     for line in rx {
-        if stream.write_all(line.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
-            // Client hung up; keep draining the channel so senders never
-            // see it as an inflight leak.
-        }
+        write_line(writer, line);
     }
-    let _ = stream.flush();
 }
 
-fn reader_loop<S: Conn>(
-    mut stream: S,
-    core: &Arc<Core>,
-    tx: &mpsc::Sender<String>,
-    conn_inflight: &Arc<AtomicUsize>,
-) {
+fn reader_loop<S: Conn>(mut stream: S, core: &Arc<Core>, replies: &Replies<S>) {
     let mut buf: Vec<u8> = Vec::with_capacity(512);
     let mut chunk = [0u8; 4096];
     let mut skipping_oversized = false;
+    let conn_inflight = &replies.route.conn_inflight;
     loop {
         // Drain any complete lines already buffered.
         while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
@@ -854,12 +949,12 @@ fn reader_loop<S: Conn>(
                 continue;
             }
             let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-            handle_line(&line, core, tx, conn_inflight);
+            handle_line(&line, core, replies);
         }
         if !skipping_oversized && buf.len() > MAX_LINE {
             respond_error(
                 core,
-                tx,
+                &replies.writer,
                 None,
                 ErrorCode::OversizedLine,
                 &format!("request line exceeds {MAX_LINE} bytes"),
@@ -876,7 +971,7 @@ fn reader_loop<S: Conn>(
                 // EOF. A trailing unterminated line is still a request.
                 if !buf.is_empty() && !skipping_oversized {
                     let line = String::from_utf8_lossy(&buf).into_owned();
-                    handle_line(&line, core, tx, conn_inflight);
+                    handle_line(&line, core, replies);
                 }
                 return;
             }
@@ -888,9 +983,9 @@ fn reader_loop<S: Conn>(
     }
 }
 
-fn respond_error(
+fn respond_error<S: Conn>(
     core: &Arc<Core>,
-    tx: &mpsc::Sender<String>,
+    writer: &Mutex<S>,
     id: Option<&str>,
     code: ErrorCode,
     message: &str,
@@ -908,42 +1003,37 @@ fn respond_error(
         }
         _ => {}
     }
-    let _ = tx.send(error_response(id, code, message));
+    write_line(writer, error_response(id, code, message));
 }
 
-fn handle_line(
-    line: &str,
-    core: &Arc<Core>,
-    tx: &mpsc::Sender<String>,
-    conn_inflight: &Arc<AtomicUsize>,
-) {
+fn handle_line<S: Conn>(line: &str, core: &Arc<Core>, replies: &Replies<S>) {
+    let writer = &*replies.writer;
     if line.trim().is_empty() {
-        respond_error(core, tx, None, ErrorCode::BadJson, "empty request line");
+        respond_error(core, writer, None, ErrorCode::BadJson, "empty request line");
         return;
     }
     let (id, request) = match parse_request(line) {
         Ok(parsed) => parsed,
         Err(e) => {
-            respond_error(core, tx, e.id.as_deref(), e.code, &e.message);
+            respond_error(core, writer, e.id.as_deref(), e.code, &e.message);
             return;
         }
     };
     match request {
-        Request::Ping => {
-            let _ = tx.send(pong_response(&id));
-        }
+        Request::Ping => write_line(writer, pong_response(&id)),
         Request::Status { metrics } => {
             let doc = metrics.then(|| core.metrics_doc().to_json());
-            let _ = tx.send(status_response(&id, &core.snapshot(), doc.as_deref()));
+            write_line(
+                writer,
+                status_response(&id, &core.snapshot(), doc.as_deref()),
+            );
         }
-        Request::Health => {
-            let _ = tx.send(health_response(&id, &core.health()));
-        }
+        Request::Health => write_line(writer, health_response(&id, &core.health())),
         Request::Submit(req) => {
             if core.shutdown.load(Ordering::Acquire) {
                 respond_error(
                     core,
-                    tx,
+                    writer,
                     Some(&id),
                     ErrorCode::ShuttingDown,
                     "server is draining; resubmit elsewhere",
@@ -955,21 +1045,22 @@ fn handle_line(
             let tenant = match core.resolve_tenant(req.token.as_deref()) {
                 Ok(t) => t,
                 Err(msg) => {
-                    respond_error(core, tx, Some(&id), ErrorCode::Unauthorized, &msg);
+                    respond_error(core, writer, Some(&id), ErrorCode::Unauthorized, &msg);
                     return;
                 }
             };
             let spec = match req.to_spec() {
                 Ok(spec) => spec,
                 Err(msg) => {
-                    respond_error(core, tx, Some(&id), ErrorCode::BadCell, &msg);
+                    respond_error(core, writer, Some(&id), ErrorCode::BadCell, &msg);
                     return;
                 }
             };
+            let conn_inflight = &replies.route.conn_inflight;
             if conn_inflight.load(Ordering::Acquire) >= core.max_inflight {
                 respond_error(
                     core,
-                    tx,
+                    writer,
                     Some(&id),
                     ErrorCode::Backpressure,
                     &format!(
@@ -980,35 +1071,27 @@ fn handle_line(
                 );
                 return;
             }
-            conn_inflight.fetch_add(1, Ordering::AcqRel);
-            match core.submit(
-                spec,
-                tenant,
-                req.deadline_ms,
-                tx.clone(),
-                id.clone(),
-                Arc::clone(conn_inflight),
-            ) {
-                Admission::Accepted => {}
-                Admission::Shed => {
-                    conn_inflight.fetch_sub(1, Ordering::AcqRel);
-                    respond_error(
-                        core,
-                        tx,
-                        Some(&id),
-                        ErrorCode::Overloaded,
-                        &format!(
-                            "queue is at its {}-job limit; retry with backoff",
-                            core.queue_limit
-                        ),
-                    );
+            let digest = spec.digest();
+            match core.submit(spec, digest, tenant, req.deadline_ms, &id, &replies.route) {
+                Admission::Hit(report) => {
+                    write_line(writer, report_response(&id, true, false, &report));
                 }
+                Admission::Accepted => {}
+                Admission::Shed => respond_error(
+                    core,
+                    writer,
+                    Some(&id),
+                    ErrorCode::Overloaded,
+                    &format!(
+                        "queue is at its {}-job limit; retry with backoff",
+                        core.queue_limit
+                    ),
+                ),
                 Admission::QuotaExceeded => {
-                    conn_inflight.fetch_sub(1, Ordering::AcqRel);
                     let rt = &core.tenants[tenant];
                     respond_error(
                         core,
-                        tx,
+                        writer,
                         Some(&id),
                         ErrorCode::QuotaExceeded,
                         &format!(
@@ -1020,11 +1103,10 @@ fn handle_line(
                     );
                 }
                 Admission::TenantBackpressure => {
-                    conn_inflight.fetch_sub(1, Ordering::AcqRel);
                     let rt = &core.tenants[tenant];
                     respond_error(
                         core,
-                        tx,
+                        writer,
                         Some(&id),
                         ErrorCode::Backpressure,
                         &format!(

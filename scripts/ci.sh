@@ -39,9 +39,12 @@
 #                                a second run of the grid analyzes 0
 #                                cells, every one from results/cache
 #  11. serve suites + smoke    -- the e2e/protocol/stress/chaos/tenants/
-#                                loadgen suites for the batch-simulation
-#                                daemon (chaos runs its first scenario
-#                                over TCP), a `ctbia loadgen --quick`
+#                                hits/loadgen suites for the batch-
+#                                simulation daemon (chaos runs its first
+#                                scenario over TCP), a one-second
+#                                `perfbench --workload serve` run that
+#                                must exit 0 with `"correct": true` and
+#                                `"failed": 0`, a `ctbia loadgen --quick`
 #                                smoke whose BENCH_serve.json must carry
 #                                per-phase p99 + throughput keys, then a
 #                                live cycle: start `ctbia serve` on a
@@ -164,7 +167,18 @@ fi
 echo "==> analyzer refuses to certify the leaky control"
 
 run cargo test -q -p ctbia-serve --test serve_e2e --test serve_protocol --test serve_stress \
-    --test serve_chaos --test serve_tenants --test loadgen_determinism
+    --test serve_chaos --test serve_tenants --test serve_hits --test loadgen_determinism
+
+# perfbench serve smoke: one second of the benchmark's serve workload
+# (closed-loop TCP clients on an in-process daemon) must exit 0 with every
+# served report checked correct and no operation failed.
+echo "==> perfbench --workload serve --seed 1 --seconds 1"
+PERFBENCH_RESULT=$(timeout 300 cargo run --release --offline --quiet \
+    --manifest-path perfbench/Cargo.toml -- --workload serve --seed 1 --seconds 1 | tail -n 1)
+echo "$PERFBENCH_RESULT"
+echo "$PERFBENCH_RESULT" | grep -q '"correct": true'
+echo "$PERFBENCH_RESULT" | grep -q '"failed": 0[,}]'
+echo "==> perfbench serve smoke: correct, 0 failed"
 
 # Loadgen smoke: the CI-sized run must complete under a hard timeout,
 # write a versioned BENCH_serve.json carrying per-phase tail latency and

@@ -47,6 +47,24 @@ fn feasibility_rules_match_section_6_4() {
     assert!(llc_machine(1, 12, 12).is_ok());
 }
 
+/// The committed §6.4 table must print each rejection the machine gives
+/// today, so a change to the error text cannot leave the file stale. The
+/// table shows an error's text up to its first " — " (the remedy after it
+/// is left out).
+#[test]
+fn committed_section_6_4_table_shows_todays_rejections() {
+    let table = include_str!("../results/sec64_llc_bia.txt");
+    for (ls_hash, m_log2) in [(9, 12), (6, 7)] {
+        let err = llc_machine(8, ls_hash, m_log2).unwrap_err().to_string();
+        let shown = err.split(" — ").next().unwrap();
+        assert!(
+            table.contains(&format!("REJECTED ({shown})")),
+            "results/sec64_llc_bia.txt lacks \"{shown}\"; regenerate it with \
+             `cargo run -p ctbia-bench --release --bin sec64_llc_bia`"
+        );
+    }
+}
+
 #[test]
 fn llc_bia_is_functionally_correct_at_every_granularity() {
     for m_log2 in [7u32, 8, 9, 10, 11, 12] {
