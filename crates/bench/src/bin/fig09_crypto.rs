@@ -6,8 +6,7 @@
 //! ```
 //!
 //! The kernel × strategy grid runs on the shared sweep engine (parallel,
-//! memoized under `results/cache/`); `ctbia bench` covers the same cells,
-//! so one warms the other.
+//! memoized under `results/cache/`).
 
 use ctbia_bench::{eval_cell, figure_engine, report_overhead};
 use ctbia_harness::{CryptoKernel, StrategySpec, WorkloadSpec};

@@ -1,9 +1,10 @@
 //! # ctbia-bench — the evaluation harness
 //!
-//! Shared plumbing for the figure/table regenerators (`src/bin/*`) and the
-//! criterion microbenches (`benches/*`). Each binary reprints one table or
-//! figure of the paper from a fresh simulation; see DESIGN.md §5 for the
-//! full experiment index and EXPERIMENTS.md for paper-vs-measured notes.
+//! Shared plumbing for the figure/table regenerators (`src/bin/*`). Each
+//! binary reprints one table or figure of the paper from a fresh
+//! simulation; see DESIGN.md §5 for the full experiment index and
+//! EXPERIMENTS.md for paper-vs-measured notes. Host-time measurement
+//! lives in `perfbench/` (see `perfbench/README.md`).
 //!
 //! Strategy↔machine pairings follow the paper's bars:
 //!
@@ -72,7 +73,7 @@ pub fn run_bia_l2(wl: &dyn Workload) -> Run {
 }
 
 /// The shared figure engine: a parallel worker pool over the repo-wide
-/// `results/cache/` memo table, so sibling figure bins (and `ctbia bench`)
+/// `results/cache/` memo table, so sibling figure bins (and `ctbia run`)
 /// share completed cells. If the cache directory cannot be created the
 /// engine simply runs uncached.
 pub fn figure_engine() -> SweepEngine {

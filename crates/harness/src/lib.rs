@@ -17,7 +17,7 @@
 //! 3. **Cells → cache.** A [`DiskCache`] memoizes completed cells under
 //!    `results/cache/`, keyed by a 128-bit content digest of everything
 //!    that determines the result (workload descriptor, strategy, placement,
-//!    [`SimConfig`]). Figure bins, `ctbia compare`, and `ctbia bench` share
+//!    [`SimConfig`]). Figure bins, `ctbia run` and `ctbia compare` share
 //!    work instead of re-simulating identical cells.
 //!
 //! ```

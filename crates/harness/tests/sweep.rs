@@ -1,13 +1,16 @@
 //! Sweep-engine determinism and memoization guarantees:
 //!
 //! * a parallel sweep is byte-identical to a serial one over the full
-//!   5-workload × 3-placement grid;
-//! * a warm cache returns identical reports without touching the simulator
-//!   (checked through the engine's cell-execution counter);
+//!   5-workload × 3-placement grid plus the figure-configuration grid
+//!   (every strategy family and all eight crypto kernels);
+//! * a warm cache returns byte-identical reports without touching the
+//!   simulator (checked through the engine's cell-execution counter);
 //! * changing the workload size changes the digest and forces
 //!   re-simulation.
 
-use ctbia_harness::{CellSpec, DiskCache, StrategySpec, SweepEngine, WorkloadSpec};
+use ctbia_harness::{
+    CellReport, CellSpec, CryptoKernel, DiskCache, StrategySpec, SweepEngine, WorkloadSpec,
+};
 use ctbia_machine::BiaPlacement;
 use std::fs;
 use std::path::PathBuf;
@@ -36,6 +39,64 @@ fn ghostrider_grid() -> Vec<CellSpec> {
     grid
 }
 
+/// The figure-configuration grid (`with_eval_config`, the `o3_approx`
+/// cost model): the five Ghostrider workloads under insecure, CT-AVX2,
+/// BIA@L1d and BIA@L2, plus the eight Figure 9 crypto kernels under
+/// insecure, CT-AVX2 and BIA@L1d — 44 cells.
+fn eval_grid() -> Vec<CellSpec> {
+    let mut grid = Vec::new();
+    for (name, size) in [
+        ("dijkstra", 16),
+        ("histogram", 400),
+        ("permutation", 400),
+        ("binary-search", 600),
+        ("heappop", 600),
+    ] {
+        let workload = WorkloadSpec::named(name, size).unwrap();
+        for (strategy, placement) in [
+            (StrategySpec::Insecure, BiaPlacement::L1d),
+            (StrategySpec::CtAvx2, BiaPlacement::L1d),
+            (StrategySpec::Bia, BiaPlacement::L1d),
+            (StrategySpec::Bia, BiaPlacement::L2),
+        ] {
+            grid.push(CellSpec::new(workload, strategy, placement).with_eval_config());
+        }
+    }
+    for kernel in CryptoKernel::ALL {
+        for (strategy, placement) in [
+            (StrategySpec::Insecure, BiaPlacement::L1d),
+            (StrategySpec::CtAvx2, BiaPlacement::L1d),
+            (StrategySpec::Bia, BiaPlacement::L1d),
+        ] {
+            grid.push(
+                CellSpec::new(WorkloadSpec::Crypto(kernel), strategy, placement).with_eval_config(),
+            );
+        }
+    }
+    grid
+}
+
+/// Every cell the determinism and memoization tests sweep.
+fn full_grid() -> Vec<CellSpec> {
+    let mut grid = ghostrider_grid();
+    grid.extend(eval_grid());
+    grid
+}
+
+/// Asserts two report lists serialize to the same cache text, cell for
+/// cell, in grid order.
+fn assert_same_bytes(a: &[CellReport], b: &[CellReport], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: report counts differ");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(
+            x.to_cache_text(),
+            y.to_cache_text(),
+            "{what}: cell {i} ({})",
+            x.label
+        );
+    }
+}
+
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ctbia-sweep-test-{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -44,32 +105,34 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
-    let grid = ghostrider_grid();
-    assert_eq!(grid.len(), 15, "5 workloads x 3 placements");
+    let grid = full_grid();
+    assert_eq!(
+        grid.len(),
+        15 + 44,
+        "5 workloads x 3 placements + the eval grid"
+    );
 
     let serial_engine = SweepEngine::serial();
     let serial = serial_engine.run(&grid).unwrap();
-    assert_eq!(serial_engine.cells_executed(), 15);
+    assert_eq!(serial_engine.cells_executed(), grid.len() as u64);
 
     // Force real concurrency even on single-core hosts.
     let parallel_engine = SweepEngine::new().with_threads(4);
     let parallel = parallel_engine.run(&grid).unwrap();
-    assert_eq!(parallel_engine.cells_executed(), 15);
+    assert_eq!(parallel_engine.cells_executed(), grid.len() as u64);
 
     assert_eq!(
         serial, parallel,
         "reports differ between serial and parallel"
     );
-    // Byte-level check: the serialized form (what lands on disk and in
-    // BENCH_sweep.json) is identical too, cell for cell, in grid order.
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.to_cache_text(), p.to_cache_text());
-    }
+    // Byte-level check: the serialized form (what lands on disk and on
+    // the wire) is identical too, cell for cell, in grid order.
+    assert_same_bytes(&serial, &parallel, "serial vs parallel");
 }
 
 #[test]
 fn warm_cache_serves_identical_reports_without_simulating() {
-    let grid = ghostrider_grid();
+    let grid = full_grid();
     let dir = tmp_dir("warm");
 
     let cold_engine = SweepEngine::new()
@@ -92,6 +155,10 @@ fn warm_cache_serves_identical_reports_without_simulating() {
     );
     assert_eq!(warm_engine.cache_hits(), grid.len() as u64);
     assert_eq!(cold, warm, "cached reports differ from simulated ones");
+    assert_same_bytes(&cold, &warm, "cold vs warm");
+    // And the warm reports are the serial reference's bytes.
+    let serial = SweepEngine::serial().run(&grid).unwrap();
+    assert_same_bytes(&serial, &warm, "serial vs warm");
 
     let _ = fs::remove_dir_all(&dir);
 }

@@ -14,6 +14,8 @@
 //!   and the instrument the e2e/stress suites drive concurrently, with a
 //!   [`client::RetryPolicy`] retrying typed-transient failures with
 //!   exponential backoff.
+//! * [`loadgen::Schedule`] — the seeded request schedule perfbench's
+//!   `serve` workload replays (see `perfbench/README.md`).
 //!
 //! The daemon is supervised end to end: jobs execute under
 //! `catch_unwind` with poisoned workers respawned (the supervisor),
@@ -34,7 +36,6 @@
 
 pub mod chaos;
 pub mod client;
-pub mod json;
 pub mod loadgen;
 pub mod net;
 pub mod proto;

@@ -1,60 +1,11 @@
-//! `ctbia loadgen` — a deterministic, seeded load generator for the
-//! serving daemon, and the `BENCH_serve.json` trajectory it records.
+//! The seeded request schedule that perfbench's `serve` workload replays.
 //!
-//! The generator is split in two so determinism is testable in
-//! isolation:
-//!
-//! * [`Schedule::generate`] is a *pure function* of the seed: it deals
-//!   every request — connection, tenant, zipfian-drawn cell — up front,
-//!   with a xorshift64 generator and a zipf(1.0) popularity curve over
-//!   the cell pool. The same seed always produces the identical request
-//!   schedule, fingerprinted by [`Schedule::digest`] (FNV-1a) so a rerun
-//!   can prove it replayed the same traffic.
-//! * [`run`] replays a schedule against self-hosted daemons and records
-//!   one [`PhaseResult`] per phase into a schema-versioned
-//!   ([`BENCH_SCHEMA`]) flat-JSON [`BenchDoc`]:
-//!
-//!   1. `uds_single_cold` / `uds_single_warm` — one open (untenanted)
-//!      daemon over the Unix socket; the cold pass starts from an empty
-//!      cache directory, the warm pass replays the identical schedule
-//!      against the now-populated memo index.
-//!   2. `tcp_multi_cold` / `tcp_multi_warm` — a fresh three-tenant
-//!      daemon over TCP, every request carrying its tenant's token.
-//!   3. `shard1_warm` / `shard16_warm` — a direct multi-threaded hammer
-//!      on the warm in-memory memo index with 1 shard (the PR 5
-//!      single-lock baseline) versus 16 shards, which is how the bench
-//!      records that sharding buys warm throughput.
-//!
-//! Latencies are whole microseconds (p50/p95/p99 by nearest rank),
-//! throughput whole requests/second — all-integer fields, so the doc
-//! round-trips exactly through the strict flat-JSON parser and a rerun
-//! is comparable field by field. Timing fields are the *only* thing a
-//! rerun may change: [`BenchDoc::fingerprint`] projects everything else
-//! out for the determinism test. Each run also appends one
-//! [`HISTORY_SCHEMA`] line to `BENCH_history.jsonl` so the trajectory of
-//! headline numbers survives overwrites of the main document.
-
-use crate::client::ServeTarget;
-use crate::json::{parse_object, Object};
-use crate::proto::{Response, SubmitRequest};
-use crate::server::{Server, ServerConfig};
-use crate::tenant::TenantSpec;
-use ctbia_harness::{MemoIndex, SweepEngine};
-use std::path::Path;
-use std::sync::Arc;
-use std::time::Instant;
-
-/// Schema tag of `BENCH_serve.json`.
-pub const BENCH_SCHEMA: &str = "ctbia-serve-bench-v1";
-/// Schema tag of each `BENCH_history.jsonl` line.
-pub const HISTORY_SCHEMA: &str = "ctbia-serve-history-v1";
-
-/// Workload every request submits (distinct cells vary the size).
-const WORKLOAD: &str = "hist";
-/// Smallest cell size; cell `i` submits `BASE_SIZE + i`.
-const BASE_SIZE: u64 = 120;
-/// Tenants of the multi-tenant phases; tokens are derived as `tok-NAME`.
-const TENANT_NAMES: [&str; 3] = ["alpha", "bravo", "charlie"];
+//! [`Schedule::generate`] is a *pure function* of its arguments: it deals
+//! every request — connection, tenant, zipfian-drawn cell — up front,
+//! with a xorshift64 generator and a zipf(1.0) popularity curve over the
+//! cell pool. The same seed always produces the identical schedule,
+//! fingerprinted by [`Schedule::digest`] (FNV-1a) so a run can record
+//! which traffic it replayed.
 
 /// Deterministic xorshift64 — the only randomness in the generator.
 struct Rng(u64);
@@ -80,8 +31,8 @@ impl Rng {
 pub struct ScheduledRequest {
     /// Which connection sends it (0-based).
     pub conn: usize,
-    /// Which tenant the connection belongs to (0-based; always 0 in the
-    /// single-tenant phases).
+    /// Which tenant the connection belongs to (0-based; always 0 when
+    /// the schedule is dealt for one tenant).
     pub tenant: usize,
     /// Which cell of the pool it asks for.
     pub cell: usize,
@@ -172,496 +123,6 @@ impl Schedule {
         }
         format!("{h:016x}")
     }
-
-    /// The submit a scheduled request performs, with `token` attached
-    /// when the target server is tenanted.
-    fn request_for(&self, r: &ScheduledRequest, token: Option<&str>) -> SubmitRequest {
-        SubmitRequest {
-            workload: WORKLOAD.to_string(),
-            size: Some(BASE_SIZE + r.cell as u64),
-            strategy: None,
-            placement: None,
-            eval: false,
-            deadline_ms: None,
-            token: token.map(str::to_string),
-        }
-    }
-}
-
-/// The recorded outcome of one phase.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseResult {
-    /// Phase name (`uds_single_cold`, `shard16_warm`, …).
-    pub name: String,
-    /// Requests (or hammer operations) performed.
-    pub requests: u64,
-    /// Requests answered with an error envelope or a broken connection.
-    pub errors: u64,
-    /// Median latency, whole microseconds (nearest rank).
-    pub p50_us: u64,
-    /// 95th-percentile latency, whole microseconds.
-    pub p95_us: u64,
-    /// 99th-percentile latency, whole microseconds.
-    pub p99_us: u64,
-    /// Whole requests per second over the phase wall clock.
-    pub throughput_rps: u64,
-}
-
-/// The `ctbia-serve-bench-v1` document: flat JSON, all-integer metrics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchDoc {
-    /// Seed the schedules were generated from.
-    pub seed: u64,
-    /// Concurrent connections per serving phase.
-    pub connections: u64,
-    /// Requests per serving phase.
-    pub requests_per_phase: u64,
-    /// Distinct cells in the pool.
-    pub distinct_cells: u64,
-    /// [`Schedule::digest`] of the single-tenant schedule.
-    pub schedule_digest: String,
-    /// One entry per phase, in execution order.
-    pub phases: Vec<PhaseResult>,
-}
-
-impl BenchDoc {
-    /// Encodes the document as one flat JSON line (phase fields keyed
-    /// `phase.<name>.<field>`).
-    pub fn to_json(&self) -> String {
-        let mut obj = Object::new();
-        obj.push_str("schema", BENCH_SCHEMA);
-        obj.push_num("seed", self.seed);
-        obj.push_num("connections", self.connections);
-        obj.push_num("requests_per_phase", self.requests_per_phase);
-        obj.push_num("distinct_cells", self.distinct_cells);
-        obj.push_str("schedule_digest", &self.schedule_digest);
-        for p in &self.phases {
-            let k = |field: &str| format!("phase.{}.{}", p.name, field);
-            obj.push_num(&k("requests"), p.requests);
-            obj.push_num(&k("errors"), p.errors);
-            obj.push_num(&k("p50_us"), p.p50_us);
-            obj.push_num(&k("p95_us"), p.p95_us);
-            obj.push_num(&k("p99_us"), p.p99_us);
-            obj.push_num(&k("throughput_rps"), p.throughput_rps);
-        }
-        obj.to_line()
-    }
-
-    /// Parses a document produced by [`BenchDoc::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on malformed JSON, a wrong schema tag, or a
-    /// missing/mistyped field.
-    pub fn parse(text: &str) -> Result<BenchDoc, String> {
-        let obj = parse_object(text.trim())?;
-        match obj.get_str("schema") {
-            Some(BENCH_SCHEMA) => {}
-            Some(other) => return Err(format!("unsupported bench schema {other:?}")),
-            None => return Err("missing \"schema\"".to_string()),
-        }
-        let num = |key: &str| {
-            obj.get_num(key)
-                .ok_or_else(|| format!("missing or non-numeric {key:?}"))
-        };
-        let mut phases: Vec<PhaseResult> = Vec::new();
-        for (key, _) in obj.fields() {
-            let Some(rest) = key.strip_prefix("phase.") else {
-                continue;
-            };
-            let Some((name, field)) = rest.rsplit_once('.') else {
-                return Err(format!("malformed phase key {key:?}"));
-            };
-            if field == "requests" {
-                // First field of each phase: start a new entry.
-                phases.push(PhaseResult {
-                    name: name.to_string(),
-                    requests: num(key)?,
-                    errors: num(&format!("phase.{name}.errors"))?,
-                    p50_us: num(&format!("phase.{name}.p50_us"))?,
-                    p95_us: num(&format!("phase.{name}.p95_us"))?,
-                    p99_us: num(&format!("phase.{name}.p99_us"))?,
-                    throughput_rps: num(&format!("phase.{name}.throughput_rps"))?,
-                });
-            }
-        }
-        Ok(BenchDoc {
-            seed: num("seed")?,
-            connections: num("connections")?,
-            requests_per_phase: num("requests_per_phase")?,
-            distinct_cells: num("distinct_cells")?,
-            schedule_digest: obj
-                .get_str("schedule_digest")
-                .ok_or("missing \"schedule_digest\"")?
-                .to_string(),
-            phases,
-        })
-    }
-
-    /// The timing-free projection of the document: everything a rerun
-    /// with the same seed must reproduce exactly (latency and throughput
-    /// fields are the only legitimate run-to-run variation).
-    pub fn fingerprint(&self) -> String {
-        let mut out = format!(
-            "{}|seed={}|conns={}|reqs={}|cells={}|sched={}",
-            BENCH_SCHEMA,
-            self.seed,
-            self.connections,
-            self.requests_per_phase,
-            self.distinct_cells,
-            self.schedule_digest
-        );
-        for p in &self.phases {
-            out.push_str(&format!(
-                "|{}:requests={},errors={}",
-                p.name, p.requests, p.errors
-            ));
-        }
-        out
-    }
-
-    /// The phase named `name`, if recorded.
-    pub fn phase(&self, name: &str) -> Option<&PhaseResult> {
-        self.phases.iter().find(|p| p.name == name)
-    }
-
-    /// One `ctbia-serve-history-v1` line for `BENCH_history.jsonl`:
-    /// the run's identity plus its headline numbers.
-    pub fn history_line(&self, timestamp: u64, git_rev: &str) -> String {
-        let headline = |phase: &str, f: fn(&PhaseResult) -> u64| self.phase(phase).map_or(0, f);
-        let mut obj = Object::new();
-        obj.push_str("schema", HISTORY_SCHEMA);
-        obj.push_num("timestamp", timestamp);
-        obj.push_str("git_rev", git_rev);
-        obj.push_num("seed", self.seed);
-        obj.push_str("schedule_digest", &self.schedule_digest);
-        obj.push_num("warm_p99_us", headline("uds_single_warm", |p| p.p99_us));
-        obj.push_num(
-            "warm_throughput_rps",
-            headline("uds_single_warm", |p| p.throughput_rps),
-        );
-        obj.push_num("tcp_warm_p99_us", headline("tcp_multi_warm", |p| p.p99_us));
-        obj.push_num(
-            "shard1_throughput_rps",
-            headline("shard1_warm", |p| p.throughput_rps),
-        );
-        obj.push_num(
-            "shard16_throughput_rps",
-            headline("shard16_warm", |p| p.throughput_rps),
-        );
-        obj.to_line()
-    }
-}
-
-/// Size of one loadgen run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadgenConfig {
-    /// Seed of every schedule in the run.
-    pub seed: u64,
-    /// Concurrent connections per serving phase.
-    pub connections: usize,
-    /// Requests per serving phase.
-    pub requests: usize,
-    /// Distinct cells in the pool.
-    pub distinct_cells: usize,
-    /// Threads hammering the memo index in the shard phases.
-    pub hammer_threads: usize,
-    /// Warm lookups per hammer thread.
-    pub hammer_ops: usize,
-}
-
-impl LoadgenConfig {
-    /// The CI smoke size: finishes in seconds.
-    pub fn quick(seed: u64) -> LoadgenConfig {
-        LoadgenConfig {
-            seed,
-            connections: 12,
-            requests: 240,
-            distinct_cells: 8,
-            hammer_threads: 8,
-            hammer_ops: 4_000,
-        }
-    }
-
-    /// The full trajectory size: hundreds of concurrent connections.
-    pub fn full(seed: u64) -> LoadgenConfig {
-        LoadgenConfig {
-            seed,
-            connections: 200,
-            requests: 2_000,
-            distinct_cells: 32,
-            hammer_threads: 8,
-            hammer_ops: 50_000,
-        }
-    }
-}
-
-/// Nearest-rank percentile over an already-sorted latency vector.
-fn percentile(sorted_us: &[u64], pct: u64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let n = sorted_us.len() as u64;
-    let rank = (pct * n).div_ceil(100).max(1);
-    sorted_us[(rank - 1) as usize]
-}
-
-fn phase_result(
-    name: &str,
-    mut latencies_us: Vec<u64>,
-    errors: u64,
-    elapsed_us: u64,
-) -> PhaseResult {
-    latencies_us.sort_unstable();
-    let requests = latencies_us.len() as u64;
-    PhaseResult {
-        name: name.to_string(),
-        requests,
-        errors,
-        p50_us: percentile(&latencies_us, 50),
-        p95_us: percentile(&latencies_us, 95),
-        p99_us: percentile(&latencies_us, 99),
-        throughput_rps: requests
-            .saturating_mul(1_000_000)
-            .checked_div(elapsed_us)
-            .unwrap_or(0),
-    }
-}
-
-/// Replays `schedule` against a live daemon at `target`, one thread per
-/// connection, strict request/response turns (latency is a full round
-/// trip). `tokens[tenant]` is attached to each submit when present.
-fn run_serve_phase(
-    name: &str,
-    target: &ServeTarget,
-    schedule: &Schedule,
-    tokens: Option<&[String]>,
-) -> Result<PhaseResult, String> {
-    let started = Instant::now();
-    let mut results: Vec<(Vec<u64>, u64)> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..schedule.connections)
-            .map(|conn| {
-                let mine: Vec<&ScheduledRequest> = schedule
-                    .requests
-                    .iter()
-                    .filter(|r| r.conn == conn)
-                    .collect();
-                scope.spawn(move || -> Result<(Vec<u64>, u64), String> {
-                    let mut client = target
-                        .connect()
-                        .map_err(|e| format!("{name}: connect {target}: {e}"))?;
-                    let mut latencies = Vec::with_capacity(mine.len());
-                    let mut errors = 0u64;
-                    for r in mine {
-                        let token = tokens.map(|t| t[r.tenant].as_str());
-                        let req = schedule.request_for(r, token);
-                        let t0 = Instant::now();
-                        match client.submit(&req) {
-                            Ok(Response::Report { .. }) => {}
-                            Ok(_) => errors += 1,
-                            Err(e) => return Err(format!("{name}: submit failed: {e}")),
-                        }
-                        latencies.push(t0.elapsed().as_micros() as u64);
-                    }
-                    Ok((latencies, errors))
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(Ok(r)) => results.push(r),
-                Ok(Err(e)) => return Err(e),
-                Err(_) => return Err(format!("{name}: a connection thread panicked")),
-            }
-        }
-        Ok(())
-    })?;
-    let elapsed_us = started.elapsed().as_micros() as u64;
-    let mut latencies = Vec::new();
-    let mut errors = 0;
-    for (l, e) in results {
-        latencies.extend(l);
-        errors += e;
-    }
-    Ok(phase_result(name, latencies, errors, elapsed_us))
-}
-
-/// The direct warm-index hammer: pre-fills a `shards`-way [`MemoIndex`]
-/// through the engine, then measures per-lookup latency with every
-/// hammer thread replaying the schedule's (cycled) cell sequence as raw
-/// [`MemoIndex::lookup`] calls — the report clone happens under the
-/// shard lock, so the lock *is* the cost being measured. With one shard
-/// this is the PR 5 single-lock baseline; the recorded throughput gap to
-/// 16 shards is the bench's sharding evidence.
-fn run_shard_phase(
-    name: &str,
-    shards: usize,
-    schedule: &Schedule,
-    config: &LoadgenConfig,
-) -> Result<PhaseResult, String> {
-    let memo = Arc::new(MemoIndex::new(shards));
-    let engine = SweepEngine::new()
-        .with_threads(1)
-        .with_memo_index(Arc::clone(&memo));
-    let specs: Vec<_> = (0..schedule.distinct_cells)
-        .map(|cell| {
-            SubmitRequest {
-                workload: WORKLOAD.to_string(),
-                size: Some(BASE_SIZE + cell as u64),
-                strategy: None,
-                placement: None,
-                eval: false,
-                deadline_ms: None,
-                token: None,
-            }
-            .to_spec()
-            .map_err(|e| format!("{name}: bad cell {cell}: {e}"))
-        })
-        .collect::<Result<_, String>>()?;
-    for spec in &specs {
-        engine
-            .run_cell_outcome(spec)
-            .map_err(|e| format!("{name}: prefill failed: {e}"))?;
-    }
-    let digests: Vec<u128> = specs.iter().map(|s| s.digest()).collect();
-    let cells: Vec<usize> = schedule.requests.iter().map(|r| r.cell).collect();
-    let started = Instant::now();
-    let mut results: Vec<Vec<u64>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.hammer_threads)
-            .map(|t| {
-                let memo = &memo;
-                let digests = &digests;
-                let cells = &cells;
-                scope.spawn(move || -> Result<Vec<u64>, String> {
-                    let mut latencies = Vec::with_capacity(config.hammer_ops);
-                    for i in 0..config.hammer_ops {
-                        // Offset each thread so they collide on shards
-                        // the way real mixed traffic does.
-                        let cell = cells[(i + t * 7) % cells.len()];
-                        let t0 = Instant::now();
-                        if memo.lookup(digests[cell]).is_none() {
-                            return Err(format!("cell {cell} fell out of the warm index"));
-                        }
-                        latencies.push(t0.elapsed().as_micros() as u64);
-                    }
-                    Ok(latencies)
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(Ok(l)) => results.push(l),
-                Ok(Err(e)) => return Err(format!("{name}: {e}")),
-                Err(_) => return Err(format!("{name}: a hammer thread panicked")),
-            }
-        }
-        Ok(())
-    })?;
-    let elapsed_us = started.elapsed().as_micros() as u64;
-    Ok(phase_result(
-        name,
-        results.into_iter().flatten().collect(),
-        0,
-        elapsed_us,
-    ))
-}
-
-/// Runs the full trajectory: the two UDS single-tenant phases, the two
-/// TCP multi-tenant phases, and the two shard-hammer phases, using
-/// `scratch` for sockets and throwaway cache directories.
-///
-/// # Errors
-///
-/// Returns a message when a daemon cannot start, a connection breaks, or
-/// a phase sees an unexpected failure.
-pub fn run(config: &LoadgenConfig, scratch: &Path) -> Result<BenchDoc, String> {
-    std::fs::create_dir_all(scratch).map_err(|e| format!("scratch {scratch:?}: {e}"))?;
-    let single = Schedule::generate(
-        config.seed,
-        config.connections,
-        config.requests,
-        config.distinct_cells,
-        1,
-    );
-    let multi = Schedule::generate(
-        config.seed,
-        config.connections,
-        config.requests,
-        config.distinct_cells,
-        TENANT_NAMES.len(),
-    );
-    let mut phases = Vec::new();
-
-    // Universe A: one open daemon over its Unix socket; cold then warm.
-    {
-        let socket = scratch.join("loadgen-uds.sock");
-        let cache = scratch.join("loadgen-cache-uds");
-        let _ = std::fs::remove_file(&socket);
-        let _ = std::fs::remove_dir_all(&cache);
-        let mut server = ServerConfig::new(&socket);
-        server.cache_dir = Some(cache);
-        let handle = Server::start(server).map_err(|e| format!("uds daemon: {e}"))?;
-        let target = ServeTarget::Unix(socket);
-        let cold = run_serve_phase("uds_single_cold", &target, &single, None);
-        let warm = cold.and_then(|cold| {
-            let warm = run_serve_phase("uds_single_warm", &target, &single, None)?;
-            Ok((cold, warm))
-        });
-        handle.join();
-        let (cold, warm) = warm?;
-        phases.push(cold);
-        phases.push(warm);
-    }
-
-    // Universe B: a fresh three-tenant daemon over TCP.
-    {
-        let socket = scratch.join("loadgen-tcp.sock");
-        let cache = scratch.join("loadgen-cache-tcp");
-        let _ = std::fs::remove_file(&socket);
-        let _ = std::fs::remove_dir_all(&cache);
-        let tokens: Vec<String> = TENANT_NAMES.iter().map(|n| format!("tok-{n}")).collect();
-        let mut server = ServerConfig::new(&socket);
-        server.cache_dir = Some(cache);
-        server.tcp = Some("127.0.0.1:0".to_string());
-        server.tenants = TENANT_NAMES
-            .iter()
-            .zip(&tokens)
-            .map(|(name, token)| TenantSpec {
-                name: (*name).to_string(),
-                token: token.clone(),
-                max_inflight: usize::MAX,
-                queue_share: usize::MAX,
-                weight: 1,
-            })
-            .collect();
-        let handle = Server::start(server).map_err(|e| format!("tcp daemon: {e}"))?;
-        let addr = handle.tcp_addr().ok_or("tcp daemon reported no address")?;
-        let target = ServeTarget::Tcp(addr.to_string());
-        let cold = run_serve_phase("tcp_multi_cold", &target, &multi, Some(&tokens));
-        let warm = cold.and_then(|cold| {
-            let warm = run_serve_phase("tcp_multi_warm", &target, &multi, Some(&tokens))?;
-            Ok((cold, warm))
-        });
-        handle.join();
-        let (cold, warm) = warm?;
-        phases.push(cold);
-        phases.push(warm);
-    }
-
-    // The sharding evidence: single-lock baseline vs the 16-way index.
-    phases.push(run_shard_phase("shard1_warm", 1, &single, config)?);
-    phases.push(run_shard_phase("shard16_warm", 16, &single, config)?);
-
-    Ok(BenchDoc {
-        seed: config.seed,
-        connections: config.connections as u64,
-        requests_per_phase: config.requests as u64,
-        distinct_cells: config.distinct_cells as u64,
-        schedule_digest: single.digest(),
-        phases,
-    })
 }
 
 #[cfg(test)]
@@ -674,6 +135,15 @@ mod tests {
         let b = Schedule::generate(7, 8, 100, 6, 3);
         assert_eq!(a, b, "same seed, same deal");
         assert_eq!(a.digest(), b.digest());
+        for r in &a.requests {
+            assert_eq!(
+                r.tenant,
+                r.conn % 3,
+                "connection c belongs to tenant c % tenants"
+            );
+            assert!(r.cell < 6, "cell {} outside the pool", r.cell);
+            assert!(r.conn < 8, "connection {} out of range", r.conn);
+        }
         let c = Schedule::generate(8, 8, 100, 6, 3);
         assert_ne!(a.digest(), c.digest(), "different seed, different deal");
     }
@@ -695,82 +165,5 @@ mod tests {
             per_conn.iter().all(|&n| n == 100),
             "even deal: {per_conn:?}"
         );
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 50), 50);
-        assert_eq!(percentile(&v, 95), 95);
-        assert_eq!(percentile(&v, 99), 99);
-        assert_eq!(percentile(&[7], 99), 7);
-        assert_eq!(percentile(&[], 50), 0);
-    }
-
-    #[test]
-    fn bench_doc_round_trips_through_its_parser() {
-        let doc = BenchDoc {
-            seed: 9,
-            connections: 12,
-            requests_per_phase: 240,
-            distinct_cells: 8,
-            schedule_digest: "00ff00ff00ff00ff".to_string(),
-            phases: vec![
-                PhaseResult {
-                    name: "uds_single_cold".to_string(),
-                    requests: 240,
-                    errors: 0,
-                    p50_us: 900,
-                    p95_us: 4_000,
-                    p99_us: 9_000,
-                    throughput_rps: 2_000,
-                },
-                PhaseResult {
-                    name: "shard16_warm".to_string(),
-                    requests: 32_000,
-                    errors: 0,
-                    p50_us: 2,
-                    p95_us: 9,
-                    p99_us: 21,
-                    throughput_rps: 800_000,
-                },
-            ],
-        };
-        let parsed = BenchDoc::parse(&doc.to_json()).expect("round trip");
-        assert_eq!(parsed, doc);
-        assert_eq!(parsed.fingerprint(), doc.fingerprint());
-    }
-
-    #[test]
-    fn bench_doc_parser_rejects_wrong_schema() {
-        let text = r#"{"schema": "ctbia-serve-bench-v0", "seed": 1}"#;
-        assert!(BenchDoc::parse(text).is_err());
-    }
-
-    #[test]
-    fn history_lines_carry_the_headline_numbers() {
-        let doc = BenchDoc {
-            seed: 3,
-            connections: 2,
-            requests_per_phase: 10,
-            distinct_cells: 2,
-            schedule_digest: "abcd".to_string(),
-            phases: vec![PhaseResult {
-                name: "uds_single_warm".to_string(),
-                requests: 10,
-                errors: 0,
-                p50_us: 5,
-                p95_us: 6,
-                p99_us: 7,
-                throughput_rps: 1_000,
-            }],
-        };
-        let line = doc.history_line(1_754_000_000, "deadbeef");
-        let obj = parse_object(&line).expect("history line parses");
-        assert_eq!(obj.get_str("schema"), Some(HISTORY_SCHEMA));
-        assert_eq!(obj.get_num("warm_p99_us"), Some(7));
-        assert_eq!(obj.get_num("warm_throughput_rps"), Some(1_000));
-        assert_eq!(obj.get_str("git_rev"), Some("deadbeef"));
-        assert_eq!(obj.get_num("shard16_throughput_rps"), Some(0));
     }
 }

@@ -1,7 +1,7 @@
 //! The `ctbia-serve-v1` wire protocol.
 //!
 //! Requests and responses are *envelopes*: one flat JSON object per line
-//! (see [`crate::json`]), newline-delimited, over a Unix domain socket.
+//! (see [`ctbia_trace::json`]), newline-delimited, over a Unix domain socket.
 //! Every request carries a client-chosen `id` that the matching response
 //! echoes, so clients may pipeline requests and correlate out-of-order
 //! completions. Malformed input of any kind is answered with a typed
@@ -22,9 +22,9 @@
 //! the bytes a direct sweep would have produced — byte-identity is a
 //! protocol property, not an approximation.
 
-use crate::json::{parse_object, Object};
 use ctbia_harness::{CellReport, CellSpec, CryptoKernel, StrategySpec, WorkloadSpec};
 use ctbia_machine::BiaPlacement;
+use ctbia_trace::json::{parse_object, Object};
 use std::fmt;
 
 /// Schema tag carried by every request and response envelope.

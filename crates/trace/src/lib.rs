@@ -19,15 +19,19 @@
 //!   cycle lands in exactly one named bucket (compute, demand access,
 //!   linearization sweep, BIA maintenance, DRAM stall, degradation
 //!   fallback), and the bucket totals sum exactly to the cycle counter.
-//! - **Metrics documents** ([`MetricsDoc`]): a versioned, flat,
-//!   hand-parseable `ctbia-metrics-v1` JSON document emitted by
-//!   `ctbia run --metrics` / `ctbia bench --metrics`.
+//! - **Metrics documents** ([`MetricsDoc`]): a versioned, flat
+//!   `ctbia-metrics-v1` JSON document emitted by `ctbia run --metrics` /
+//!   `ctbia status --metrics`.
+//! - **One JSON codec** ([`json`]): the strict flat-object parser and
+//!   writer that metrics documents and the `ctbia-serve-v1` protocol
+//!   share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod phase;
 pub mod sink;

@@ -7,11 +7,10 @@
 //! ctbia compare hist 2000               # all strategies side by side
 //! ctbia attack [SECRET]                 # Prime+Probe demo
 //! ctbia leakage hist 1000               # leakage in bits, per strategy
-//! ctbia bench --quick                   # sweep-engine throughput benchmark
 //! ```
 //!
 //! Argument parsing is deliberately hand-rolled (no CLI dependency). The
-//! experiment subcommands (`run`, `compare`, `fuzz`, `bench`) are veneers
+//! experiment subcommands (`run`, `compare`, `fuzz`) are veneers
 //! over the [`ctbia::harness`] sweep engine: each describes its work as a
 //! grid of [`CellSpec`]s, so results are memoized under `results/cache/`
 //! and independent cells simulate in parallel.
@@ -22,8 +21,8 @@ use ctbia::core::ctmem::Width;
 use ctbia::core::ds::DataflowSet;
 use ctbia::core::taint::LeakViolation;
 use ctbia::harness::{
-    counter_fields, execute_cell_traced, CellReport, CellSpec, CryptoKernel, DiskCache, FaultSpec,
-    GridCell, GridEngine, StrategySpec, SweepEngine, WorkloadSpec,
+    counter_fields, execute_cell_traced, CellReport, CellSpec, DiskCache, FaultSpec, GridCell,
+    GridEngine, StrategySpec, SweepEngine, WorkloadSpec,
 };
 use ctbia::machine::{BiaPlacement, Machine};
 use ctbia::serve::{
@@ -41,7 +40,6 @@ use ctbia::workloads::{
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 const USAGE: &str = "\
 ctbia — Hardware Support for Constant-Time Programming (MICRO '23), simulated
@@ -56,7 +54,6 @@ USAGE:
     ctbia leakage <WORKLOAD> [SIZE]
     ctbia audit <WORKLOAD> [SIZE] [--placement l1d|l2|llc]
     ctbia fuzz [--faults LIST] [--seed N] [--iters K] <WORKLOAD> [SIZE] [--placement l1d|l2|llc]
-    ctbia bench [--quick] [--threads N] [--spec-window N] [--metrics]
     ctbia verify [--quick] [--threads N]
     ctbia verify <WORKLOAD> [SIZE] [--strategy insecure|ct|bia|bia-loads] [--placement l1d|l2|llc] [--spec-window N]
     ctbia analyze [--quick] [--threads N]
@@ -65,7 +62,6 @@ USAGE:
     ctbia submit [--socket PATH] [--tcp ADDR] [--token TOK] [--eval] [--retries N] [--backoff-ms B] [--deadline-ms D] <SPEC>...
     ctbia status [--socket PATH] [--tcp ADDR] [--metrics]
     ctbia health [--socket PATH] [--tcp ADDR]
-    ctbia loadgen [--quick] [--seed N] [--out PATH]
 
 WORKLOADS: dijkstra | histogram | permutation | binary-search | heappop
            (plus leaky-bin and spectre, intentionally leaky controls, for `verify`)
@@ -79,14 +75,13 @@ workload's access program symbolically, lints it against the strategy,
 and bounds the leakage through an abstract cache — 0 bits certifies,
 anything else exits non-zero with the violation's provenance. Completed
 experiment, verify, and analyze cells are memoized under results/cache/
-(safe to delete at any time);
-`ctbia bench` writes BENCH_sweep.json.
+(safe to delete at any time).
 
 `ctbia trace` re-runs one cell with the observability layer attached and
 prints a cycle-attribution profile (per-phase cycles reconciled exactly
 against the counters) plus the hottest cache lines; `--jsonl` captures
-the full event stream. `--metrics` on run/bench writes a versioned
-ctbia-metrics-v1 document (RUN_metrics.json / BENCH_metrics.json).
+the full event stream. `--metrics` on run writes a versioned
+ctbia-metrics-v1 document (RUN_metrics.json).
 `--spec-window N` enables bounded speculation: every branch runs a
 seeded 2-bit predictor, and a misprediction executes up to N wrong-path
 accesses that fill the simulated caches before being squashed
@@ -118,12 +113,6 @@ aes:-:insecure — retrying transient rejections when --retries is set
 queries counters (writing SERVE_metrics.json with --metrics) and
 `ctbia health` the supervision snapshot (queue depth, workers alive,
 restarts, deadline kills, shed submits, quarantined cache entries).
-`ctbia loadgen` drives a seeded zipfian workload from concurrent
-connections through cold and warm, single- and multi-tenant, UDS and
-TCP phases, writing per-phase p50/p95/p99 and throughput to
-BENCH_serve.json and appending the headline numbers to
-BENCH_history.jsonl; the same --seed replays the identical schedule
-(--quick for the CI-sized run).
 ";
 
 /// Where `ctbia serve` listens unless `--socket` overrides it.
@@ -737,326 +726,6 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The `ctbia bench` grid: the five Ghostrider workloads under four
-/// strategies plus the eight Figure 9 crypto kernels under three, all with
-/// the figure-harness (`o3_approx`) configuration.
-fn bench_grid(quick: bool) -> Vec<CellSpec> {
-    let sizes: &[(&str, usize)] = if quick {
-        &[
-            ("dijkstra", 16),
-            ("histogram", 400),
-            ("permutation", 400),
-            ("binary-search", 600),
-            ("heappop", 600),
-        ]
-    } else {
-        &[
-            ("dijkstra", 64),
-            ("histogram", 2000),
-            ("permutation", 2000),
-            ("binary-search", 4000),
-            ("heappop", 4000),
-        ]
-    };
-    let mut grid = Vec::new();
-    for &(name, size) in sizes {
-        let workload = WorkloadSpec::named(name, size).expect("built-in workload name");
-        for (strategy, placement) in [
-            (StrategySpec::Insecure, BiaPlacement::L1d),
-            (StrategySpec::CtAvx2, BiaPlacement::L1d),
-            (StrategySpec::Bia, BiaPlacement::L1d),
-            (StrategySpec::Bia, BiaPlacement::L2),
-        ] {
-            grid.push(CellSpec::new(workload, strategy, placement).with_eval_config());
-        }
-    }
-    for kernel in CryptoKernel::ALL {
-        for (strategy, placement) in [
-            (StrategySpec::Insecure, BiaPlacement::L1d),
-            (StrategySpec::CtAvx2, BiaPlacement::L1d),
-            (StrategySpec::Bia, BiaPlacement::L1d),
-        ] {
-            grid.push(
-                CellSpec::new(WorkloadSpec::Crypto(kernel), strategy, placement).with_eval_config(),
-            );
-        }
-    }
-    grid
-}
-
-/// Work simulated by one cell, in memory-system events: retired
-/// instructions plus every cache- and DRAM-level access.
-fn simulated_accesses(report: &CellReport) -> u64 {
-    let c = &report.counters;
-    c.insts
-        + c.hier.l1i.accesses()
-        + c.hier.l1d.accesses()
-        + c.hier.l2.accesses()
-        + c.hier.llc.accesses()
-        + c.dram_accesses()
-}
-
-/// One phase object of `BENCH_sweep.json`, on a single line so shell
-/// tooling can grep it. Phases that simulate nothing (the warm phase
-/// serves everything from cache) pass `None` and the misleading
-/// `sim_accesses_per_sec` key is omitted rather than reported as 0.
-fn phase_json(
-    wall_s: f64,
-    cells: usize,
-    sim_accesses: Option<u64>,
-    executed: u64,
-    hits: u64,
-) -> String {
-    let wall = wall_s.max(1e-9);
-    let access_rate = sim_accesses
-        .map(|a| format!("\"sim_accesses_per_sec\": {:.0}, ", a as f64 / wall))
-        .unwrap_or_default();
-    format!(
-        "{{ \"wall_ms\": {:.3}, \"cells_per_sec\": {:.2}, {access_rate}\
-         \"executed\": {executed}, \"cache_hits\": {hits} }}",
-        wall_s * 1000.0,
-        cells as f64 / wall,
-    )
-}
-
-/// One `BENCH_history.jsonl` line: the durable per-run record that makes
-/// throughput visible *across* runs, where `BENCH_sweep.json` only holds
-/// the latest. Schema-versioned and single-line by construction so the
-/// file stays grep- and jq-friendly forever.
-#[allow(clippy::too_many_arguments)]
-fn history_line(
-    unix_time: u64,
-    git_rev: &str,
-    quick: bool,
-    threads: usize,
-    cells: usize,
-    sim_accesses: u64,
-    serial_rate: f64,
-    parallel_rate: f64,
-    byte_identical: bool,
-) -> String {
-    format!(
-        "{{\"schema\": \"ctbia-bench-history-v1\", \"unix_time\": {unix_time}, \
-         \"git_rev\": \"{git_rev}\", \"quick\": {quick}, \"threads\": {threads}, \
-         \"cells\": {cells}, \"sim_accesses\": {sim_accesses}, \
-         \"serial_sim_accesses_per_sec\": {serial_rate:.0}, \
-         \"parallel_sim_accesses_per_sec\": {parallel_rate:.0}, \
-         \"byte_identical\": {byte_identical}}}\n"
-    )
-}
-
-/// The working tree's commit, or `"unknown"` outside a git checkout.
-fn current_git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// `ctbia bench [--quick] [--threads N]` — measure sweep-engine throughput
-/// over the full benchmark grid, three ways: serial, parallel, and
-/// parallel over a warm cache. Writes `BENCH_sweep.json` and appends the
-/// run to the `BENCH_history.jsonl` trajectory.
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let mut quick = false;
-    let mut metrics = false;
-    let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cores = threads;
-    let mut spec_window = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--metrics" => metrics = true,
-            "--threads" => {
-                i += 1;
-                let s = args.get(i).ok_or("--threads needs a value")?;
-                threads = s
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("invalid thread count '{s}'"))?;
-            }
-            "--spec-window" => {
-                i += 1;
-                spec_window = Some(parse_spec_window(
-                    args.get(i).ok_or("--spec-window needs a value")?,
-                )?);
-            }
-            other => return Err(format!("unexpected argument '{other}'")),
-        }
-        i += 1;
-    }
-    let mut grid = bench_grid(quick);
-    if let Some(w) = spec_window {
-        // Sweep the whole grid under bounded speculation. The digests
-        // change with the window, so memoized window-0 results are not
-        // disturbed.
-        for cell in &mut grid {
-            cell.config.spec_window = w;
-        }
-    }
-    let grid = grid;
-    let n = grid.len();
-    println!(
-        "bench sweep: {n} cells (5 Ghostrider x 4 strategies + 8 crypto x 3), \
-         o3_approx cost model, {threads} worker(s) on {cores} core(s)"
-    );
-
-    // Phase 1: serial, uncached — the reference for both time and bytes.
-    let serial_engine = SweepEngine::serial();
-    let t = Instant::now();
-    let serial = serial_engine.run(&grid)?;
-    let serial_s = t.elapsed().as_secs_f64();
-
-    // Phase 2: parallel, uncached.
-    let parallel_engine = SweepEngine::new().with_threads(threads);
-    let t = Instant::now();
-    let parallel = parallel_engine.run(&grid)?;
-    let parallel_s = t.elapsed().as_secs_f64();
-
-    // Phase 3: parallel over a warm cache. The cache is primed from the
-    // phase-2 reports, so this phase must not simulate a single cell.
-    let cache = DiskCache::open_default().map_err(|e| format!("cannot open results/cache: {e}"))?;
-    for (spec, report) in grid.iter().zip(&parallel) {
-        cache
-            .store(&spec.digest_hex(), report)
-            .map_err(|e| format!("cannot prime cache: {e}"))?;
-    }
-    let warm_engine = SweepEngine::new().with_threads(threads).with_cache(cache);
-    let t = Instant::now();
-    let warm = warm_engine.run(&grid)?;
-    let warm_s = t.elapsed().as_secs_f64();
-
-    let byte_identical = serial.iter().zip(&parallel).zip(&warm).all(|((s, p), w)| {
-        let bytes = s.to_cache_text();
-        bytes == p.to_cache_text() && bytes == w.to_cache_text()
-    });
-    let sim_accesses: u64 = serial.iter().map(simulated_accesses).sum();
-    let speedup_parallel = serial_s / parallel_s.max(1e-9);
-    let speedup_warm = serial_s / warm_s.max(1e-9);
-
-    println!(
-        "  serial    {:>9.1} ms  {:>8.2} cells/s  {:>12.0} sim accesses/s",
-        serial_s * 1000.0,
-        n as f64 / serial_s.max(1e-9),
-        sim_accesses as f64 / serial_s.max(1e-9),
-    );
-    println!(
-        "  parallel  {:>9.1} ms  {:>8.2} cells/s  {:>12.0} sim accesses/s  ({speedup_parallel:.2}x)",
-        parallel_s * 1000.0,
-        n as f64 / parallel_s.max(1e-9),
-        sim_accesses as f64 / parallel_s.max(1e-9),
-    );
-    println!(
-        "  warm      {:>9.1} ms  {:>8.2} cells/s  ({} simulated, {} from results/cache, {speedup_warm:.0}x)",
-        warm_s * 1000.0,
-        n as f64 / warm_s.max(1e-9),
-        warm_engine.cells_executed(),
-        warm_engine.cache_hits(),
-    );
-    println!(
-        "  byte-identical across all three phases: {}",
-        if byte_identical { "yes" } else { "NO — BUG" }
-    );
-
-    let json = format!(
-        "{{\n  \"schema\": \"ctbia-bench-sweep-v1\",\n  \"quick\": {quick},\n  \
-         \"threads\": {threads},\n  \"available_cores\": {cores},\n  \"cells\": {n},\n  \
-         \"sim_accesses\": {sim_accesses},\n  \"byte_identical\": {byte_identical},\n  \
-         \"serial\": {},\n  \"parallel\": {},\n  \"warm\": {},\n  \
-         \"speedup\": {{ \"parallel_over_serial\": {speedup_parallel:.3}, \
-         \"warm_over_serial\": {speedup_warm:.3} }}\n}}\n",
-        phase_json(
-            serial_s,
-            n,
-            Some(sim_accesses),
-            serial_engine.cells_executed(),
-            0
-        ),
-        phase_json(
-            parallel_s,
-            n,
-            Some(sim_accesses),
-            parallel_engine.cells_executed(),
-            0
-        ),
-        phase_json(
-            warm_s,
-            n,
-            None,
-            warm_engine.cells_executed(),
-            warm_engine.cache_hits()
-        ),
-    );
-    std::fs::write("BENCH_sweep.json", &json)
-        .map_err(|e| format!("cannot write BENCH_sweep.json: {e}"))?;
-    println!("wrote BENCH_sweep.json");
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let line = history_line(
-        unix_time,
-        &current_git_rev(),
-        quick,
-        threads,
-        n,
-        sim_accesses,
-        sim_accesses as f64 / serial_s.max(1e-9),
-        sim_accesses as f64 / parallel_s.max(1e-9),
-        byte_identical,
-    );
-    use std::io::Write as _;
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open("BENCH_history.jsonl")
-        .and_then(|mut f| f.write_all(line.as_bytes()))
-        .map_err(|e| format!("cannot append BENCH_history.jsonl: {e}"))?;
-    println!("appended BENCH_history.jsonl");
-    if metrics {
-        let mut doc = MetricsDoc::new(if quick {
-            "bench_sweep/quick"
-        } else {
-            "bench_sweep/full"
-        });
-        doc.push("cells", n as u64);
-        doc.push("sim_accesses", sim_accesses);
-        // Sum every counter over the serial (reference) reports, keeping
-        // the canonical field order.
-        let mut sums: Vec<(&'static str, u64)> = Vec::new();
-        for report in &serial {
-            let fields = counter_fields(&report.counters);
-            if sums.is_empty() {
-                sums = fields;
-            } else {
-                for (acc, field) in sums.iter_mut().zip(fields) {
-                    acc.1 += field.1;
-                }
-            }
-        }
-        for (key, value) in sums {
-            doc.push(key, value);
-        }
-        write_metrics_doc("BENCH_metrics.json", &doc)?;
-    }
-    if !byte_identical {
-        return Err("parallel or cached reports differ from serial — determinism bug".into());
-    }
-    if warm_engine.cells_executed() != 0 {
-        return Err(format!(
-            "warm phase re-simulated {} cell(s) — memoization bug",
-            warm_engine.cells_executed()
-        ));
-    }
-    Ok(())
-}
-
 /// Prints up to three of a report's stored violations, then how many of
 /// its exact `total` were never stored.
 fn print_violations(sampled: &[LeakViolation], total: u64) {
@@ -1666,101 +1335,6 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `ctbia loadgen [--quick] [--seed N] [--out PATH]` — drive the serving
-/// stack with a deterministic seeded zipfian workload from concurrent
-/// connections (cold and warm, single- and multi-tenant, UDS and TCP,
-/// plus direct memo-index hammers at shard counts 1 and 16), write the
-/// per-phase p50/p95/p99 and throughput to BENCH_serve.json, and append
-/// the headline numbers to BENCH_history.jsonl. The same seed replays
-/// the byte-identical request schedule.
-fn cmd_loadgen(args: &[String]) -> Result<(), String> {
-    let mut quick = false;
-    let mut seed = 1u64;
-    let mut out = PathBuf::from("BENCH_serve.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .ok_or("--seed needs a value")?
-                    .parse::<u64>()
-                    .map_err(|_| "--seed expects an integer")?;
-            }
-            "--out" => {
-                i += 1;
-                out = args.get(i).ok_or("--out needs a path")?.into();
-            }
-            other => return Err(format!("unexpected argument '{other}'")),
-        }
-        i += 1;
-    }
-    let config = if quick {
-        serve::loadgen::LoadgenConfig::quick(seed)
-    } else {
-        serve::loadgen::LoadgenConfig::full(seed)
-    };
-    println!(
-        "loadgen: seed {} — {} connections x {} requests per phase over {} cells{}",
-        config.seed,
-        config.connections,
-        config.requests,
-        config.distinct_cells,
-        if quick { " (quick)" } else { "" },
-    );
-
-    let scratch = std::env::temp_dir().join(format!("ctbia-loadgen-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    let started = Instant::now();
-    let doc = serve::loadgen::run(&config, &scratch)?;
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    for phase in &doc.phases {
-        println!(
-            "  {:<18} {:>6} req  {:>3} err  p50 {:>7}us  p95 {:>7}us  p99 {:>7}us  {:>8} req/s",
-            phase.name,
-            phase.requests,
-            phase.errors,
-            phase.p50_us,
-            phase.p95_us,
-            phase.p99_us,
-            phase.throughput_rps,
-        );
-    }
-    println!(
-        "schedule digest: {} ({:.1?})",
-        doc.schedule_digest,
-        started.elapsed()
-    );
-
-    if let Some(parent) = out.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-        }
-    }
-    std::fs::write(&out, doc.to_json() + "\n")
-        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    println!("wrote {}", out.display());
-
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let line = doc.history_line(unix_time, &current_git_rev());
-    let history = out.with_file_name("BENCH_history.jsonl");
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&history)
-        .map_err(|e| format!("cannot open {}: {e}", history.display()))?;
-    use std::io::Write as _;
-    writeln!(file, "{line}").map_err(|e| format!("cannot append {}: {e}", history.display()))?;
-    println!("appended {}", history.display());
-    Ok(())
-}
-
 fn cmd_config() {
     let cfg = ctbia::sim::config::HierarchyConfig::paper_table1();
     let bia = ctbia::core::bia::BiaConfig::paper_table1();
@@ -1793,7 +1367,7 @@ fn cmd_list() {
     println!("strategies: insecure ct ct-avx2 bia bia-loads");
     println!("placements: l1d l2 llc");
     println!("faults:     drop dup delay corrupt flip storm interfere (for `ctbia fuzz`)");
-    println!("crypto kernels (in `ctbia bench` and `fig09_crypto`):");
+    println!("crypto kernels (in `fig09_crypto`):");
     println!("  AES ARC2 ARC4 Blowfish CAST DES DES3 XOR");
 }
 
@@ -1806,7 +1380,7 @@ fn cmd_list() {
 /// `Machine::new` then pays an explicit multi-hundred-KiB `memset` on
 /// recycled heap memory. Pinning the threshold keeps those allocations
 /// lazily zeroed by the kernel, and sweep cells only ever fault in the
-/// sets they actually touch. Measured on the quick bench grid this is
+/// sets they actually touch. Measured on the 44-cell sweep grid this is
 /// ~20% of total wall time. A no-op on non-glibc targets.
 fn pin_malloc_mmap_threshold() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
@@ -1841,14 +1415,12 @@ fn main() -> ExitCode {
         Some("leakage") => cmd_leakage(&args[1..]),
         Some("audit") => cmd_audit(&args[1..]),
         Some("fuzz") => cmd_fuzz(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("verify") => cmd_verify(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("submit") => cmd_submit(&args[1..]),
         Some("status") => cmd_status(&args[1..]),
         Some("health") => cmd_health(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print!("{USAGE}");
             Ok(())
@@ -1867,57 +1439,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn phase_json_omits_access_rate_when_nothing_simulated() {
-        let warm = phase_json(0.5, 44, None, 0, 44);
-        assert!(!warm.contains("sim_accesses_per_sec"), "{warm}");
-        // ci.sh greps the warm phase as `"executed": 0, "cache_hits": N }`
-        // with N read from the document's own "cells" field, so the
-        // terminator must directly follow the hit count.
-        assert!(
-            warm.contains("\"executed\": 0, \"cache_hits\": 44 }"),
-            "{warm}"
-        );
-    }
-
-    #[test]
-    fn phase_json_reports_access_rate_when_measured() {
-        let hot = phase_json(0.5, 44, Some(1000), 44, 0);
-        assert!(hot.contains("\"sim_accesses_per_sec\": 2000"), "{hot}");
-        assert!(hot.contains("\"executed\": 44, \"cache_hits\": 0"), "{hot}");
-    }
-
-    #[test]
-    fn history_line_is_single_line_versioned_json() {
-        let line = history_line(
-            1_700_000_000,
-            "abc1234",
-            true,
-            8,
-            44,
-            123_456,
-            1e8,
-            4e8,
-            true,
-        );
-        assert!(line.ends_with('}') || line.ends_with("}\n"), "{line}");
-        assert_eq!(line.matches('\n').count(), 1, "exactly one newline: {line}");
-        assert!(
-            line.contains("\"schema\": \"ctbia-bench-history-v1\""),
-            "{line}"
-        );
-        assert!(line.contains("\"git_rev\": \"abc1234\""), "{line}");
-        assert!(line.contains("\"threads\": 8"), "{line}");
-        assert!(
-            line.contains("\"serial_sim_accesses_per_sec\": 100000000"),
-            "{line}"
-        );
-        assert!(
-            line.contains("\"parallel_sim_accesses_per_sec\": 400000000"),
-            "{line}"
-        );
-    }
 
     #[test]
     fn submit_specs_parse_into_wire_requests() {
