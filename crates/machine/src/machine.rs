@@ -858,9 +858,22 @@ impl Machine {
     /// oracle compares: the demand trace (see [`Machine::enable_trace`])
     /// plus every CT-op bitmap response.
     pub fn enable_observation(&mut self) {
-        self.enable_trace();
-        self.ct_obs = Some(Vec::new());
-        self.spec_trace = Some(Vec::new());
+        self.enable_observation_into(ObsTrace::default());
+    }
+
+    /// [`Machine::enable_observation`], recording into `buf`'s vectors:
+    /// they are cleared first, so their capacity is reused and nothing of
+    /// their old contents survives. A caller that observes many runs in
+    /// turn hands back the trace it no longer needs.
+    pub fn enable_observation_into(&mut self, mut buf: ObsTrace) {
+        buf.demand.clear();
+        buf.ct.clear();
+        buf.slices.clear();
+        buf.spec.clear();
+        self.trace = Some(buf.demand);
+        self.probe_slices = (self.placement == Some(BiaPlacement::Llc)).then_some(buf.slices);
+        self.ct_obs = Some(buf.ct);
+        self.spec_trace = Some(buf.spec);
     }
 
     /// Stops observation recording and returns the trace (empty for any
@@ -1401,16 +1414,18 @@ impl Machine {
     }
 
     /// Whether a software DS sweep may take the batched fast path: nothing
-    /// may observe the per-access interleaving (no trace, sink, co-runner,
-    /// auditor or injector), the hierarchy must be unmonitored with no BIA
-    /// or placement routing, and silent-store squashing must be off. Under
-    /// these conditions every per-line charge is a plain accumulation and
-    /// an L1d hit has no side effects beyond the cache's own bookkeeping,
-    /// so the batched sweep is state-for-state identical to the loop.
+    /// may observe the per-access interleaving of charges and cache state
+    /// (no sink, co-runner, auditor or injector), the hierarchy must be
+    /// unmonitored with no BIA or placement routing, and silent-store
+    /// squashing must be off. Under these conditions every per-line charge
+    /// is a plain accumulation and an L1d hit has no side effects beyond
+    /// the cache's own bookkeeping, so the batched sweep is state-for-state
+    /// identical to the loop. Demand-trace recording does not refuse the
+    /// batch: the line-granular trace needs only the `(op, line)` events in
+    /// order, and the batched loop pushes one for each inline hit.
     #[inline]
     fn sweep_fast_path(&self) -> bool {
         !self.spec_active
-            && self.trace.is_none()
             && self.sink.is_none()
             && self.interference.is_none()
             && self.auditor.is_none()
@@ -1478,9 +1493,10 @@ impl CtMemory for Machine {
         // its exact demand-hit bookkeeping, RAM supplies the data) and its
         // charges — one instruction plus the flat DS-hit service — are
         // accumulated and applied once at the end. Misses fall back to the
-        // full `ds_load`, which charges itself. With nothing observing the
-        // interleaving (see `sweep_fast_path`), the accumulated totals are
-        // identical to the per-line loop's.
+        // full `ds_load`, which charges and records itself. With nothing
+        // observing the interleaving (see `sweep_fast_path`), the
+        // accumulated totals are identical to the per-line loop's, and an
+        // inline hit records its trace event in loop order.
         let flat = self.ds_hit_sweep_cycles();
         let mut ret = 0u64;
         let mut hits = 0u64;
@@ -1491,6 +1507,12 @@ impl CtMemory for Machine {
                 .l1d_access_if_hit(line, ctbia_sim::cache::AccessKind::Read, false)
             {
                 hits += 1;
+                if let Some(t) = &mut self.trace {
+                    t.push(TraceEvent {
+                        op: TraceOp::DsLoad,
+                        line,
+                    });
+                }
                 self.ram.read(addr, width.bytes())
             } else {
                 self.ds_load(addr, width)
@@ -1539,6 +1561,12 @@ impl CtMemory for Machine {
                     .l1d_access_if_hit(line, ctbia_sim::cache::AccessKind::Read, false)
                 {
                     hits += 1;
+                    if let Some(t) = &mut self.trace {
+                        t.push(TraceEvent {
+                            op: TraceOp::DsLoad,
+                            line,
+                        });
+                    }
                     self.ram.read(addr, width.bytes())
                 } else {
                     self.ds_load(addr, width)
@@ -1549,6 +1577,12 @@ impl CtMemory for Machine {
                 .l1d_access_if_hit(line, ctbia_sim::cache::AccessKind::Write, false)
             {
                 hits += 1;
+                if let Some(t) = &mut self.trace {
+                    t.push(TraceEvent {
+                        op: TraceOp::DsStore,
+                        line,
+                    });
+                }
                 self.ram.write(addr, width.bytes(), new);
             } else {
                 self.ds_store(addr, width, new);
@@ -2047,33 +2081,32 @@ mod tests {
 
     #[test]
     fn reset_machine_is_indistinguishable_from_fresh() {
+        use ctbia_core::linearize::{ct_load_sw, ct_store_sw, SwProfile};
+
         // A mixed workload whose every observable — loaded values, final
-        // memory, counters — is returned for comparison.
-        fn drive(m: &mut Machine) -> (crate::counters::Counters, Vec<u32>) {
+        // memory, counters, observation trace — is returned for comparison.
+        // It runs BIA sweeps on a BIA machine and software sweeps
+        // otherwise, and wrong-path windows where speculation is on.
+        fn drive(m: &mut Machine) -> (crate::counters::Counters, Vec<u32>, ObsTrace) {
             let base = m.alloc_u32_array(2000).unwrap();
             for i in 0..2000u64 {
                 m.poke_u32(base.offset(i * 4), i as u32);
             }
             let mut out = Vec::new();
+            let ds = DataflowSet::contiguous(base, 2000 * 4);
+            for secret in [3u64, 700, 1999, 41] {
+                let target = base.offset(secret * 4);
+                out.push(if m.bia().is_some() {
+                    ct_load_bia(m, &ds, target, Width::U32, BiaOptions::default()) as u32
+                } else {
+                    ct_load_sw(m, &ds, target, Width::U32, SwProfile::scalar()) as u32
+                });
+            }
+            let target = base.offset(700 * 4);
             if m.bia().is_some() {
-                let ds = DataflowSet::contiguous(base, 2000 * 4);
-                for secret in [3u64, 700, 1999, 41] {
-                    out.push(ct_load_bia(
-                        m,
-                        &ds,
-                        base.offset(secret * 4),
-                        Width::U32,
-                        BiaOptions::default(),
-                    ) as u32);
-                }
-                ct_store_bia(
-                    m,
-                    &ds,
-                    base.offset(700 * 4),
-                    Width::U32,
-                    424242,
-                    BiaOptions::default(),
-                );
+                ct_store_bia(m, &ds, target, Width::U32, 424242, BiaOptions::default());
+            } else {
+                ct_store_sw(m, &ds, target, Width::U32, 424242, SwProfile::scalar());
             }
             for i in 0..256u64 {
                 let a = base.offset((i * 97 % 2000) * 4);
@@ -2085,23 +2118,47 @@ mod tests {
                 if i % 11 == 0 {
                     m.flush_line(a);
                 }
+                let wrong = base.offset((i * 31 % 2000) * 4);
+                m.spec_branch(i % 5, i % 3 == 0, &mut |w: &mut dyn CtMemory| {
+                    let _ = w.load(wrong, Width::U32);
+                });
             }
             out.push(m.peek_u32(base.offset(700 * 4)));
-            (m.counters(), out)
+            (m.counters(), out, m.take_observation())
         }
 
+        let speculating = MachineConfig {
+            spec_window: 32,
+            ..MachineConfig::insecure()
+        };
         for config in [
             MachineConfig::insecure(),
             MachineConfig::with_bia(BiaPlacement::L1d),
+            MachineConfig::with_bia(BiaPlacement::L2),
+            MachineConfig::with_bia(BiaPlacement::Llc),
+            speculating,
         ] {
+            let llc = matches!(config.bia, Some((BiaPlacement::Llc, _)));
+            let spec = config.spec_window > 0;
             let mut fresh = Machine::new(config.clone()).unwrap();
+            fresh.enable_observation();
             let want = drive(&mut fresh);
+            let obs = &want.2;
+            assert!(!obs.demand.is_empty());
+            assert_eq!(obs.ct.is_empty(), fresh.bia().is_none());
+            assert_eq!(obs.slices.is_empty(), !llc, "probe slices under LLC only");
+            assert_eq!(
+                obs.spec.is_empty(),
+                !spec,
+                "wrong-path fills iff speculating"
+            );
 
             // Dirty a second machine with unrelated traffic and observers,
-            // then reset; the same drive must be byte-identical.
+            // then reset; the same drive must be byte-identical, whether it
+            // records into fresh buffers or into the stale trace's.
             let mut reused = Machine::new(config).unwrap();
             let junk = reused.alloc(8192, 64).unwrap();
-            reused.enable_trace();
+            reused.enable_observation();
             for i in 0..512u64 {
                 let a = junk.offset(i * 13 % 2048 * 4);
                 if i % 2 == 0 {
@@ -2109,11 +2166,30 @@ mod tests {
                 } else {
                     let _ = reused.load_u32(a);
                 }
+                reused.spec_branch(i % 7, i % 2 == 0, &mut |w: &mut dyn CtMemory| {
+                    let _ = w.load(a, Width::U32);
+                });
             }
             if reused.bia().is_some() {
                 let _ = reused.ct_load(junk);
             }
+            let mut stale = reused.take_observation();
+            let junk_event = TraceEvent {
+                op: TraceOp::Store,
+                line: junk.line(),
+            };
+            stale.demand.push(junk_event);
+            stale.ct.push(CtResponse {
+                store: true,
+                bitmap: !0,
+            });
+            stale.slices.push(7);
+            stale.spec.push(junk_event);
             reused.reset();
+            reused.enable_observation_into(stale);
+            assert_eq!(drive(&mut reused), want);
+            reused.reset();
+            reused.enable_observation();
             assert_eq!(drive(&mut reused), want);
         }
     }

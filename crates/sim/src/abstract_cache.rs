@@ -28,7 +28,6 @@
 
 use crate::addr::LineAddr;
 use crate::config::CacheConfig;
-use std::collections::HashMap;
 
 /// Three-valued residency of a line in the abstract cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,16 +54,17 @@ pub struct LineState {
 
 /// Abstract per-set LRU cache over age intervals.
 ///
-/// Untracked lines are definitely not resident; the map is populated
-/// lazily on first touch, so the cost is proportional to the program's
-/// footprint, not the cache size.
+/// Stored as one dense row per set: every line touched so far in that set,
+/// with its state, in first-touch order. Untracked lines are definitely
+/// not resident, so the rows grow with the program's footprint, not the
+/// cache size. Every access already ages the whole row of its set, so
+/// finding a line by scanning that row adds no new order of cost, and no
+/// update depends on the row's order.
 #[derive(Debug, Clone)]
 pub struct AbstractCache {
     set_mask: u64,
     ways: u32,
-    lines: HashMap<u64, LineState>,
-    /// Lines per set, for iterating set-mates cheaply.
-    sets: HashMap<u64, Vec<u64>>,
+    sets: Vec<Vec<(u64, LineState)>>,
 }
 
 impl AbstractCache {
@@ -73,8 +73,7 @@ impl AbstractCache {
         AbstractCache {
             set_mask: cfg.num_sets() - 1,
             ways: cfg.associativity,
-            lines: HashMap::new(),
-            sets: HashMap::new(),
+            sets: vec![Vec::new(); cfg.num_sets() as usize],
         }
     }
 
@@ -83,33 +82,45 @@ impl AbstractCache {
         self.ways
     }
 
-    fn set_of(&self, line: LineAddr) -> u64 {
-        line.raw() & self.set_mask
-    }
-
-    fn state(&self, line: LineAddr) -> LineState {
-        self.lines.get(&line.raw()).copied().unwrap_or(LineState {
-            lo: self.ways,
-            hi: self.ways,
-            secret: false,
-        })
-    }
-
-    fn put(&mut self, line: LineAddr, st: LineState) {
+    /// `line`'s set and its position in that set's row, if tracked.
+    fn slot(&self, line: LineAddr) -> (usize, Option<usize>) {
         let raw = line.raw();
-        if self.lines.insert(raw, st).is_none() {
-            self.sets.entry(raw & self.set_mask).or_default().push(raw);
+        let set = (raw & self.set_mask) as usize;
+        (set, self.sets[set].iter().position(|&(r, _)| r == raw))
+    }
+
+    /// The state at `slot`; an untracked line is definitely out.
+    fn state_at(&self, (set, pos): (usize, Option<usize>)) -> LineState {
+        pos.map_or(
+            LineState {
+                lo: self.ways,
+                hi: self.ways,
+                secret: false,
+            },
+            |i| self.sets[set][i].1,
+        )
+    }
+
+    /// Stores `st` for `line` at `slot`, tracking the line on first touch.
+    fn put_at(&mut self, (set, pos): (usize, Option<usize>), line: LineAddr, st: LineState) {
+        let row = &mut self.sets[set];
+        match pos {
+            Some(i) => row[i].1 = st,
+            None => row.push((line.raw(), st)),
         }
     }
 
     /// The current abstract state of `line`.
     pub fn line_state(&self, line: LineAddr) -> LineState {
-        self.state(line)
+        self.state_at(self.slot(line))
     }
 
     /// Three-valued residency of `line`.
     pub fn residency(&self, line: LineAddr) -> Residency {
-        let st = self.state(line);
+        self.residency_of(self.line_state(line))
+    }
+
+    fn residency_of(&self, st: LineState) -> Residency {
         if st.hi < self.ways {
             Residency::In
         } else if st.lo >= self.ways {
@@ -123,33 +134,37 @@ impl AbstractCache {
     /// secret-correlated — the condition under which an existence probe
     /// (a `CTLoad` bitmap) observes the secret.
     pub fn residency_is_secret(&self, line: LineAddr) -> bool {
-        self.state(line).secret && self.residency(line) == Residency::Maybe
+        let st = self.line_state(line);
+        st.secret && self.residency_of(st) == Residency::Maybe
     }
 
     /// Number of tracked lines whose state is secret-correlated and still
     /// uncertain — the analyzer's final-state leak diagnostic.
     pub fn secret_uncertain_lines(&self) -> u64 {
-        self.lines
+        self.sets
             .iter()
+            .flatten()
             .filter(|(_, st)| st.secret && st.lo != st.hi)
             .count() as u64
     }
 
-    /// Ages every set-mate of `accessed` for an access whose *age at
-    /// access time* was in `[a_lo, a_hi]`: a set-mate younger than the
-    /// accessed age certainly ages, one certainly older is untouched, and
-    /// an overlap widens (Ferdinand's interval update). `taints` marks the
-    /// mates secret (the access's effect depends on a secret).
-    fn age_set_mates(&mut self, set: u64, skip: u64, a_lo: u32, a_hi: u32, taints: bool) {
+    /// Ages every line of `set`'s row except the one at `skip` for an
+    /// access whose *age at access time* was in `[a_lo, a_hi]`: a set-mate
+    /// younger than the accessed age certainly ages, one certainly older
+    /// is untouched, and an overlap widens (Ferdinand's interval update).
+    /// `taints` marks the mates secret (the access's effect depends on a
+    /// secret).
+    fn age_set_mates(
+        &mut self,
+        (set, skip): (usize, Option<usize>),
+        a_lo: u32,
+        a_hi: u32,
+        taints: bool,
+    ) {
         let ways = self.ways;
-        let mates = self.sets.get(&set).cloned().unwrap_or_default();
-        for raw in mates {
-            if raw == skip {
-                continue;
-            }
-            let st = self.lines.get_mut(&raw).expect("tracked mate");
-            if st.lo >= ways {
-                continue; // definitely out: nothing to age.
+        for (i, (_, st)) in self.sets[set].iter_mut().enumerate() {
+            if Some(i) == skip || st.lo >= ways {
+                continue; // the accessed line, or definitely out.
             }
             if st.hi < a_lo {
                 // Certainly younger than the accessed line: ages.
@@ -170,13 +185,14 @@ impl AbstractCache {
     /// line's state becomes deterministic (`[0,0]`), clearing its secret
     /// flag.
     pub fn touch(&mut self, line: LineAddr) {
-        let st = self.state(line);
-        let set = self.set_of(line);
+        let slot = self.slot(line);
+        let st = self.state_at(slot);
         // Whether this was a hit or a miss may itself be secret-correlated
         // (st.secret with uncertain residency); the mates' intervals widen
         // accordingly through the overlap rule, and inherit the flag.
-        self.age_set_mates(set, line.raw(), st.lo, st.hi, st.secret);
-        self.put(
+        self.age_set_mates(slot, st.lo, st.hi, st.secret);
+        self.put_at(
+            slot,
             line,
             LineState {
                 lo: 0,
@@ -194,18 +210,13 @@ impl AbstractCache {
         let ways = self.ways;
         // Age set-mates first (overlap everywhere: the access's age is
         // unknown, [0, ways]), then join the candidates' own states.
-        let mut cand_sets: Vec<u64> = candidates.iter().map(|&l| self.set_of(l)).collect();
+        let mut cand_sets: Vec<usize> = candidates.iter().map(|&l| self.slot(l).0).collect();
         cand_sets.sort_unstable();
         cand_sets.dedup();
         let is_candidate = |raw: u64| candidates.iter().any(|&l| l.raw() == raw);
-        for &set in &cand_sets {
-            let mates = self.sets.get(&set).cloned().unwrap_or_default();
-            for raw in mates {
-                if is_candidate(raw) {
-                    continue;
-                }
-                let st = self.lines.get_mut(&raw).expect("tracked mate");
-                if st.lo >= ways {
+        for set in cand_sets {
+            for (raw, st) in &mut self.sets[set] {
+                if is_candidate(*raw) || st.lo >= ways {
                     continue;
                 }
                 // May or may not age, and the choice is secret.
@@ -214,8 +225,10 @@ impl AbstractCache {
             }
         }
         for &line in candidates {
-            let st = self.state(line);
-            self.put(
+            let slot = self.slot(line);
+            let st = self.state_at(slot);
+            self.put_at(
+                slot,
                 line,
                 LineState {
                     lo: 0,
@@ -232,11 +245,12 @@ impl AbstractCache {
     /// if present). The secret flag is preserved: *which* happened remains
     /// secret-correlated.
     pub fn force_resident(&mut self, line: LineAddr) {
-        let st = self.state(line);
-        let set = self.set_of(line);
+        let slot = self.slot(line);
+        let st = self.state_at(slot);
         // If it was fetched, set-mates may have aged.
-        self.age_set_mates(set, line.raw(), st.lo, st.hi, st.secret);
-        self.put(
+        self.age_set_mates(slot, st.lo, st.hi, st.secret);
+        self.put_at(
+            slot,
             line,
             LineState {
                 lo: 0,

@@ -22,8 +22,10 @@ use ctbia_machine::{Machine, ObsTrace};
 /// What the oracle concluded for one cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleOutcome {
-    /// Number of secret pairs compared (`seeds - 1`: every later seed
-    /// against the first).
+    /// Number of secret pairs in the seed family (`seeds - 1`: every later
+    /// seed against the first). It stays `seeds - 1` when the oracle stops
+    /// at an early divergence, so it counts the pairs scheduled, not the
+    /// pairs actually compared.
     pub pairs: u64,
     /// Whether every trace was identical.
     pub equal: bool,
@@ -37,6 +39,11 @@ pub struct OracleOutcome {
 /// Replays `spec`'s workload once per seed and compares observation
 /// traces pairwise against the first. Returns at the first divergence.
 ///
+/// All runs share one machine, reset between seeds, and every later
+/// seed records into the buffers of the previous, already-compared
+/// trace, so a cell builds one machine and at most two traces whatever
+/// the number of seeds.
+///
 /// # Errors
 ///
 /// Returns a message if the cell's machine configuration is invalid or
@@ -49,41 +56,39 @@ pub fn trace_equivalence(spec: &CellSpec, seeds: &[u64]) -> Result<OracleOutcome
             seeds.len()
         ));
     }
-    let mut baseline: Option<(u64, ObsTrace)> = None;
-    for &seed in seeds {
-        let trace = observe(spec, seed)?;
-        match &baseline {
-            None => baseline = Some((seed, trace)),
-            Some((seed0, trace0)) => {
-                if let Some(diff) = trace0.first_divergence(&trace) {
-                    return Ok(OracleOutcome {
-                        pairs: (seeds.len() - 1) as u64,
-                        equal: false,
-                        first_divergence: Some(format!("secrets {seed0:#x} vs {seed:#x}: {diff}")),
-                        obs_digest: trace0.digest(),
-                    });
-                }
-            }
+    let (seed0, rest) = (seeds[0], &seeds[1..]);
+    let mut m =
+        Machine::new(spec.machine_config()).map_err(|e| format!("{}: {e}", spec.label()))?;
+    let trace0 = observe(&mut m, spec, seed0, ObsTrace::default());
+    let mut spare = ObsTrace::default();
+    for &seed in rest {
+        m.reset();
+        let trace = observe(&mut m, spec, seed, spare);
+        if let Some(diff) = trace0.first_divergence(&trace) {
+            return Ok(OracleOutcome {
+                pairs: rest.len() as u64,
+                equal: false,
+                first_divergence: Some(format!("secrets {seed0:#x} vs {seed:#x}: {diff}")),
+                obs_digest: trace0.digest(),
+            });
         }
+        spare = trace;
     }
-    let (_, trace0) = baseline.expect("at least two seeds");
     Ok(OracleOutcome {
-        pairs: (seeds.len() - 1) as u64,
+        pairs: rest.len() as u64,
         equal: true,
         first_divergence: None,
         obs_digest: trace0.digest(),
     })
 }
 
-/// One observed run: fresh machine, observation recording on, the
-/// workload reseeded with `seed`.
-fn observe(spec: &CellSpec, seed: u64) -> Result<ObsTrace, String> {
-    let mut m =
-        Machine::new(spec.machine_config()).map_err(|e| format!("{}: {e}", spec.label()))?;
-    m.enable_observation();
+/// One observed run on `m` (fresh or reset), recording into `buf`'s
+/// vectors, with the workload reseeded with `seed`.
+fn observe(m: &mut Machine, spec: &CellSpec, seed: u64, buf: ObsTrace) -> ObsTrace {
+    m.enable_observation_into(buf);
     let wl = spec.workload.build_reseeded(seed);
-    let _ = wl.run(&mut m, spec.strategy.to_strategy());
-    Ok(m.take_observation())
+    let _ = wl.run(m, spec.strategy.to_strategy());
+    m.take_observation()
 }
 
 #[cfg(test)]

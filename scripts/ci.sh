@@ -36,7 +36,13 @@
 #                                control fails `ctbia analyze` non-zero;
 #                                a second run of the grid analyzes 0
 #                                cells, every one from results/cache
-#  11. serve suites + smoke    -- the e2e/protocol/stress/chaos/tenants/
+#  11. verdict byte gate       -- from a fresh directory (empty memo
+#                                cache) the verify and analyze quick
+#                                grids write exactly the committed
+#                                reference entries under
+#                                results/verdicts/, byte for byte, with
+#                                none missing on either side
+#  12. serve suites + smoke    -- the e2e/protocol/stress/chaos/tenants/
 #                                hits suites and the schedule determinism
 #                                test for the batch-simulation
 #                                daemon (chaos runs its first scenario
@@ -53,7 +59,7 @@
 #                                client step runs under a hard `timeout`
 #                                so a wedged daemon fails the gate
 #                                instead of hanging it
-#  12. chaos smoke             -- a daemon with one injected worker panic
+#  13. chaos smoke             -- a daemon with one injected worker panic
 #                                answers the poisoned submit cell-failed,
 #                                respawns the worker, serves the retry,
 #                                reports the restart via `ctbia health`,
@@ -171,6 +177,40 @@ if timeout 60 ./target/release/ctbia analyze leaky-bin 300 --strategy insecure \
     exit 1
 fi
 echo "==> analyzer refuses to certify the leaky control"
+
+# Verdict byte gate. The verify and analyze steps above run in the repo
+# root, where results/cache may already hold every quick-grid verdict (a
+# cell digest covers the spec, not the verifier), so a verifier or
+# analyzer change would go unseen there. Both quick grids run again from
+# a fresh directory, and every entry they write must equal the committed
+# reference results/verdicts/<key>; a reference no cold run writes fails
+# too.
+VERDICT_DIR=$(mktemp -d)
+echo "==> verify --quick and analyze --quick (cold) must write results/verdicts/*"
+(cd "$VERDICT_DIR" && "$BIN_DIR/ctbia" verify --quick >/dev/null &&
+    timeout 60 "$BIN_DIR/ctbia" analyze --quick >/dev/null)
+for ENTRY in "$VERDICT_DIR"/results/cache/*; do
+    KEY=$(basename "$ENTRY")
+    if [ ! -f "results/verdicts/$KEY" ]; then
+        echo "cold verdict $KEY has no committed reference results/verdicts/$KEY" >&2
+        exit 1
+    fi
+    if ! cmp -s "$ENTRY" "results/verdicts/$KEY"; then
+        echo "cold verdict $KEY differs from results/verdicts/$KEY:" >&2
+        diff "results/verdicts/$KEY" "$ENTRY" >&2 || true
+        exit 1
+    fi
+done
+for REF in results/verdicts/*; do
+    KEY=$(basename "$REF")
+    if [ ! -f "$VERDICT_DIR/results/cache/$KEY" ]; then
+        echo "committed verdict $KEY was not written by the cold quick grids" >&2
+        exit 1
+    fi
+done
+VERDICTS=$(find "$VERDICT_DIR/results/cache" -type f | wc -l)
+rm -rf "$VERDICT_DIR"
+echo "==> $VERDICTS cold verdicts match results/verdicts byte for byte"
 
 run cargo test -q -p ctbia-serve --test serve_e2e --test serve_protocol --test serve_stress \
     --test serve_chaos --test serve_tenants --test serve_hits --test loadgen_determinism
