@@ -16,6 +16,7 @@ use ctbia_core::ctmem::{CtLoad, CtMemory, CtStore, LinearizeInfo, Width};
 use ctbia_core::predicate::{ct_eq, select};
 use ctbia_core::taint::{LeakViolation, TaintLabel};
 use ctbia_sim::addr::{LineAddr, PhysAddr};
+use ctbia_sim::cache::{AccessKind, Slot};
 use ctbia_sim::config::{CacheConfig, ConfigError, HierarchyConfig};
 use ctbia_sim::fault::{FaultConfig, FaultInjector, StructuralFault};
 use ctbia_sim::hierarchy::{
@@ -453,6 +454,63 @@ struct TaintState {
     reported: u64,
 }
 
+/// Dataflow sets the sweep memo remembers at once.
+const SWEEP_MEMO_ENTRIES: usize = 8;
+
+/// A software-CT sweep in which every line hit the L1d: the lines, their
+/// slots, and the L1d residency epoch at which the slots were taken.
+#[derive(Debug)]
+struct ResidentSweep {
+    epoch: u64,
+    lines: Vec<LineAddr>,
+    slots: Vec<Slot>,
+}
+
+/// Fully resident sweeps, for replay by a later sweep of the same lines
+/// at the same epoch (see [`Machine::sweep_lines`]).
+#[derive(Debug, Default)]
+struct SweepMemo {
+    entries: Vec<ResidentSweep>,
+    /// The entry the next record overwrites once `entries` is full.
+    next: usize,
+    /// Slot buffer of the sweep in progress, kept for its allocation.
+    scratch: Vec<Slot>,
+}
+
+impl SweepMemo {
+    /// The slots of `lines` if they were all resident at `epoch`. The
+    /// lines are matched by content, never by address of the slice.
+    fn find(&self, epoch: u64, lines: &[LineAddr]) -> Option<&[Slot]> {
+        self.entries
+            .iter()
+            .find(|e| e.epoch == epoch && e.lines == lines)
+            .map(|e| e.slots.as_slice())
+    }
+
+    /// Remembers `slots`, one per line of `lines`, taken at `epoch`.
+    fn record(&mut self, epoch: u64, lines: &[LineAddr], slots: Vec<Slot>) {
+        if self.entries.len() < SWEEP_MEMO_ENTRIES {
+            self.entries.push(ResidentSweep {
+                epoch,
+                lines: lines.to_vec(),
+                slots,
+            });
+            return;
+        }
+        let e = &mut self.entries[self.next];
+        self.next = (self.next + 1) % SWEEP_MEMO_ENTRIES;
+        e.epoch = epoch;
+        e.lines.clear();
+        e.lines.extend_from_slice(lines);
+        self.scratch = std::mem::replace(&mut e.slots, slots);
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.next = 0;
+    }
+}
+
 /// The simulated machine.
 #[derive(Debug)]
 pub struct Machine {
@@ -503,6 +561,7 @@ pub struct Machine {
     /// Wrong-path access channel of the observation trace (recorded only
     /// under [`Machine::enable_observation`]).
     spec_trace: Option<Vec<TraceEvent>>,
+    sweep_memo: SweepMemo,
 }
 
 impl Machine {
@@ -588,6 +647,7 @@ impl Machine {
             spec_used: 0,
             spec: SpecStats::default(),
             spec_trace: None,
+            sweep_memo: SweepMemo::default(),
         })
     }
 
@@ -646,6 +706,7 @@ impl Machine {
         self.spec_used = 0;
         self.spec = SpecStats::default();
         self.spec_trace = None;
+        self.sweep_memo.clear();
     }
 
     /// The configured BIA placement, if any.
@@ -1329,6 +1390,7 @@ impl Machine {
             && self
                 .hier
                 .l1d_access_if_hit(addr.line(), flags.kind, flags.update_replacement)
+                .is_some()
         {
             AccessResult {
                 latency: self.hier.cache(Level::L1d).hit_latency(),
@@ -1413,16 +1475,19 @@ impl Machine {
         flags
     }
 
-    /// Whether a software DS sweep may take the batched fast path: nothing
-    /// may observe the per-access interleaving of charges and cache state
-    /// (no sink, co-runner, auditor or injector), the hierarchy must be
-    /// unmonitored with no BIA or placement routing, and silent-store
-    /// squashing must be off. Under these conditions every per-line charge
-    /// is a plain accumulation and an L1d hit has no side effects beyond
-    /// the cache's own bookkeeping, so the batched sweep is state-for-state
-    /// identical to the loop. Demand-trace recording does not refuse the
-    /// batch: the line-granular trace needs only the `(op, line)` events in
-    /// order, and the batched loop pushes one for each inline hit.
+    /// Whether a software DS sweep may take the batched fast path
+    /// ([`Machine::sweep_lines`]): nothing may observe the per-access
+    /// interleaving of charges and cache state (no sink, co-runner,
+    /// auditor or injector), the hierarchy must be unmonitored with no BIA
+    /// or placement routing, and neither speculation nor silent-store
+    /// squashing may be active. Under these conditions every per-line
+    /// charge is a plain accumulation and an L1d hit has no side effects
+    /// beyond the cache's own bookkeeping, so the batched sweep — and its
+    /// replay of a fully resident sweep from the sweep memo — is
+    /// state-for-state identical to the loop. Demand-trace recording does
+    /// not refuse the batch: the line-granular trace needs only the
+    /// `(op, line)` events in order, and the batch pushes one for each
+    /// inline or replayed hit.
     #[inline]
     fn sweep_fast_path(&self) -> bool {
         !self.spec_active
@@ -1443,6 +1508,101 @@ impl Machine {
     fn ds_hit_sweep_cycles(&self) -> u64 {
         self.cost
             .memory_cycles(self.hier.cache(Level::L1d).hit_latency(), true, true)
+    }
+
+    /// The cache side of a batched software-CT sweep (only under
+    /// [`Machine::sweep_fast_path`]): one replacement-neutral load per
+    /// line, plus one store per line when `store` is set, with their trace
+    /// events in loop order. RAM is the caller's: an inline hit reads and
+    /// writes none, and a miss falls back to the self-charging
+    /// `ds_load`/`ds_store`, which rewrites the word it read.
+    ///
+    /// An inline L1d hit performs the cache's exact demand-hit bookkeeping;
+    /// its charges — one instruction plus the flat DS-hit service — are
+    /// pure sums, so they are accumulated and applied once at the end. A
+    /// sweep in which every access hit is remembered in the sweep memo
+    /// with its slots. A later sweep of equal lines at an unchanged L1d
+    /// epoch replays those slots instead of searching the tags: no line
+    /// has been filled or invalidated since, so each one still sits in its
+    /// slot, and every access hits again with the same bookkeeping.
+    fn sweep_lines(
+        &mut self,
+        lines: &[LineAddr],
+        offset: u64,
+        width: Width,
+        store: bool,
+        extra_insts: u64,
+    ) {
+        let per_line = 1 + store as u64;
+        let epoch = self.hier.l1d_epoch();
+        let hits = if let Some(slots) = self.sweep_memo.find(epoch, lines) {
+            self.hier.l1d_replay_hits(slots, AccessKind::Read);
+            if store {
+                self.hier.l1d_replay_hits(slots, AccessKind::Write);
+            }
+            if self.trace.is_some() {
+                for &line in lines {
+                    self.record_ds_hit(TraceOp::DsLoad, line);
+                    if store {
+                        self.record_ds_hit(TraceOp::DsStore, line);
+                    }
+                }
+            }
+            per_line * lines.len() as u64
+        } else {
+            let mut slots = std::mem::take(&mut self.sweep_memo.scratch);
+            slots.clear();
+            let mut hits = 0u64;
+            for &line in lines {
+                let addr = line.with_offset(offset);
+                match self.hier.l1d_access_if_hit(line, AccessKind::Read, false) {
+                    Some(slot) => {
+                        hits += 1;
+                        slots.push(slot);
+                        self.record_ds_hit(TraceOp::DsLoad, line);
+                    }
+                    None => {
+                        self.ds_load(addr, width);
+                    }
+                }
+                if !store {
+                    continue;
+                }
+                if self
+                    .hier
+                    .l1d_access_if_hit(line, AccessKind::Write, false)
+                    .is_some()
+                {
+                    hits += 1;
+                    self.record_ds_hit(TraceOp::DsStore, line);
+                } else {
+                    let old = self.ram.read(addr, width.bytes());
+                    self.ds_store(addr, width, old);
+                }
+            }
+            if hits == per_line * lines.len() as u64 {
+                debug_assert_eq!(epoch, self.hier.l1d_epoch(), "an all-hit sweep filled");
+                self.sweep_memo.record(epoch, lines, slots);
+            } else {
+                self.sweep_memo.scratch = slots;
+            }
+            hits
+        };
+        let insts = hits + lines.len() as u64 * extra_insts;
+        self.insts += insts;
+        let compute = insts * self.cost.cycles_per_inst;
+        let sweep = hits * self.ds_hit_sweep_cycles();
+        self.cycles += compute + sweep;
+        self.phases.add(Phase::Compute, compute);
+        self.phases.add(Phase::LinearizeSweep, sweep);
+    }
+
+    /// Pushes the demand-trace event of an inline or replayed DS hit.
+    #[inline]
+    fn record_ds_hit(&mut self, op: TraceOp, line: LineAddr) {
+        if let Some(t) = &mut self.trace {
+            t.push(TraceEvent { op, line });
+        }
     }
 }
 
@@ -1489,44 +1649,13 @@ impl CtMemory for Machine {
             }
             return ret;
         }
-        // Batched sweep: an L1d hit is handled inline (the cache performs
-        // its exact demand-hit bookkeeping, RAM supplies the data) and its
-        // charges — one instruction plus the flat DS-hit service — are
-        // accumulated and applied once at the end. Misses fall back to the
-        // full `ds_load`, which charges and records itself. With nothing
-        // observing the interleaving (see `sweep_fast_path`), the
-        // accumulated totals are identical to the per-line loop's, and an
-        // inline hit records its trace event in loop order.
-        let flat = self.ds_hit_sweep_cycles();
-        let mut ret = 0u64;
-        let mut hits = 0u64;
-        for &line in lines {
-            let addr = line.with_offset(offset);
-            let v = if self
-                .hier
-                .l1d_access_if_hit(line, ctbia_sim::cache::AccessKind::Read, false)
-            {
-                hits += 1;
-                if let Some(t) = &mut self.trace {
-                    t.push(TraceEvent {
-                        op: TraceOp::DsLoad,
-                        line,
-                    });
-                }
-                self.ram.read(addr, width.bytes())
-            } else {
-                self.ds_load(addr, width)
-            };
-            ret = select(ct_eq(addr.raw(), target.raw()), v, ret);
+        self.sweep_lines(lines, offset, width, false, extra_insts);
+        // A load sweep writes no RAM, so the selected word is the target's.
+        if lines.iter().any(|&line| line.with_offset(offset) == target) {
+            self.ram.read(target, width.bytes())
+        } else {
+            0
         }
-        let insts = hits + lines.len() as u64 * extra_insts;
-        self.insts += insts;
-        let compute = insts * self.cost.cycles_per_inst;
-        let sweep = hits * flat;
-        self.cycles += compute + sweep;
-        self.phases.add(Phase::Compute, compute);
-        self.phases.add(Phase::LinearizeSweep, sweep);
-        ret
     }
 
     fn ds_sweep_store(
@@ -1548,53 +1677,11 @@ impl CtMemory for Machine {
             }
             return;
         }
-        // Read-modify-write sweep, batched the same way as the load sweep:
-        // each line's load and store hit the L1d inline, misses fall back
-        // to the charging `ds_load`/`ds_store`.
-        let flat = self.ds_hit_sweep_cycles();
-        let mut hits = 0u64;
-        for &line in lines {
-            let addr = line.with_offset(offset);
-            let old =
-                if self
-                    .hier
-                    .l1d_access_if_hit(line, ctbia_sim::cache::AccessKind::Read, false)
-                {
-                    hits += 1;
-                    if let Some(t) = &mut self.trace {
-                        t.push(TraceEvent {
-                            op: TraceOp::DsLoad,
-                            line,
-                        });
-                    }
-                    self.ram.read(addr, width.bytes())
-                } else {
-                    self.ds_load(addr, width)
-                };
-            let new = select(ct_eq(addr.raw(), target.raw()), value & width.mask(), old);
-            if self
-                .hier
-                .l1d_access_if_hit(line, ctbia_sim::cache::AccessKind::Write, false)
-            {
-                hits += 1;
-                if let Some(t) = &mut self.trace {
-                    t.push(TraceEvent {
-                        op: TraceOp::DsStore,
-                        line,
-                    });
-                }
-                self.ram.write(addr, width.bytes(), new);
-            } else {
-                self.ds_store(addr, width, new);
-            }
+        self.sweep_lines(lines, offset, width, true, extra_insts);
+        // The branchless merge rewrites every other word unchanged.
+        if lines.iter().any(|&line| line.with_offset(offset) == target) {
+            self.ram.write(target, width.bytes(), value & width.mask());
         }
-        let insts = hits + lines.len() as u64 * extra_insts;
-        self.insts += insts;
-        let compute = insts * self.cost.cycles_per_inst;
-        let sweep = hits * flat;
-        self.cycles += compute + sweep;
-        self.phases.add(Phase::Compute, compute);
-        self.phases.add(Phase::LinearizeSweep, sweep);
     }
 
     fn dram_load(&mut self, addr: PhysAddr, width: Width) -> u64 {

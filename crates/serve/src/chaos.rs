@@ -61,6 +61,44 @@ impl Default for ChaosSpec {
     }
 }
 
+/// Why a chaos spec did not parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChaosSpecError {
+    /// A clause without a `:` between key and value.
+    NotKeyValue(String),
+    /// A clause whose value is not a `u64`.
+    BadValue(String),
+    /// A key other than `panic`, `stall`, `torn`, `io`, `stall-ms`, `seed`.
+    UnknownKey(String),
+    /// `seed:0` (the injection-order RNG needs a nonzero state).
+    ZeroSeed,
+    /// The four fault counts sum past `u64::MAX`.
+    BudgetOverflow,
+}
+
+impl fmt::Display for ChaosSpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ChaosSpecError::NotKeyValue(clause) => {
+                write!(f, "chaos clause {clause:?} is not key:value")
+            }
+            ChaosSpecError::BadValue(clause) => {
+                write!(f, "chaos clause {clause:?} needs an integer value")
+            }
+            ChaosSpecError::UnknownKey(key) => write!(
+                f,
+                "unknown chaos key {key:?} (panic, stall, torn, io, stall-ms, seed)"
+            ),
+            ChaosSpecError::ZeroSeed => f.write_str("chaos seed must be nonzero"),
+            ChaosSpecError::BudgetOverflow => {
+                f.write_str("chaos fault counts sum past the largest budget (2^64 - 1)")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ChaosSpecError {}
+
 impl ChaosSpec {
     /// Parses a comma-separated `key:value` spec, e.g.
     /// `panic:2,stall:1,torn:1,io:1,stall-ms:500,seed:42`. Every key is
@@ -68,8 +106,9 @@ impl ChaosSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending clause.
-    pub fn parse(text: &str) -> Result<ChaosSpec, String> {
+    /// Returns a [`ChaosSpecError`] naming the offending clause, a zero
+    /// seed, or fault counts whose [`ChaosSpec::budget`] would overflow.
+    pub fn parse(text: &str) -> Result<ChaosSpec, ChaosSpecError> {
         let mut spec = ChaosSpec::default();
         for clause in text.split(',') {
             let clause = clause.trim();
@@ -78,11 +117,11 @@ impl ChaosSpec {
             }
             let (key, value) = clause
                 .split_once(':')
-                .ok_or_else(|| format!("chaos clause {clause:?} is not key:value"))?;
+                .ok_or_else(|| ChaosSpecError::NotKeyValue(clause.to_string()))?;
             let value: u64 = value
                 .trim()
                 .parse()
-                .map_err(|_| format!("chaos clause {clause:?} needs an integer value"))?;
+                .map_err(|_| ChaosSpecError::BadValue(clause.to_string()))?;
             match key.trim() {
                 "panic" => spec.panics = value,
                 "stall" => spec.stalls = value,
@@ -90,22 +129,29 @@ impl ChaosSpec {
                 "io" => spec.io_errors = value,
                 "stall-ms" => spec.stall_ms = value,
                 "seed" => spec.seed = value,
-                other => {
-                    return Err(format!(
-                        "unknown chaos key {other:?} (panic, stall, torn, io, stall-ms, seed)"
-                    ))
-                }
+                other => return Err(ChaosSpecError::UnknownKey(other.to_string())),
             }
         }
         if spec.seed == 0 {
-            return Err("chaos seed must be nonzero".into());
+            return Err(ChaosSpecError::ZeroSeed);
         }
+        spec.checked_budget()
+            .ok_or(ChaosSpecError::BudgetOverflow)?;
         Ok(spec)
     }
 
-    /// Total faults budgeted across all kinds.
+    /// Total faults budgeted across all kinds, saturating at `u64::MAX`
+    /// (a parsed spec never saturates: [`ChaosSpec::parse`] rejects counts
+    /// whose sum overflows).
     pub fn budget(&self) -> u64 {
-        self.panics + self.stalls + self.torn_writes + self.io_errors
+        self.checked_budget().unwrap_or(u64::MAX)
+    }
+
+    fn checked_budget(&self) -> Option<u64> {
+        self.panics
+            .checked_add(self.stalls)?
+            .checked_add(self.torn_writes)?
+            .checked_add(self.io_errors)
     }
 }
 
@@ -228,6 +274,24 @@ mod tests {
         assert!(ChaosSpec::parse("panic:lots").is_err());
         assert!(ChaosSpec::parse("explode:1").is_err());
         assert!(ChaosSpec::parse("seed:0").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_budgets_that_overflow() {
+        assert_eq!(
+            ChaosSpec::parse("panic:18446744073709551615,stall:1"),
+            Err(ChaosSpecError::BudgetOverflow)
+        );
+        assert_eq!(
+            ChaosSpec::parse("torn:9223372036854775808,io:9223372036854775808"),
+            Err(ChaosSpecError::BudgetOverflow)
+        );
+        // The largest budget still parses, and its sum is exact.
+        let max = ChaosSpec::parse("panic:18446744073709551614,io:1").unwrap();
+        assert_eq!(max.budget(), u64::MAX);
+        // stall-ms and seed are knobs, not faults: they never overflow it.
+        let knobs = ChaosSpec::parse("panic:18446744073709551615,stall-ms:18446744073709551615");
+        assert_eq!(knobs.unwrap().budget(), u64::MAX);
     }
 
     #[test]

@@ -65,6 +65,18 @@ pub struct ProbeOutcome {
     pub dirty: bool,
 }
 
+/// Where a resident line sits: its set and its way, as a one-hot bit.
+///
+/// A slot returned by [`Cache::access_if_hit`] names the same line for as
+/// long as the cache's [`Cache::epoch`] does not move: only a fill, an
+/// invalidation or a reset can change which line a slot holds, and each
+/// of them bumps the epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    set: usize,
+    bit: u64,
+}
+
 /// A line pushed out of the cache by a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
@@ -97,6 +109,10 @@ pub struct Cache {
     way_mask: u64,
     set_mask: u64,
     set_bits: u32,
+    /// Residency epoch: bumped by every write of `valid` or `tags` (a fill,
+    /// an invalidation, a reset) and never rewound, so two equal readings
+    /// prove that no line entered or left in between.
+    epoch: u64,
 }
 
 impl Cache {
@@ -137,6 +153,7 @@ impl Cache {
             way_mask: u64::MAX >> (64 - assoc as u32),
             set_mask: num_sets as u64 - 1,
             set_bits: (num_sets as u64).trailing_zeros(),
+            epoch: 0,
             cfg,
         })
     }
@@ -245,21 +262,21 @@ impl Cache {
 
     /// Hit-only variant of [`Cache::access`]: on a hit it performs exactly
     /// the same bookkeeping (per-set counter, read/write statistic, hit
-    /// statistic, optional replacement update, dirty bit) and returns
-    /// `true`. On a miss it touches **nothing** — no counters at all — and
-    /// returns `false`, so the caller can retry with the full
-    /// [`Cache::access`] without double counting.
+    /// statistic, optional replacement update, dirty bit) and returns the
+    /// hit's [`Slot`]. On a miss it touches **nothing** — no counters at
+    /// all — and returns `None`, so the caller can retry with the full
+    /// [`Cache::access`] without double counting. The slot stays valid
+    /// until [`Cache::epoch`] moves; [`Cache::replay_hits`] repeats the
+    /// replacement-neutral hit on it without a tag search.
     #[inline]
     pub fn access_if_hit(
         &mut self,
         line: LineAddr,
         kind: AccessKind,
         update_replacement: bool,
-    ) -> bool {
+    ) -> Option<Slot> {
         let set = self.set_index(line);
-        let Some(w) = self.find_way(set, self.tag_of(line)) else {
-            return false;
-        };
+        let w = self.find_way(set, self.tag_of(line))?;
         self.set_accesses[set] += 1;
         match kind {
             AccessKind::Read => self.stats.reads += 1,
@@ -269,8 +286,41 @@ impl Cache {
         if update_replacement {
             self.repl.on_hit(set, w as usize);
         }
-        self.dirty[set] |= (1u64 << w) * (kind == AccessKind::Write) as u64;
-        true
+        let bit = 1u64 << w;
+        self.dirty[set] |= bit * (kind == AccessKind::Write) as u64;
+        Some(Slot { set, bit })
+    }
+
+    /// Repeats one replacement-neutral hit (`access_if_hit` with
+    /// `update_replacement = false`) per slot, without looking up a tag:
+    /// the per-set counter, the read/write and hit statistics, and the
+    /// dirty bit on writes. The caller must hold every slot from an
+    /// `access_if_hit` made at the current [`Cache::epoch`].
+    pub fn replay_hits(&mut self, slots: &[Slot], kind: AccessKind) {
+        let n = slots.len() as u64;
+        match kind {
+            AccessKind::Read => {
+                self.stats.reads += n;
+                for s in slots {
+                    self.set_accesses[s.set] += 1;
+                }
+            }
+            AccessKind::Write => {
+                self.stats.writes += n;
+                for s in slots {
+                    self.set_accesses[s.set] += 1;
+                    self.dirty[s.set] |= s.bit;
+                }
+            }
+        }
+        self.stats.hits += n;
+    }
+
+    /// The residency epoch: it moves whenever a line is filled,
+    /// invalidated or the cache is reset, and at no other time.
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// A state-free lookup: the cache access half of `CTLoad`/`CTStore`.
@@ -329,6 +379,7 @@ impl Cache {
         }
         self.repl.on_fill(set, way);
         self.stats.fills += 1;
+        self.epoch += 1;
         evicted
     }
 
@@ -362,6 +413,7 @@ impl Cache {
         self.valid[set] &= !bit;
         self.dirty[set] &= !bit;
         self.stats.invalidations += 1;
+        self.epoch += 1;
         Some(dirty)
     }
 
@@ -456,7 +508,10 @@ impl Cache {
     /// only while its valid bit is set (see the field docs), every tag read
     /// is masked through `valid`, and a fill writes the tag before setting
     /// the bit — so clearing `valid` alone makes old contents unreachable.
+    /// The residency epoch moves forward, never back, so no slot taken
+    /// before the reset can pass for a current one.
     pub fn reset(&mut self) {
+        self.epoch += 1;
         self.valid.fill(0);
         self.dirty.fill(0);
         self.set_accesses.fill(0);
@@ -659,6 +714,93 @@ mod tests {
         assert!(c.is_resident(b));
         assert!(!c.is_resident(a), "stale tag stays invisible");
         assert!(!c.is_dirty(b), "freed way's dirty bit must not leak");
+    }
+
+    #[test]
+    fn epoch_moves_on_fill_invalidate_and_reset() {
+        let mut c = tiny();
+        let l = line(1, 4);
+        let e0 = c.epoch();
+        c.fill(l, false);
+        let e1 = c.epoch();
+        assert!(e1 > e0, "a fill moves the epoch");
+        assert_eq!(c.invalidate(line(1, 9)), None);
+        assert_eq!(c.epoch(), e1, "invalidating an absent line changes nothing");
+        c.invalidate(l);
+        let e2 = c.epoch();
+        assert!(e2 > e1, "an invalidation moves the epoch");
+        c.reset();
+        assert!(
+            c.epoch() > e2,
+            "a reset moves the epoch forward, never back"
+        );
+    }
+
+    #[test]
+    fn epoch_holds_on_hits_probes_dirty_marks_and_stat_resets() {
+        let mut c = tiny();
+        let l = line(3, 2);
+        c.fill(l, false);
+        let e = c.epoch();
+        c.access(l, AccessKind::Read, true);
+        c.access(l, AccessKind::Write, false);
+        assert!(c.access_if_hit(l, AccessKind::Read, true).is_some());
+        assert!(c
+            .access_if_hit(line(3, 7), AccessKind::Read, true)
+            .is_none());
+        c.access(line(3, 7), AccessKind::Read, true); // a miss that is not filled
+        c.probe(l);
+        c.mark_dirty(l);
+        c.reset_stats();
+        let slot = c.access_if_hit(l, AccessKind::Read, false).unwrap();
+        c.replay_hits(&[slot], AccessKind::Write);
+        assert_eq!(c.epoch(), e);
+    }
+
+    /// Everything a replayed hit may touch, compared state for state.
+    fn state(c: &Cache) -> (CacheStats, Vec<u64>, Vec<u64>, Vec<u64>, Vec<LineAddr>) {
+        (
+            *c.stats(),
+            c.set_access_counts().to_vec(),
+            c.valid.clone(),
+            c.dirty.clone(),
+            c.resident_lines(),
+        )
+    }
+
+    #[test]
+    fn replayed_hits_equal_looked_up_hits() {
+        let lines: Vec<LineAddr> = (0..8).map(|i| line(i % 4, i / 4 + 1)).collect();
+        let mut looked = tiny();
+        for &l in &lines {
+            looked.fill(l, false);
+        }
+        let mut replayed = looked.clone();
+        let slots: Vec<Slot> = lines
+            .iter()
+            .map(|&l| replayed.access_if_hit(l, AccessKind::Read, false).unwrap())
+            .collect();
+        for &l in &lines {
+            looked.access_if_hit(l, AccessKind::Read, false).unwrap();
+        }
+        assert_eq!(state(&replayed), state(&looked));
+        // Again, reads then writes, over a repeated and a skipped line.
+        let picks = [0usize, 3, 3, 6, 7];
+        let picked: Vec<Slot> = picks.iter().map(|&i| slots[i]).collect();
+        replayed.replay_hits(&picked, AccessKind::Read);
+        replayed.replay_hits(&picked, AccessKind::Write);
+        for kind in [AccessKind::Read, AccessKind::Write] {
+            for &i in &picks {
+                looked.access_if_hit(lines[i], kind, false).unwrap();
+            }
+        }
+        assert_eq!(state(&replayed), state(&looked));
+        assert!(replayed.is_dirty(lines[3]) && !replayed.is_dirty(lines[1]));
+        // A replacement-neutral hit leaves the victim order alone on both.
+        assert_eq!(
+            replayed.fill(line(0, 9), false),
+            looked.fill(line(0, 9), false)
+        );
     }
 
     #[test]

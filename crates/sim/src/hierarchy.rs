@@ -39,7 +39,7 @@
 //! a miss to the next level.
 
 use crate::addr::LineAddr;
-use crate::cache::{AccessKind, AccessOutcome, Cache, ProbeOutcome};
+use crate::cache::{AccessKind, AccessOutcome, Cache, ProbeOutcome, Slot};
 use crate::config::{ConfigError, HierarchyConfig, InclusionPolicy};
 use crate::dram::Dram;
 use crate::stats::HierarchyStats;
@@ -503,7 +503,7 @@ impl Hierarchy {
 
     /// Fast path for non-bypassing demand accesses when no level is
     /// monitored: exactly the state change [`Hierarchy::access_with`] makes
-    /// for an L1d hit. Returns `true` on the hit; on a miss nothing is
+    /// for an L1d hit. Returns the hit's [`Slot`]; on a miss nothing is
     /// touched — no statistics, no counters — so the caller can fall back
     /// to the full access path without double counting.
     ///
@@ -518,12 +518,35 @@ impl Hierarchy {
         line: LineAddr,
         kind: AccessKind,
         update_replacement: bool,
-    ) -> bool {
+    ) -> Option<Slot> {
         debug_assert!(
             self.monitor.is_none(),
             "L1d fast path requires an unmonitored hierarchy"
         );
         self.l1d.access_if_hit(line, kind, update_replacement)
+    }
+
+    /// The L1d's residency epoch ([`Cache::epoch`]).
+    #[inline]
+    pub fn l1d_epoch(&self) -> u64 {
+        self.l1d.epoch()
+    }
+
+    /// Repeats replacement-neutral L1d hits on `slots` taken at the current
+    /// [`Hierarchy::l1d_epoch`] ([`Cache::replay_hits`]): the state change
+    /// of one [`Hierarchy::l1d_access_if_hit`] per slot, without the tag
+    /// search.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that no level is monitored, as for
+    /// [`Hierarchy::l1d_access_if_hit`].
+    pub fn l1d_replay_hits(&mut self, slots: &[Slot], kind: AccessKind) {
+        debug_assert!(
+            self.monitor.is_none(),
+            "L1d fast path requires an unmonitored hierarchy"
+        );
+        self.l1d.replay_hits(slots, kind);
     }
 
     /// A demand data access, buffering monitored events for a later
@@ -802,6 +825,7 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use crate::config::HierarchyConfig;
+    use crate::stats::CacheStats;
 
     fn h() -> Hierarchy {
         Hierarchy::new(HierarchyConfig::tiny()).unwrap()
@@ -1041,6 +1065,62 @@ mod tests {
         // A hit must not trigger prefetch.
         h.access(l, AccessFlags::read());
         assert_eq!(h.stats().prefetch_fills, 1);
+    }
+
+    #[test]
+    fn l1d_epoch_moves_on_prefetch_fills() {
+        let mut cfg = HierarchyConfig::tiny();
+        cfg.l1d_next_line_prefetcher = true;
+        let mut h = Hierarchy::new(cfg).unwrap();
+        let e = h.l1d_epoch();
+        h.access(LineAddr::new(30), AccessFlags::read());
+        assert_eq!(h.stats().prefetch_fills, 1);
+        assert_eq!(
+            h.l1d_epoch(),
+            e + 2,
+            "the demand fill and the prefetch fill"
+        );
+        let e = h.l1d_epoch();
+        h.access(LineAddr::new(31), AccessFlags::read());
+        assert_eq!(h.stats().prefetch_fills, 1, "a hit prefetches nothing");
+        assert_eq!(h.l1d_epoch(), e, "a hit leaves the epoch alone");
+    }
+
+    #[test]
+    fn l1d_epoch_moves_on_inclusive_back_invalidation() {
+        let mut cfg = HierarchyConfig::tiny();
+        cfg.inclusion = InclusionPolicy::Inclusive;
+        let mut h = Hierarchy::new(cfg).unwrap();
+        let llc_sets = h.cache(Level::Llc).num_sets() as u64;
+        let ways = h.cache(Level::Llc).config().associativity as u64;
+        let a = LineAddr::new(5);
+        h.access(a, AccessFlags::read());
+        let e = h.l1d_epoch();
+        // Lines of `a`'s LLC set, installed in the LLC only: the last one
+        // evicts `a` there, and inclusion takes it out of the L1d.
+        for k in 1..=ways {
+            assert_eq!(h.l1d_epoch(), e, "LLC-only fills leave the L1d alone");
+            h.access(
+                LineAddr::new(5 + k * llc_sets),
+                AccessFlags::read().bypassing_l2(),
+            );
+        }
+        assert!(!h.cache(Level::L1d).is_resident(a));
+        assert!(h.l1d_epoch() > e);
+    }
+
+    #[test]
+    fn l1d_replay_hits_forwards_to_the_l1d() {
+        let mut h = h();
+        let l = LineAddr::new(12);
+        h.access(l, AccessFlags::read());
+        let slot = h.l1d_access_if_hit(l, AccessKind::Read, false).unwrap();
+        let before = h.stats();
+        h.l1d_replay_hits(&[slot, slot], AccessKind::Write);
+        let delta = h.stats() - before;
+        assert_eq!((delta.l1d.writes, delta.l1d.hits), (2, 2));
+        assert_eq!(delta.l2, CacheStats::default());
+        assert!(h.cache(Level::L1d).is_dirty(l));
     }
 
     #[test]

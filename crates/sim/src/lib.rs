@@ -59,7 +59,7 @@ pub mod stats;
 
 pub use abstract_cache::{AbstractCache, LineState, Residency};
 pub use addr::{LineAddr, PageIdx, PhysAddr, LINES_PER_PAGE, LINE_BYTES, PAGE_BYTES};
-pub use cache::{AccessKind, Cache, ProbeOutcome};
+pub use cache::{AccessKind, Cache, ProbeOutcome, Slot};
 pub use config::{CacheConfig, ConfigError, DramConfig, HierarchyConfig};
 pub use fault::{FaultConfig, FaultInjector, FaultKind, InjectedFault, StructuralFault};
 pub use hierarchy::{

@@ -977,7 +977,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--chaos" => {
                 i += 1;
                 let spec = args.get(i).ok_or("--chaos needs a spec")?;
-                config.chaos = Some(ChaosSpec::parse(spec)?);
+                config.chaos = Some(ChaosSpec::parse(spec).map_err(|e| e.to_string())?);
             }
             "--no-cache" => config.cache_dir = None,
             other => return Err(format!("unexpected argument '{other}'")),
