@@ -213,7 +213,7 @@ struct Entry {
     dirtiness: u64,
 }
 
-/// One valid entry as seen by [`Bia::snapshot`] — the audit interface.
+/// One valid entry as seen by [`Bia::snapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BiaEntrySnapshot {
     /// Group index (the entry's tag).
@@ -493,8 +493,8 @@ impl Bia {
         self.group_and_bit(line)
     }
 
-    /// Snapshot of every valid entry in storage order — the shadow
-    /// auditor's comparison interface.
+    /// Snapshot of every valid entry in storage order (tests and
+    /// debugging, at any granularity).
     pub fn snapshot(&self) -> Vec<BiaEntrySnapshot> {
         self.entries
             .iter()
@@ -510,98 +510,6 @@ impl Bia {
     /// Number of valid entries.
     pub fn valid_entries(&self) -> usize {
         self.entries.iter().filter(|e| e.valid).count()
-    }
-
-    /// Zeroes the bitmaps of `group`'s entry, keeping the entry installed.
-    /// All-zero bitmaps are the conservative subset state (§5.2), so this
-    /// is always safe; the degradation path uses it to resynchronize after
-    /// a detected desync. Returns whether the group was tracked.
-    pub fn reset_group(&mut self, group: u64) -> bool {
-        match self.find(group) {
-            Some(i) => {
-                self.entries[i].existence = 0;
-                self.entries[i].dirtiness = 0;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drops `group`'s entry entirely. Returns whether it was tracked.
-    pub fn invalidate_group(&mut self, group: u64) -> bool {
-        match self.find(group) {
-            Some(i) => {
-                self.entries[i] = Entry::default();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Invalidates every entry — a BIA-entry eviction storm, as injected by
-    /// the fault harness. Returns how many entries were dropped.
-    pub fn invalidate_all(&mut self) -> usize {
-        let n = self.valid_entries();
-        for e in &mut self.entries {
-            *e = Entry::default();
-        }
-        n
-    }
-
-    /// Fault hook: flips bit `bit` (mod lines-per-entry) of the `rank`-th
-    /// valid entry (mod the valid count), in the dirtiness plane when
-    /// `dirtiness` is set, else in the existence plane. The flip keeps
-    /// `dirtiness ⊆ existence` so the corrupted state stays *plausible* —
-    /// a state real hardware could reach — rather than physically
-    /// impossible. Returns the affected group, or `None` if the table is
-    /// empty.
-    pub fn flip_bit(&mut self, rank: usize, dirtiness: bool, bit: u32) -> Option<u64> {
-        let valid = self.valid_entries();
-        if valid == 0 {
-            return None;
-        }
-        let rank = rank % valid;
-        let i = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.valid)
-            .nth(rank)
-            .map(|(i, _)| i)
-            .expect("rank < valid count");
-        let b = 1u64 << (bit % self.cfg.lines_per_entry());
-        let e = &mut self.entries[i];
-        if dirtiness {
-            e.dirtiness ^= b;
-            if e.dirtiness & b != 0 {
-                e.existence |= b;
-            }
-        } else {
-            e.existence ^= b;
-            if e.existence & b == 0 {
-                e.dirtiness &= !b;
-            }
-        }
-        Some(e.tag)
-    }
-
-    /// Copies table contents and replacement state from `other`, keeping
-    /// this instance's configuration and statistics — the degradation
-    /// path's atomic resynchronization of a desynced BIA from the shadow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two configurations differ (the copy would be
-    /// meaningless).
-    pub fn copy_state_from(&mut self, other: &Bia) {
-        assert_eq!(
-            self.cfg, other.cfg,
-            "resync requires identically configured BIAs"
-        );
-        self.entries.copy_from_slice(&other.entries);
-        // In-place copy: `ReplacementState::clone_from` reuses the stamp
-        // buffer, so a resync allocates nothing.
-        self.repl.clone_from(&other.repl);
     }
 }
 
@@ -853,89 +761,6 @@ mod tests {
         assert_eq!(bia.group_of(p.base()), 5);
         assert_eq!(bia.locate(p.line(3)), (5, 3));
         assert_eq!(bia.valid_entries(), 1);
-    }
-
-    #[test]
-    fn reset_and_invalidate_groups() {
-        let mut bia = Bia::new(BiaConfig::default()).unwrap();
-        let p = PageIdx::new(6);
-        bia.access(p);
-        bia.on_event(&ev(p.line(0), CacheEventKind::Fill { dirty: true }));
-        assert!(bia.reset_group(6));
-        assert_eq!(
-            bia.peek(p).unwrap(),
-            BiaView {
-                existence: 0,
-                dirtiness: 0
-            },
-            "reset keeps the entry with zero bitmaps"
-        );
-        assert!(bia.invalidate_group(6));
-        assert_eq!(bia.peek(p), None);
-        assert!(!bia.reset_group(6), "untracked group");
-        assert!(!bia.invalidate_group(6));
-    }
-
-    #[test]
-    fn eviction_storm_drops_everything() {
-        let mut bia = Bia::new(BiaConfig::default()).unwrap();
-        for i in 0..10 {
-            bia.access(PageIdx::new(i));
-        }
-        assert_eq!(bia.invalidate_all(), 10);
-        assert_eq!(bia.valid_entries(), 0);
-        assert!(bia.tracked_groups().is_empty());
-    }
-
-    #[test]
-    fn flip_bit_preserves_subset_plausibility() {
-        let mut bia = Bia::new(BiaConfig::default()).unwrap();
-        assert_eq!(bia.flip_bit(0, false, 0), None, "empty table");
-        let p = PageIdx::new(9);
-        bia.access(p);
-        // Set a dirtiness bit: existence must come along.
-        assert_eq!(bia.flip_bit(0, true, 4), Some(9));
-        let v = bia.peek(p).unwrap();
-        assert_eq!(v.dirtiness, 1 << 4);
-        assert_eq!(v.existence, 1 << 4);
-        // Clear the existence bit: dirtiness must be cleared too.
-        assert_eq!(bia.flip_bit(0, false, 4), Some(9));
-        let v = bia.peek(p).unwrap();
-        assert_eq!(v.existence, 0);
-        assert_eq!(v.dirtiness, 0);
-    }
-
-    #[test]
-    fn copy_state_from_resynchronizes() {
-        let mut a = Bia::new(BiaConfig::default()).unwrap();
-        let mut b = Bia::new(BiaConfig::default()).unwrap();
-        let p = PageIdx::new(11);
-        a.access(p);
-        b.access(p);
-        b.on_event(&ev(p.line(7), CacheEventKind::Fill { dirty: false }));
-        a.invalidate_all(); // fault: storm on the real BIA
-        a.copy_state_from(&b);
-        assert_eq!(a.snapshot(), b.snapshot());
-        // Replacement state is copied too: identical future evictions.
-        let cfg = BiaConfig {
-            entries: 4,
-            associativity: 2,
-            ..BiaConfig::paper_table1()
-        };
-        let mut a = Bia::new(cfg).unwrap();
-        let mut b = Bia::new(cfg).unwrap();
-        for p in [0u64, 2, 0, 4] {
-            a.access(PageIdx::new(p));
-        }
-        b.access(PageIdx::new(8)); // different history
-        b.copy_state_from(&a);
-        a.access(PageIdx::new(6));
-        b.access(PageIdx::new(6));
-        let mut ga = a.tracked_groups();
-        let mut gb = b.tracked_groups();
-        ga.sort_unstable();
-        gb.sort_unstable();
-        assert_eq!(ga, gb, "post-resync evictions must pick the same victims");
     }
 
     #[test]

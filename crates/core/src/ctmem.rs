@@ -169,8 +169,7 @@ pub trait CtMemory {
 
     /// Whether the opt-in shadow taint layer is active. Defaults to
     /// `false`; implementations without taint support keep the default
-    /// and the remaining taint hooks stay no-ops (zero cost, like the
-    /// audit layer).
+    /// and the remaining taint hooks stay no-ops (zero cost).
     fn taint_enabled(&self) -> bool {
         false
     }

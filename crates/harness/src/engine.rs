@@ -41,9 +41,9 @@ thread_local! {
 
 /// Executes one cell from scratch — a pure function of the spec.
 ///
-/// Plain cells (no audit, no fault injection) run on a pooled per-thread
-/// machine when one exists for the same configuration; the pooled-reuse
-/// engine test pins down that this is invisible in the report.
+/// Every cell runs on a pooled per-thread machine when one exists for the
+/// same configuration; the pooled-reuse engine test pins down that this
+/// is invisible in the report.
 ///
 /// # Errors
 ///
@@ -53,11 +53,8 @@ thread_local! {
 pub fn execute_cell(spec: &CellSpec) -> Result<CellReport, String> {
     let label = spec.label();
     let config = spec.machine_config();
-    let poolable = !spec.audit && spec.faults.is_none();
-    let key = poolable.then(|| format!("{config:?}"));
-    let pooled = key
-        .as_ref()
-        .and_then(|k| MACHINE_POOL.with(|p| p.borrow_mut().remove(k)));
+    let key = format!("{config:?}");
+    let pooled = MACHINE_POOL.with(|p| p.borrow_mut().remove(&key));
     let mut m = match pooled {
         Some(mut m) => {
             m.reset();
@@ -65,23 +62,14 @@ pub fn execute_cell(spec: &CellSpec) -> Result<CellReport, String> {
         }
         None => Machine::new(config).map_err(|e| format!("{label}: {e}"))?,
     };
-    if spec.audit {
-        m.enable_audit().map_err(|e| format!("{label}: {e}"))?;
-    }
-    if let Some(f) = &spec.faults {
-        m.set_fault_injector(Some(f.to_config()))
-            .map_err(|e| format!("{label}: {e}"))?;
-    }
     let wl = spec.workload.build();
     let run = wl.run(&mut m, spec.strategy.to_strategy());
-    if let Some(k) = key {
-        MACHINE_POOL.with(|p| {
-            let mut pool = p.borrow_mut();
-            if pool.len() < MACHINE_POOL_CAP || pool.contains_key(&k) {
-                pool.insert(k, m);
-            }
-        });
-    }
+    MACHINE_POOL.with(|p| {
+        let mut pool = p.borrow_mut();
+        if pool.len() < MACHINE_POOL_CAP || pool.contains_key(&key) {
+            pool.insert(key, m);
+        }
+    });
     Ok(CellReport {
         label,
         digest: run.digest,
@@ -110,13 +98,6 @@ pub fn execute_cell_traced<S: TraceSink + 'static>(
 ) -> Result<(CellReport, S), String> {
     let label = spec.label();
     let mut m = Machine::new(spec.machine_config()).map_err(|e| format!("{label}: {e}"))?;
-    if spec.audit {
-        m.enable_audit().map_err(|e| format!("{label}: {e}"))?;
-    }
-    if let Some(f) = &spec.faults {
-        m.set_fault_injector(Some(f.to_config()))
-            .map_err(|e| format!("{label}: {e}"))?;
-    }
     m.set_trace_sink(Box::new(sink));
     let wl = spec.workload.build();
     let run = wl.run(&mut m, spec.strategy.to_strategy());

@@ -52,4 +52,4 @@ pub use engine::{
 };
 pub use memo::{MemoFill, MemoIndex, MemoProvenance};
 pub use report::{counter_fields, CellReport};
-pub use spec::{CellSpec, CryptoKernel, FaultSpec, SimConfig, StrategySpec, WorkloadSpec};
+pub use spec::{CellSpec, CryptoKernel, SimConfig, StrategySpec, WorkloadSpec};

@@ -2,8 +2,8 @@
 //!
 //! A [`CellSpec`] is a pure-data description of one simulation — workload,
 //! strategy, BIA placement, and the complete [`SimConfig`]. Cells carry
-//! their own seeds (inside the workload descriptor and the optional
-//! [`FaultSpec`]), so executing a cell is a pure function of the spec: the
+//! their own seeds (inside the workload descriptor), so executing a cell
+//! is a pure function of the spec: the
 //! same spec always produces the same [`CellReport`](crate::report::CellReport),
 //! no matter which worker thread runs it or in what order. That property is
 //! what makes both the parallel pool and the on-disk cache sound.
@@ -12,7 +12,6 @@ use crate::digest::Digest;
 use ctbia_core::bia::BiaConfig;
 use ctbia_machine::{BiaPlacement, CostModel, MachineConfig};
 use ctbia_sim::config::HierarchyConfig;
-use ctbia_sim::fault::{FaultConfig, FaultKind};
 use ctbia_workloads::crypto::{Aes, Blowfish, Cast, Des, Des3, Rc2, Rc4, XorCipher};
 use ctbia_workloads::{
     BinarySearch, Dijkstra, HeapPop, Histogram, LeakyBinarySearch, Permutation, SpectreGadget,
@@ -556,40 +555,6 @@ impl SimConfig {
     }
 }
 
-/// Fault-injection parameters for robustness cells (`ctbia fuzz`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// Which fault kinds are armed.
-    pub kinds: Vec<FaultKind>,
-    /// Seed of the fault schedule — owned by the cell, so fuzz iterations
-    /// stay reproducible under any execution order.
-    pub seed: u64,
-    /// Per-event stream-fault probability, parts per million.
-    pub rate_ppm: u32,
-    /// Per-batch structural-fault probability, parts per million.
-    pub batch_rate_ppm: u32,
-}
-
-impl FaultSpec {
-    /// The injector configuration this spec describes.
-    pub fn to_config(&self) -> FaultConfig {
-        let mut cfg = FaultConfig::new(self.kinds.clone(), self.seed);
-        cfg.rate_ppm = self.rate_ppm;
-        cfg.batch_rate_ppm = self.batch_rate_ppm;
-        cfg
-    }
-
-    fn digest_into(&self, d: &mut Digest) {
-        d.field_u64("faults.kinds", self.kinds.len() as u64);
-        for k in &self.kinds {
-            d.write_str(&k.to_string());
-        }
-        d.field_u64("faults.seed", self.seed);
-        d.field_u64("faults.rate_ppm", self.rate_ppm as u64);
-        d.field_u64("faults.batch_rate_ppm", self.batch_rate_ppm as u64);
-    }
-}
-
 /// One independent experiment cell: everything needed to simulate it, and
 /// nothing that depends on the rest of the grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -604,22 +569,16 @@ pub struct CellSpec {
     pub placement: BiaPlacement,
     /// The simulated system.
     pub config: SimConfig,
-    /// Run with the shadow auditor attached.
-    pub audit: bool,
-    /// Optional fault injection (implies robustness counters in the report).
-    pub faults: Option<FaultSpec>,
 }
 
 impl CellSpec {
-    /// A cell with the CLI default configuration, no audit, no faults.
+    /// A cell with the CLI default configuration.
     pub fn new(workload: WorkloadSpec, strategy: StrategySpec, placement: BiaPlacement) -> Self {
         CellSpec {
             workload,
             strategy,
             placement,
             config: SimConfig::cli_default(),
-            audit: false,
-            faults: None,
         }
     }
 
@@ -661,6 +620,13 @@ impl CellSpec {
     }
 
     /// The cell's content digest — the cache key.
+    ///
+    /// It ends with two constant fields, `audit false` and `faults "-"`.
+    /// Cells once carried a shadow-audit switch and a fault schedule, and
+    /// the key of every cell without them hashed exactly these two
+    /// fields. Writing them as constants keeps every existing key valid:
+    /// `results/cache/` entries, `results/verdicts/` file names and the
+    /// serve daemon's memo keys (pinned by `tests/digest_properties.rs`).
     pub fn digest(&self) -> u128 {
         let mut d = Digest::new();
         self.workload.digest_into(&mut d);
@@ -676,11 +642,8 @@ impl CellSpec {
         };
         d.field_str("placement", placement);
         self.config.digest_into(&mut d);
-        d.field_bool("audit", self.audit);
-        match &self.faults {
-            Some(f) => f.digest_into(&mut d),
-            None => d.field_str("faults", "-"),
-        }
+        d.field_bool("audit", false);
+        d.field_str("faults", "-");
         d.finish()
     }
 
@@ -732,22 +695,6 @@ mod tests {
         let mut b = a.clone();
         b.placement = BiaPlacement::Llc;
         assert_eq!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn audit_and_faults_reach_the_digest() {
-        let a = base_cell();
-        let mut b = base_cell();
-        b.audit = true;
-        assert_ne!(a.digest(), b.digest());
-        let mut c = base_cell();
-        c.faults = Some(FaultSpec {
-            kinds: vec![FaultKind::Drop],
-            seed: 1,
-            rate_ppm: 1000,
-            batch_rate_ppm: 0,
-        });
-        assert_ne!(a.digest(), c.digest());
     }
 
     #[test]

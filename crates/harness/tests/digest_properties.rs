@@ -1,12 +1,16 @@
 //! Property test: the cell digest is sensitive to **every** `SimConfig`
 //! field and to the workload size — changing any of them must change the
 //! digest, so a stale cache entry can never be returned for a modified
-//! experiment.
+//! experiment. Plus literal pins: the keys of representative cells may
+//! never move, or every `results/cache/` entry, `results/verdicts/` file
+//! and served memo key written under them is silently orphaned.
 
-use ctbia_harness::{CellSpec, SimConfig, StrategySpec, WorkloadSpec};
+use ctbia_analyze::analyze_grid;
+use ctbia_harness::{CellSpec, CryptoKernel, SimConfig, StrategySpec, WorkloadSpec};
 use ctbia_machine::BiaPlacement;
 use ctbia_sim::config::InclusionPolicy;
 use ctbia_sim::replacement::ReplacementKind;
+use ctbia_verify::verify_grid;
 use proptest::prelude::*;
 
 fn base_cell() -> CellSpec {
@@ -134,4 +138,92 @@ fn mutation_arms_cover_every_field_once() {
         );
     }
     assert_eq!(digests.len(), MUTATIONS + 1);
+}
+
+/// Representative cells and their cache keys, recorded before the cell
+/// lost its audit and fault fields: the digest still ends with their
+/// fault-free encoding, so none of these may change.
+fn pinned_cells() -> Vec<(&'static str, CellSpec)> {
+    let hist = WorkloadSpec::named("hist", 500).unwrap();
+    let mut spectre = CellSpec::new(
+        WorkloadSpec::named("spectre", 256).unwrap(),
+        StrategySpec::Ct,
+        BiaPlacement::L1d,
+    );
+    spectre.config.spec_window = 32;
+    let mut silent = CellSpec::new(
+        WorkloadSpec::named("bin", 600).unwrap(),
+        StrategySpec::Bia,
+        BiaPlacement::L1d,
+    );
+    silent.config.silent_stores = true;
+    vec![
+        (
+            "fc2b6708f0118626ccf9a2c4d83ecb58",
+            CellSpec::new(hist, StrategySpec::Bia, BiaPlacement::L1d),
+        ),
+        (
+            "1f92f2d0482281d6e1421d4f1ff96d5e",
+            CellSpec::new(hist, StrategySpec::Bia, BiaPlacement::L1d).with_eval_config(),
+        ),
+        (
+            "7d83b9af4e004c7100ee253f9abf750e",
+            CellSpec::new(hist, StrategySpec::Bia, BiaPlacement::L2).with_eval_config(),
+        ),
+        (
+            "39b25bd9f8fd288d0a029eea0be203c6",
+            CellSpec::new(hist, StrategySpec::Bia, BiaPlacement::Llc).with_eval_config(),
+        ),
+        (
+            "3cd0bef0dad583ef2c42b72d5b3d8c68",
+            CellSpec::new(
+                WorkloadSpec::named("dij", 32).unwrap(),
+                StrategySpec::Insecure,
+                BiaPlacement::L1d,
+            ),
+        ),
+        (
+            "ee3f1818ee803193d2965d7844aaf9e2",
+            CellSpec::new(
+                WorkloadSpec::named("perm", 1000).unwrap(),
+                StrategySpec::CtAvx2,
+                BiaPlacement::L1d,
+            )
+            .with_eval_config(),
+        ),
+        (
+            "7a4c3185bf996c00b33efd2208f825ab",
+            CellSpec::new(
+                WorkloadSpec::Crypto(CryptoKernel::Aes),
+                StrategySpec::BiaLoads,
+                BiaPlacement::L1d,
+            ),
+        ),
+        ("18ac323437f7b82858a59b9a3df8a7b7", spectre),
+        ("44e974b783b7c7a55079c155c8227872", silent),
+    ]
+}
+
+#[test]
+fn cache_keys_are_pinned() {
+    for (key, cell) in pinned_cells() {
+        assert_eq!(cell.digest_hex(), key, "{}: cache key moved", cell.label());
+    }
+}
+
+#[test]
+fn quick_grid_verdict_keys_are_pinned() {
+    // Both name a committed `results/verdicts/` file.
+    let verify = &verify_grid(true)[1];
+    assert_eq!(verify.label(), "verify:dij_24/BIA@L1d");
+    assert_eq!(
+        format!("{:032x}", verify.digest()),
+        "80fa65cc5a5b9825315f112126720675"
+    );
+    let analyze = &analyze_grid(true)[1];
+    assert_eq!(analyze.label(), "analyze:dij_24/BIA@L1d");
+    assert_eq!(
+        format!("{:032x}", analyze.digest()),
+        "46a614ea12b23adce92b0e9fb6846423"
+    );
 }

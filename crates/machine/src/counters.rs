@@ -12,69 +12,26 @@ use ctbia_trace::{LinearizeStats, PhaseCycles};
 use std::fmt;
 use std::ops::Sub;
 
-/// Robustness counters: fault injection, shadow auditing, and the
-/// graceful-degradation state machine. All zero when auditing and fault
-/// injection are disabled.
+/// The cell text's robustness counters. The machine has no degraded mode
+/// and no fault or audit layer, so every field is always zero; the struct
+/// stays because the `ctbia-cell-v3` cache text and the metrics documents
+/// carry these fields until the next cell-schema change removes them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RobustnessStats {
-    /// Drained event batches cross-checked by the shadow auditor.
+    /// Cell-text field `robust.audit_batches`.
     pub audit_batches: u64,
-    /// Divergences the auditor detected between the real and shadow BIA.
+    /// Cell-text field `robust.audit_violations`.
     pub audit_violations: u64,
-    /// Desyncs caught by the inline per-access sanity check (a `CTLoad`
-    /// whose existence bit contradicts the probe, or a `CTStore` whose
-    /// dirtiness bit contradicts the conditional write).
+    /// Cell-text field `robust.inline_desyncs`.
     pub inline_desyncs: u64,
-    /// Management groups downgraded to full dataflow linearization.
+    /// Cell-text field `robust.downgrades`.
     pub downgrades: u64,
-    /// CT operations served with a zeroed view because their group was
-    /// degraded (each one linearizes its full dataflow set).
+    /// Cell-text field `robust.degraded_ct_ops`.
     pub degraded_ct_ops: u64,
-    /// Recoveries: a clean audit batch re-promoted degraded groups after
-    /// the BIA was resynchronized from the shadow.
+    /// Cell-text field `robust.resyncs`.
     pub resyncs: u64,
-    /// Events/structural faults the injector actually fired.
+    /// Cell-text field `robust.faults_injected`.
     pub faults_injected: u64,
-}
-
-impl Sub for RobustnessStats {
-    type Output = RobustnessStats;
-
-    fn sub(self, rhs: RobustnessStats) -> RobustnessStats {
-        RobustnessStats {
-            audit_batches: self.audit_batches - rhs.audit_batches,
-            audit_violations: self.audit_violations - rhs.audit_violations,
-            inline_desyncs: self.inline_desyncs - rhs.inline_desyncs,
-            downgrades: self.downgrades - rhs.downgrades,
-            degraded_ct_ops: self.degraded_ct_ops - rhs.degraded_ct_ops,
-            resyncs: self.resyncs - rhs.resyncs,
-            faults_injected: self.faults_injected - rhs.faults_injected,
-        }
-    }
-}
-
-impl RobustnessStats {
-    /// True when every field is zero (auditing/injection never ran or
-    /// never found anything).
-    pub fn is_zero(&self) -> bool {
-        *self == RobustnessStats::default()
-    }
-}
-
-impl fmt::Display for RobustnessStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "batches {}, violations {}, inline desyncs {}, downgrades {}, degraded CT ops {}, resyncs {}, faults {}",
-            self.audit_batches,
-            self.audit_violations,
-            self.inline_desyncs,
-            self.downgrades,
-            self.degraded_ct_ops,
-            self.resyncs,
-            self.faults_injected
-        )
-    }
 }
 
 /// Shadow-taint counters. All zero when the taint layer is disabled,
@@ -192,8 +149,7 @@ pub struct Counters {
     pub hier: HierarchyStats,
     /// BIA statistics (all zero when no BIA is configured).
     pub bia: BiaStats,
-    /// Fault-injection / audit / degradation statistics (all zero when
-    /// auditing and fault injection are disabled).
+    /// Always zero (see [`RobustnessStats`]).
     pub robust: RobustnessStats,
     /// Shadow-taint statistics (all zero when the taint layer is
     /// disabled).
@@ -246,7 +202,7 @@ impl Sub for Counters {
                 events_applied: self.bia.events_applied - rhs.bia.events_applied,
                 events_ignored: self.bia.events_ignored - rhs.bia.events_ignored,
             },
-            robust: self.robust - rhs.robust,
+            robust: RobustnessStats::default(),
             taint: self.taint - rhs.taint,
             spec: self.spec - rhs.spec,
         }
@@ -267,9 +223,6 @@ impl fmt::Display for Counters {
         }
         if !self.linearize.is_zero() {
             write!(f, "\nLinearize: {}", self.linearize)?;
-        }
-        if !self.robust.is_zero() {
-            write!(f, "\nAudit: {}", self.robust)?;
         }
         if !self.taint.is_zero() {
             write!(f, "\nTaint: {}", self.taint)?;
@@ -351,29 +304,6 @@ mod tests {
         assert!(!zero.contains("Phases") && !zero.contains("Linearize"));
         let s = a.to_string();
         assert!(s.contains("Phases") && s.contains("Linearize") && s.contains("passes=3"));
-    }
-
-    #[test]
-    fn robustness_stats_subtract_and_gate_display() {
-        let mut a = RobustnessStats::default();
-        a.audit_batches = 9;
-        a.audit_violations = 4;
-        a.downgrades = 2;
-        let mut b = RobustnessStats::default();
-        b.audit_batches = 5;
-        b.audit_violations = 1;
-        let d = a - b;
-        assert_eq!(d.audit_batches, 4);
-        assert_eq!(d.audit_violations, 3);
-        assert_eq!(d.downgrades, 2);
-        assert!(!d.is_zero());
-        assert!(RobustnessStats::default().is_zero());
-        // The counters display stays byte-identical when auditing is off.
-        assert!(!Counters::default().to_string().contains("Audit"));
-        let mut c = Counters::default();
-        c.robust = a;
-        let s = c.to_string();
-        assert!(s.contains("Audit") && s.contains("violations 4"));
     }
 
     #[test]

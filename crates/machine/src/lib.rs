@@ -42,7 +42,6 @@
 #[cfg(test)]
 mod interference_tests;
 
-pub mod audit;
 pub mod cost;
 pub mod counters;
 pub mod machine;
@@ -50,7 +49,6 @@ pub mod memory;
 pub mod report;
 pub mod secure;
 
-pub use audit::{AuditViolation, BitPlane, ShadowAuditor, ViolationKind};
 pub use cost::CostModel;
 pub use counters::{Counters, RobustnessStats, SpecStats, TaintStats};
 pub use machine::{

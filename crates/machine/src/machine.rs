@@ -7,7 +7,6 @@
 //! stream, and accounts instructions and cycles per the
 //! [`crate::cost::CostModel`].
 
-use crate::audit::ShadowAuditor;
 use crate::cost::CostModel;
 use crate::counters::{Counters, RobustnessStats, SpecStats, TaintStats};
 use crate::memory::{OutOfSimRam, SimRam};
@@ -18,12 +17,11 @@ use ctbia_core::taint::{LeakViolation, TaintLabel};
 use ctbia_sim::addr::{LineAddr, PhysAddr};
 use ctbia_sim::cache::{AccessKind, Slot};
 use ctbia_sim::config::{CacheConfig, ConfigError, HierarchyConfig};
-use ctbia_sim::fault::{FaultConfig, FaultInjector, StructuralFault};
 use ctbia_sim::hierarchy::{
     AccessFlags, AccessResult, CacheEvent, Hierarchy, Level, MonitorLevel, NullMonitor,
 };
 use ctbia_trace::{EventKind, LinearizeStats, MemOp, Phase, PhaseCycles, TraceRecord, TraceSink};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Where the BIA is attached. The paper evaluates L1d and L2 residency
@@ -73,8 +71,6 @@ pub enum MachineError {
     /// The BIA placement is infeasible for this hierarchy (§6.4 LLC
     /// constraints).
     Placement(String),
-    /// The operation requires a BIA but the machine has none.
-    NoBia,
     /// Simulated RAM exhausted.
     Ram(OutOfSimRam),
 }
@@ -85,7 +81,6 @@ impl fmt::Display for MachineError {
             MachineError::Config(e) => write!(f, "hierarchy configuration: {e}"),
             MachineError::Bia(e) => write!(f, "BIA configuration: {e}"),
             MachineError::Placement(e) => write!(f, "BIA placement: {e}"),
-            MachineError::NoBia => f.write_str("operation requires a machine with a BIA"),
             MachineError::Ram(e) => write!(f, "{e}"),
         }
     }
@@ -293,7 +288,7 @@ impl TraceOp {
 
 /// One CT-operation response as seen by the linearized program: the
 /// existence bitmap of a `CTLoad` or the dirtiness bitmap of a
-/// `CTStore`, after any robustness degradation. Part of the
+/// `CTStore`. Part of the
 /// [`ObsTrace`] because the *program's* subsequent demand accesses are
 /// a deterministic function of these bitmaps — if they were
 /// secret-dependent, the leak would surface downstream.
@@ -446,7 +441,7 @@ impl ObsTrace {
 /// Shadow-taint state: a byte-granularity map holding only the bytes
 /// currently labelled secret, plus the violations reported so far.
 /// Boxed behind an `Option` so the disabled case costs one `None`
-/// check, exactly like the audit layer.
+/// check.
 #[derive(Debug, Default)]
 struct TaintState {
     shadow: HashMap<u64, TaintLabel>,
@@ -537,10 +532,6 @@ pub struct Machine {
     interference: Option<Interference>,
     interference_clock: u64,
     interference_next: usize,
-    auditor: Option<ShadowAuditor>,
-    injector: Option<FaultInjector>,
-    degraded: BTreeSet<u64>,
-    robust: RobustnessStats,
     /// Spare event buffer, swapped with the hierarchy's on every drain so
     /// the steady-state event path performs no allocation.
     event_buf: Vec<CacheEvent>,
@@ -635,10 +626,6 @@ impl Machine {
             interference: None,
             interference_clock: 0,
             interference_next: 0,
-            auditor: None,
-            injector: None,
-            degraded: BTreeSet::new(),
-            robust: RobustnessStats::default(),
             event_buf: Vec::new(),
             spec_window: config.spec_window,
             spec_seed: config.spec_seed,
@@ -671,9 +658,9 @@ impl Machine {
     /// short workloads reuse one machine per configuration instead of
     /// paying construction and teardown per cell.
     ///
-    /// Everything attachable after construction — trace sinks, taint,
-    /// interference, auditor, fault injector — is dropped, exactly as a
-    /// fresh machine would lack them.
+    /// Everything attachable after construction — trace sinks,
+    /// observation recording, taint, interference — is dropped, exactly as
+    /// a fresh machine would lack them.
     pub fn reset(&mut self) {
         self.hier.reset();
         if let Some(bia) = &mut self.bia {
@@ -694,10 +681,6 @@ impl Machine {
         self.interference = None;
         self.interference_clock = 0;
         self.interference_next = 0;
-        self.auditor = None;
-        self.injector = None;
-        self.degraded.clear();
-        self.robust = RobustnessStats::default();
         self.event_buf.clear();
         // `spec_window`/`spec_seed` are configuration and survive the
         // reset; the predictor state and window bookkeeping do not.
@@ -723,73 +706,6 @@ impl Machine {
     /// operations so the BIA stays synchronized).
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.hier
-    }
-
-    /// Enables the shadow auditor: a fault-free shadow BIA plus ground
-    /// truth, cross-checked against the real BIA after every drained event
-    /// batch. Call before issuing traffic — the shadow assumes it observes
-    /// the event stream from the beginning. Zero-cost when never enabled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MachineError::NoBia`] when the machine has no BIA.
-    pub fn enable_audit(&mut self) -> Result<(), MachineError> {
-        let bia = self.bia.as_ref().ok_or(MachineError::NoBia)?;
-        self.auditor = Some(ShadowAuditor::new(*bia.config())?);
-        Ok(())
-    }
-
-    /// Installs (or clears, with `None`) a deterministic fault injector
-    /// acting on the BIA's event stream and structure. Faults only have an
-    /// effect on machines with a BIA.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MachineError::NoBia`] when the machine has no BIA.
-    pub fn set_fault_injector(&mut self, cfg: Option<FaultConfig>) -> Result<(), MachineError> {
-        if self.bia.is_none() {
-            return Err(MachineError::NoBia);
-        }
-        self.injector = cfg.map(FaultInjector::new);
-        Ok(())
-    }
-
-    /// The shadow auditor, if enabled.
-    pub fn auditor(&self) -> Option<&ShadowAuditor> {
-        self.auditor.as_ref()
-    }
-
-    /// The fault injector, if installed.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
-    }
-
-    /// Management groups currently degraded to full dataflow
-    /// linearization, in ascending order.
-    pub fn degraded_groups(&self) -> Vec<u64> {
-        self.degraded.iter().copied().collect()
-    }
-
-    /// Whether any robustness machinery (audit or fault injection) is on.
-    /// When false, CT operations take the exact pre-robustness path.
-    fn robustness_active(&self) -> bool {
-        self.auditor.is_some() || self.injector.is_some()
-    }
-
-    /// Downgrades `group` to full linearization: zeroes its bitmaps in the
-    /// real BIA (and the shadow, to keep lockstep) and serves zeroed views
-    /// for its CT operations until a clean audit batch re-promotes it.
-    fn degrade_group(&mut self, group: u64) {
-        if self.degraded.insert(group) {
-            self.robust.downgrades += 1;
-            self.emit(EventKind::Degrade { group });
-        }
-        if let Some(bia) = &mut self.bia {
-            bia.reset_group(group);
-        }
-        if let Some(aud) = &mut self.auditor {
-            aud.reset_group(group);
-        }
     }
 
     /// Allocates `size` bytes aligned to `align`.
@@ -861,8 +777,8 @@ impl Machine {
     }
 
     /// Attaches a structured trace sink. From now on every demand access,
-    /// CT micro-operation, linearization pass, robustness transition, and
-    /// fault batch is delivered to the sink as a cycle-stamped
+    /// CT micro-operation, linearization pass, wrong-path access and
+    /// squash is delivered to the sink as a cycle-stamped
     /// [`TraceRecord`]. Sinks see the deterministic cycle clock only —
     /// never wall-clock — so traces are byte-reproducible.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
@@ -949,8 +865,7 @@ impl Machine {
     }
 
     /// Turns on the shadow taint layer. Until this is called every
-    /// taint hook is a no-op and the hot path pays only a `None` check,
-    /// mirroring the audit layer's opt-in contract.
+    /// taint hook is a no-op and the hot path pays only a `None` check.
     pub fn enable_taint(&mut self) {
         if self.taint.is_none() {
             self.taint = Some(Box::default());
@@ -980,14 +895,7 @@ impl Machine {
             linearize: self.linearize,
             hier: self.hier.stats(),
             bia: self.bia.as_ref().map(|b| *b.stats()).unwrap_or_default(),
-            robust: {
-                let mut r = self.robust;
-                r.faults_injected = self
-                    .injector
-                    .as_ref()
-                    .map_or(0, FaultInjector::faults_injected);
-                r
-            },
+            robust: RobustnessStats::default(),
             taint: self
                 .taint
                 .as_ref()
@@ -1072,148 +980,17 @@ impl Machine {
         self.sync_bia();
     }
 
+    /// Applies the monitored level's buffered events to the BIA. Only the
+    /// hierarchy's buffered entry points — a flush and the co-runner's
+    /// actions — leave events behind; the demand path hands the BIA to
+    /// the hierarchy as its monitor instead. The drain swaps the
+    /// hierarchy's event buffer with the machine's spare, so steady-state
+    /// simulation allocates nothing here.
     fn sync_bia(&mut self) {
-        if self.auditor.is_none() && self.injector.is_none() {
-            // Fast path, byte-identical to the audit-off machine. The drain
-            // swaps the hierarchy's event buffer with the machine's spare,
-            // so steady-state simulation allocates nothing on this path.
-            if self.hier.has_events() {
-                self.hier.drain_events_into(&mut self.event_buf);
-                if let Some(bia) = &mut self.bia {
-                    bia.apply_events(self.event_buf.iter().copied());
-                }
-            }
-            return;
-        }
-        let delayed_pending = self
-            .injector
-            .as_ref()
-            .is_some_and(|i| i.pending_delayed() > 0);
-        if !self.hier.has_events() && !delayed_pending {
-            return;
-        }
-        let faults_before = self
-            .injector
-            .as_ref()
-            .map_or(0, FaultInjector::faults_injected);
-        self.hier.drain_events_into(&mut self.event_buf);
-        // The auditor sees the stream as emitted; the real BIA sees it
-        // after the injector had its way.
-        if let Some(aud) = &mut self.auditor {
-            aud.observe_batch(&self.event_buf);
-        }
-        if self.bia.is_none() {
-            return;
-        }
-        let mut structural = Vec::new();
-        if let Some(inj) = &mut self.injector {
-            inj.perturb(&mut self.event_buf);
-            structural = inj.structural_faults();
-        }
-        if let Some(bia) = &mut self.bia {
-            bia.apply_events(self.event_buf.iter().copied());
-        }
-        for fault in structural {
-            match fault {
-                StructuralFault::Flip {
-                    rank,
-                    dirtiness,
-                    bit,
-                } => {
-                    if let Some(bia) = &mut self.bia {
-                        bia.flip_bit(rank as usize, dirtiness, bit);
-                    }
-                }
-                StructuralFault::Storm => {
-                    if let Some(bia) = &mut self.bia {
-                        bia.invalidate_all();
-                    }
-                }
-                StructuralFault::Interfere { pick } => self.interfere_fault(pick),
-            }
-        }
-        if self.sink.is_some() {
-            let injected = self
-                .injector
-                .as_ref()
-                .map_or(0, FaultInjector::faults_injected)
-                - faults_before;
-            if injected > 0 {
-                self.emit(EventKind::Faults { injected });
-            }
-        }
-        self.audit_batch();
-    }
-
-    /// Mid-linearization co-runner interference: evict one line of a
-    /// tracked group from every level. Unlike the other faults this is
-    /// genuine cache activity, so the resulting events reach the real BIA
-    /// *and* the auditor pristine — it perturbs state without desync.
-    fn interfere_fault(&mut self, pick: u64) {
-        let Some(bia) = &self.bia else { return };
-        let groups = bia.tracked_groups();
-        if groups.is_empty() {
-            return;
-        }
-        let g = groups[((pick as u128 * groups.len() as u128) >> 64) as usize];
-        let line = LineAddr::new(g << (bia.granularity_log2() - 6));
-        self.hier.invalidate_everywhere(line);
-        // Reuses the spare buffer: the batch that triggered this structural
-        // fault has already been applied by the time we get here.
-        self.hier.drain_events_into(&mut self.event_buf);
-        if let Some(aud) = &mut self.auditor {
-            aud.observe_batch(&self.event_buf);
-        }
-        if let Some(bia) = &mut self.bia {
-            bia.apply_events(self.event_buf.iter().copied());
-        }
-    }
-
-    /// Cross-checks the real BIA against the shadow after a drained batch
-    /// and runs the degradation state machine: violations downgrade their
-    /// groups and resynchronize the real table from the shadow; a clean
-    /// batch re-promotes previously degraded groups.
-    fn audit_batch(&mut self) {
-        let (Some(aud), Some(bia)) = (&mut self.auditor, &mut self.bia) else {
-            return;
-        };
-        let fresh = aud.check(bia);
-        self.robust.audit_batches += 1;
-        if fresh.is_empty() {
-            if !self.degraded.is_empty() {
-                // The table survived a full batch fault-free after the
-                // resync: trust it again.
-                self.robust.resyncs += 1;
-                let groups = self.degraded.len() as u64;
-                self.degraded.clear();
-                if let Some(sink) = &mut self.sink {
-                    sink.record(&TraceRecord {
-                        cycle: self.cycles,
-                        kind: EventKind::Repromote { groups },
-                    });
-                }
-            }
-            return;
-        }
-        self.robust.audit_violations += fresh.len() as u64;
-        if let Some(sink) = &mut self.sink {
-            sink.record(&TraceRecord {
-                cycle: self.cycles,
-                kind: EventKind::Resync {
-                    violations: fresh.len() as u64,
-                },
-            });
-        }
-        bia.copy_state_from(aud.shadow());
-        for group in fresh.iter().map(|v| v.group) {
-            if self.degraded.insert(group) {
-                self.robust.downgrades += 1;
-                if let Some(sink) = &mut self.sink {
-                    sink.record(&TraceRecord {
-                        cycle: self.cycles,
-                        kind: EventKind::Degrade { group },
-                    });
-                }
+        if self.hier.has_events() {
+            self.hier.drain_events_into(&mut self.event_buf);
+            if let Some(bia) = &mut self.bia {
+                bia.apply_events(self.event_buf.iter().copied());
             }
         }
     }
@@ -1282,13 +1059,9 @@ impl Machine {
         } else {
             None
         };
-        let inline = self.auditor.is_none() && self.injector.is_none();
-        let result = match (&mut self.bia, inline) {
-            (Some(bia), true) => self.hier.access_with(addr.line(), flags, bia),
-            (None, _) if self.hier.monitor().is_none() => {
-                self.hier.access_with(addr.line(), flags, &mut NullMonitor)
-            }
-            _ => self.hier.access(addr.line(), flags),
+        let result = match &mut self.bia {
+            Some(bia) => self.hier.access_with(addr.line(), flags, bia),
+            None => self.hier.access_with(addr.line(), flags, &mut NullMonitor),
         };
         let nearest = if flags.dram_direct {
             false
@@ -1317,9 +1090,6 @@ impl Machine {
                 cycles: mem_cycles,
                 delta,
             });
-        }
-        if !inline {
-            self.sync_bia();
         }
         if let Some(t) = &mut self.spec_trace {
             t.push(TraceEvent {
@@ -1372,21 +1142,15 @@ impl Machine {
         } else {
             None
         };
-        // Steady state (no auditor, no injector): the BIA is the monitor
-        // and consumes events at the emit site — no buffer, no drain. The
-        // robustness paths need the buffered stream (the auditor must see
-        // it pristine, the injector must perturb it), so they keep the
-        // buffered access + `sync_bia` round-trip.
-        let inline = self.auditor.is_none() && self.injector.is_none();
-        // Unmonitored machines take an L1d-hit fast path: the hit performs
-        // the cache's exact demand bookkeeping and nothing else in the walk
-        // — deeper probes, fills, prefetch, events — can run, so the full
-        // `access_with` is only needed when the hit-only attempt misses.
+        // The BIA is the hierarchy's monitor and consumes events at the
+        // emit site — no buffer, no drain. Machines without one take an
+        // L1d-hit fast path: the hit performs the cache's exact demand
+        // bookkeeping and nothing else in the walk — deeper probes, fills,
+        // prefetch, events — can run, so the full `access_with` is only
+        // needed when the hit-only attempt misses.
         let plain = !flags.dram_direct && !flags.bypass_l1 && !flags.bypass_l2;
-        let unmonitored = self.bia.is_none() && self.hier.monitor().is_none();
         let result = if plain
-            && unmonitored
-            && inline
+            && self.bia.is_none()
             && self
                 .hier
                 .l1d_access_if_hit(addr.line(), flags.kind, flags.update_replacement)
@@ -1398,15 +1162,10 @@ impl Machine {
                 dram_latency: 0,
             }
         } else {
-            match (&mut self.bia, inline) {
-                (Some(bia), true) => self.hier.access_with(addr.line(), flags, bia),
-                // No monitored level means no events can be emitted at all,
-                // so the buffered form would only shuffle an empty vector
-                // around.
-                (None, _) if self.hier.monitor().is_none() => {
-                    self.hier.access_with(addr.line(), flags, &mut NullMonitor)
-                }
-                _ => self.hier.access(addr.line(), flags),
+            match &mut self.bia {
+                Some(bia) => self.hier.access_with(addr.line(), flags, bia),
+                // No BIA means no monitored level, so no events at all.
+                None => self.hier.access_with(addr.line(), flags, &mut NullMonitor),
             }
         };
         let nearest = if flags.dram_direct {
@@ -1444,9 +1203,6 @@ impl Machine {
                 delta,
             });
         }
-        if !inline {
-            self.sync_bia();
-        }
         match store {
             Some(v) => {
                 self.ram.write(addr, width.bytes(), v);
@@ -1477,9 +1233,9 @@ impl Machine {
 
     /// Whether a software DS sweep may take the batched fast path
     /// ([`Machine::sweep_lines`]): nothing may observe the per-access
-    /// interleaving of charges and cache state (no sink, co-runner,
-    /// auditor or injector), the hierarchy must be unmonitored with no BIA
-    /// or placement routing, and neither speculation nor silent-store
+    /// interleaving of charges and cache state (no sink or co-runner),
+    /// the machine must have no BIA (and so no monitored level and no
+    /// placement routing), and neither speculation nor silent-store
     /// squashing may be active. Under these conditions every per-line
     /// charge is a plain accumulation and an L1d hit has no side effects
     /// beyond the cache's own bookkeeping, so the batched sweep — and its
@@ -1493,11 +1249,7 @@ impl Machine {
         !self.spec_active
             && self.sink.is_none()
             && self.interference.is_none()
-            && self.auditor.is_none()
-            && self.injector.is_none()
             && self.bia.is_none()
-            && self.hier.monitor().is_none()
-            && self.placement.is_none()
             && !self.silent_stores
     }
 
@@ -1769,48 +1521,13 @@ impl CtMemory for Machine {
             None
         };
         let (probe, probe_latency) = self.hier.ct_probe(aligned.line(), placement.monitor());
-        if let Some(aud) = &mut self.auditor {
-            aud.mirror_access(addr);
-        }
-        let (mut view, bia_latency, group, bit) = {
-            let bia = self
-                .bia
-                .as_mut()
-                .expect("BIA present when placement is set");
-            let view = bia.access_for(addr);
-            let (group, bit) = bia.locate(aligned.line());
-            (view, bia.latency(), group, bit)
-        };
-        let mut degraded_view = false;
-        if self.robustness_active() {
-            if self.degraded.contains(&group) {
-                // Degraded group: a zero view makes Algorithm 2 fetch the
-                // whole dataflow set — full linearization.
-                self.robust.degraded_ct_ops += 1;
-                degraded_view = true;
-                view = ctbia_core::bia::BiaView {
-                    existence: 0,
-                    dirtiness: 0,
-                };
-            } else if view.existence & (1 << bit) != 0 && !probe.resident {
-                // The BIA claims the target line resident but the probe
-                // disagrees — a desync the subset invariant forbids.
-                self.robust.inline_desyncs += 1;
-                self.degrade_group(group);
-                degraded_view = true;
-                view = ctbia_core::bia::BiaView {
-                    existence: 0,
-                    dirtiness: 0,
-                };
-            }
-        }
-        let ct_cycles = self.cost.ct_cycles(probe_latency, bia_latency);
-        let ct_phase = if degraded_view {
-            Phase::Degraded
-        } else {
-            Phase::BiaMaintenance
-        };
-        self.charge(ct_phase, ct_cycles);
+        let bia = self
+            .bia
+            .as_mut()
+            .expect("BIA present when placement is set");
+        let view = bia.access_for(addr);
+        let ct_cycles = self.cost.ct_cycles(probe_latency, bia.latency());
+        self.charge(Phase::BiaMaintenance, ct_cycles);
         if let Some(snap) = snap {
             let delta = self.hier.stats() - snap;
             self.emit(EventKind::CtOp {
@@ -1818,7 +1535,6 @@ impl CtMemory for Machine {
                 line: aligned.line().raw(),
                 bitmap: view.existence,
                 cycles: ct_cycles,
-                degraded: degraded_view,
                 delta,
             });
         }
@@ -1853,56 +1569,24 @@ impl CtMemory for Machine {
         if let Some(slices) = &mut self.probe_slices {
             slices.push(self.hier.llc_slice_of(aligned.line()));
         }
-        if let Some(aud) = &mut self.auditor {
-            aud.mirror_access(addr);
-        }
         let snap = if self.sink.is_some() {
             Some(self.hier.stats())
         } else {
             None
         };
-        let (mut view, bia_latency, group, bit) = {
-            let bia = self
-                .bia
-                .as_mut()
-                .expect("BIA present when placement is set");
-            let view = bia.access_for(addr);
-            let (group, bit) = bia.locate(aligned.line());
-            (view, bia.latency(), group, bit)
-        };
+        let bia = self
+            .bia
+            .as_mut()
+            .expect("BIA present when placement is set");
+        let view = bia.access_for(addr);
+        let bia_latency = bia.latency();
+        // The conditional write emits no cache event: it changes only the
+        // data of a line that is already dirty.
         let (wrote, probe_latency) = self
             .hier
             .ct_write_if_dirty(aligned.line(), placement.monitor());
-        let mut degraded_view = false;
-        if self.robustness_active() {
-            if self.degraded.contains(&group) {
-                self.robust.degraded_ct_ops += 1;
-                degraded_view = true;
-                view = ctbia_core::bia::BiaView {
-                    existence: 0,
-                    dirtiness: 0,
-                };
-            } else if view.dirtiness & (1 << bit) != 0 && !wrote {
-                // Stale dirtiness on the target would make Algorithm 3
-                // skip the read-modify-write while the CTStore also
-                // refused to write: a lost store. A zero view forces the
-                // RMW path.
-                self.robust.inline_desyncs += 1;
-                self.degrade_group(group);
-                degraded_view = true;
-                view = ctbia_core::bia::BiaView {
-                    existence: 0,
-                    dirtiness: 0,
-                };
-            }
-        }
         let ct_cycles = self.cost.ct_cycles(probe_latency, bia_latency);
-        let ct_phase = if degraded_view {
-            Phase::Degraded
-        } else {
-            Phase::BiaMaintenance
-        };
-        self.charge(ct_phase, ct_cycles);
+        self.charge(Phase::BiaMaintenance, ct_cycles);
         if let Some(snap) = snap {
             let delta = self.hier.stats() - snap;
             self.emit(EventKind::CtOp {
@@ -1910,11 +1594,9 @@ impl CtMemory for Machine {
                 line: aligned.line().raw(),
                 bitmap: view.dirtiness,
                 cycles: ct_cycles,
-                degraded: degraded_view,
                 delta,
             });
         }
-        self.sync_bia();
         if wrote {
             self.ram.write(aligned, 8, data);
         }
@@ -2430,7 +2112,6 @@ mod tests {
         assert!(err.to_string().contains("BIA"));
         let err = MachineError::Placement("M too coarse".into());
         assert!(err.to_string().contains("placement"));
-        assert!(MachineError::NoBia.to_string().contains("BIA"));
         let mut m = Machine::new(MachineConfig {
             ram_bytes: 1 << 17,
             ..MachineConfig::insecure()

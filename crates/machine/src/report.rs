@@ -56,19 +56,8 @@ pub fn format_report(counters: &Counters) -> String {
     stat("bia.evictions", counters.bia.evictions);
     stat("bia.events_applied", counters.bia.events_applied);
     stat("bia.events_ignored", counters.bia.events_ignored);
-    // Robustness stats only when the audit/fault machinery ran, so the
-    // audit-off report stays byte-identical.
-    if !counters.robust.is_zero() {
-        stat("robust.audit_batches", counters.robust.audit_batches);
-        stat("robust.audit_violations", counters.robust.audit_violations);
-        stat("robust.inline_desyncs", counters.robust.inline_desyncs);
-        stat("robust.downgrades", counters.robust.downgrades);
-        stat("robust.degraded_ct_ops", counters.robust.degraded_ct_ops);
-        stat("robust.resyncs", counters.robust.resyncs);
-        stat("robust.faults_injected", counters.robust.faults_injected);
-    }
     // Taint stats only when the shadow-taint layer marked or caught
-    // something, for the same byte-identical-when-off reason.
+    // something, so the taint-off report stays byte-identical.
     if !counters.taint.is_zero() {
         stat("taint.marked_bytes", counters.taint.marked_bytes);
         stat("taint.leak_violations", counters.taint.leak_violations);
@@ -134,21 +123,6 @@ mod tests {
             .find(|l| l.starts_with("l1d.demand_accesses"))
             .unwrap();
         assert!(line.ends_with("2"), "{line}");
-    }
-
-    #[test]
-    fn report_robust_section_appears_only_when_audited() {
-        let mut m = Machine::with_bia(BiaPlacement::L1d);
-        let a = m.alloc(64, 64).unwrap();
-        m.store_u64(a, 3);
-        assert!(!format_report(&m.counters()).contains("robust."));
-        let mut m = Machine::with_bia(BiaPlacement::L1d);
-        m.enable_audit().unwrap();
-        let a = m.alloc(64, 64).unwrap();
-        m.store_u64(a, 3);
-        let text = format_report(&m.counters());
-        assert_eq!(text.matches("robust.audit_batches").count(), 1);
-        assert_eq!(text.matches("robust.downgrades").count(), 1);
     }
 
     #[test]

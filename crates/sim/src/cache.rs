@@ -455,8 +455,8 @@ impl Cache {
     /// words with `trailing_zeros`, so its cost is proportional to the
     /// number of *sets* plus the number of resident lines, not to
     /// `sets * assoc`. The allocation-free form of
-    /// [`Cache::resident_lines`], for audit and property-check loops that
-    /// run per batch.
+    /// [`Cache::resident_lines`], for property-check loops that run per
+    /// step.
     pub fn for_each_resident(&self, mut f: impl FnMut(LineAddr)) {
         for set in 0..self.num_sets {
             let mut v = self.valid[set];

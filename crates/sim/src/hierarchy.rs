@@ -22,9 +22,9 @@
 //! * **Buffered** — the plain [`Hierarchy::access`] records events into an
 //!   internal `Vec<CacheEvent>` (`Vec<CacheEvent>` implements
 //!   `CacheMonitor` by pushing) that the machine drains afterwards via
-//!   [`Hierarchy::drain_events_into`]. Auditing and fault injection need
-//!   this path: they must observe — and possibly perturb — the pristine
-//!   stream *between* the cache and the BIA.
+//!   [`Hierarchy::drain_events_into`]. The machine's co-runner and
+//!   `clflush` take this path: they act between the program's accesses,
+//!   outside the demand walk that carries the BIA.
 //!
 //! Both paths deliver the identical event sequence, so the BIA ends in the
 //! same state either way. No events are recorded when no monitor is set,
@@ -131,7 +131,7 @@ pub struct CacheEvent {
 /// The hierarchy calls [`CacheMonitor::cache_event`] at every emit site
 /// *for the monitored level only*, in the exact order the state changes
 /// happen. Implemented by `Vec<CacheEvent>` (buffer for later draining —
-/// the audit/fault-injection path) and by the BIA itself in `ctbia-core`
+/// the co-runner path) and by the BIA itself in `ctbia-core`
 /// (inline application — the steady-state path).
 pub trait CacheMonitor {
     /// Observes one state change at the monitored level.

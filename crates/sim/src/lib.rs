@@ -52,7 +52,6 @@ pub mod addr;
 pub mod cache;
 pub mod config;
 pub mod dram;
-pub mod fault;
 pub mod hierarchy;
 pub mod replacement;
 pub mod stats;
@@ -61,7 +60,6 @@ pub use abstract_cache::{AbstractCache, LineState, Residency};
 pub use addr::{LineAddr, PageIdx, PhysAddr, LINES_PER_PAGE, LINE_BYTES, PAGE_BYTES};
 pub use cache::{AccessKind, Cache, ProbeOutcome, Slot};
 pub use config::{CacheConfig, ConfigError, DramConfig, HierarchyConfig};
-pub use fault::{FaultConfig, FaultInjector, FaultKind, InjectedFault, StructuralFault};
 pub use hierarchy::{
     AccessFlags, AccessResult, CacheEvent, CacheEventKind, Hierarchy, Level, MonitorLevel,
 };

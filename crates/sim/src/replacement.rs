@@ -60,7 +60,7 @@ impl std::fmt::Display for ReplacementKind {
 /// Stamps are stored per way in a flat `sets * assoc` vector. A global
 /// monotonic counter provides recency ordering; `u64` cannot realistically
 /// overflow within a simulation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ReplacementState {
     kind: ReplacementKind,
     assoc: usize,
@@ -70,32 +70,6 @@ pub struct ReplacementState {
     /// The construction seed, kept so [`ReplacementState::reset`] can
     /// rewind the generator to its initial state.
     seed: u64,
-}
-
-// Hand-written (a derive would fall back to `*self = source.clone()` in
-// `clone_from`) so that resync paths copying between same-shaped states —
-// the BIA's shadow-resync in particular — reuse the existing stamp buffer
-// instead of allocating a fresh one per resync.
-impl Clone for ReplacementState {
-    fn clone(&self) -> Self {
-        ReplacementState {
-            kind: self.kind,
-            assoc: self.assoc,
-            stamps: self.stamps.clone(),
-            clock: self.clock,
-            rng: self.rng.clone(),
-            seed: self.seed,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.kind = source.kind;
-        self.assoc = source.assoc;
-        self.stamps.clone_from(&source.stamps);
-        self.clock = source.clock;
-        self.rng = source.rng.clone();
-        self.seed = source.seed;
-    }
 }
 
 impl ReplacementState {
@@ -233,24 +207,6 @@ mod tests {
         r.on_hit(0, 0);
         assert_eq!(r.victim(0), 1);
         assert_eq!(r.victim(1), 1); // filled before way 0 in set 1
-    }
-
-    #[test]
-    fn clone_from_copies_in_place() {
-        let mut src = ReplacementState::new(ReplacementKind::Lru, 2, 2, 9);
-        src.on_fill(0, 1);
-        src.on_fill(1, 0);
-        src.on_hit(0, 1);
-        let mut dst = ReplacementState::new(ReplacementKind::Lru, 2, 2, 0);
-        let buf_ptr = dst.stamps.as_ptr();
-        dst.clone_from(&src);
-        assert_eq!(dst.stamps, src.stamps);
-        assert_eq!(dst.clock, src.clock);
-        // Same shape -> the stamp buffer is reused, not reallocated.
-        assert_eq!(dst.stamps.as_ptr(), buf_ptr);
-        // The copy behaves identically from here on.
-        assert_eq!(dst.victim(0), src.victim(0));
-        assert_eq!(dst.victim(1), src.victim(1));
     }
 
     #[test]

@@ -99,8 +99,6 @@ pub enum EventKind {
         bitmap: u64,
         /// Cycles charged by the cost model for this micro-op.
         cycles: u64,
-        /// True when the response was served in degraded (zeroed) mode.
-        degraded: bool,
         /// Exact hierarchy-statistics delta (the probe).
         delta: HierarchyStats,
     },
@@ -119,26 +117,6 @@ pub enum EventKind {
         skipped: u32,
         /// Lines the pass streamed in.
         fetched: u32,
-    },
-    /// The robustness layer demoted a group to full linearization.
-    Degrade {
-        /// The demoted group.
-        group: u64,
-    },
-    /// The shadow auditor found divergent groups and repaired the BIA.
-    Resync {
-        /// Number of divergent groups repaired.
-        violations: u64,
-    },
-    /// A clean audit batch re-promoted all degraded groups.
-    Repromote {
-        /// Number of groups re-promoted.
-        groups: u64,
-    },
-    /// The fault injector perturbed the event stream.
-    Faults {
-        /// Number of faults injected since the previous `Faults` event.
-        injected: u64,
     },
     /// One wrong-path demand access issued inside a speculation window.
     /// Architecturally squashed, but its hierarchy effects (fills, LRU
@@ -206,13 +184,15 @@ impl TraceRecord {
                 line,
                 bitmap,
                 cycles,
-                degraded,
                 delta,
             } => {
+                // `degraded` is always false (the machine has no degraded
+                // mode); it stays in the line so recorded traces keep
+                // their bytes until the next trace-format change.
                 write!(
                     out,
                     "{{\"c\":{c},\"k\":\"ct\",\"store\":{store},\"line\":{line},\
-                     \"bitmap\":{bitmap},\"cyc\":{cycles},\"degraded\":{degraded}",
+                     \"bitmap\":{bitmap},\"cyc\":{cycles},\"degraded\":false",
                 )
                 .unwrap();
                 write_delta(out, delta);
@@ -231,26 +211,6 @@ impl TraceRecord {
                     "{{\"c\":{c},\"k\":\"linearize\",\"store\":{store},\
                      \"software\":{software},\"group\":{group},\"ds\":{ds_lines},\
                      \"skipped\":{skipped},\"fetched\":{fetched}}}",
-                )
-                .unwrap();
-            }
-            EventKind::Degrade { group } => {
-                write!(out, "{{\"c\":{c},\"k\":\"degrade\",\"group\":{group}}}").unwrap();
-            }
-            EventKind::Resync { violations } => {
-                write!(
-                    out,
-                    "{{\"c\":{c},\"k\":\"resync\",\"violations\":{violations}}}"
-                )
-                .unwrap();
-            }
-            EventKind::Repromote { groups } => {
-                write!(out, "{{\"c\":{c},\"k\":\"repromote\",\"groups\":{groups}}}").unwrap();
-            }
-            EventKind::Faults { injected } => {
-                write!(
-                    out,
-                    "{{\"c\":{c},\"k\":\"faults\",\"injected\":{injected}}}"
                 )
                 .unwrap();
             }
@@ -423,7 +383,6 @@ mod tests {
                 line: 9,
                 bitmap: 0xff,
                 cycles: 3,
-                degraded: false,
                 delta: HierarchyStats::default(),
             },
         };
@@ -448,22 +407,6 @@ mod tests {
                 },
                 "{\"c\":5,\"k\":\"linearize\",\"store\":false,\"software\":true,\
                  \"group\":0,\"ds\":4,\"skipped\":0,\"fetched\":4}",
-            ),
-            (
-                EventKind::Degrade { group: 3 },
-                "{\"c\":5,\"k\":\"degrade\",\"group\":3}",
-            ),
-            (
-                EventKind::Resync { violations: 2 },
-                "{\"c\":5,\"k\":\"resync\",\"violations\":2}",
-            ),
-            (
-                EventKind::Repromote { groups: 1 },
-                "{\"c\":5,\"k\":\"repromote\",\"groups\":1}",
-            ),
-            (
-                EventKind::Faults { injected: 6 },
-                "{\"c\":5,\"k\":\"faults\",\"injected\":6}",
             ),
             (
                 EventKind::Squash {

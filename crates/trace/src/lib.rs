@@ -6,8 +6,8 @@
 //!
 //! - **Typed events** ([`TraceRecord`]/[`EventKind`]): per-access cache
 //!   events with level/latency/statistics-delta detail, `CTLoad`/`CTStore`
-//!   bitmap responses, linearization passes with skipped-line counts, BIA
-//!   degradations/resyncs/re-promotions, and injected faults. Every event
+//!   bitmap responses, linearization passes with skipped-line counts, and
+//!   wrong-path accesses and squashes under speculation. Every event
 //!   is stamped with the deterministic cycle clock — never wall-clock — so
 //!   traces are byte-reproducible across machines and across serial vs
 //!   parallel sweep execution.
@@ -17,8 +17,8 @@
 //!   emitting side pays nothing when no sink is attached.
 //! - **Cycle attribution** ([`Phase`]/[`PhaseCycles`]): every simulated
 //!   cycle lands in exactly one named bucket (compute, demand access,
-//!   linearization sweep, BIA maintenance, DRAM stall, degradation
-//!   fallback), and the bucket totals sum exactly to the cycle counter.
+//!   linearization sweep, BIA maintenance, DRAM stall, speculative), and
+//!   the bucket totals sum exactly to the cycle counter.
 //! - **Metrics documents** ([`MetricsDoc`]): a versioned, flat
 //!   `ctbia-metrics-v1` JSON document emitted by `ctbia run --metrics` /
 //!   `ctbia status --metrics`.

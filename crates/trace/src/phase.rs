@@ -28,8 +28,9 @@ pub enum Phase {
     BiaMaintenance,
     /// Cycles spent stalled on a DRAM access (row buffer + array time).
     DramStall,
-    /// `CTLoad`/`CTStore` time served in degraded mode, after a group was
-    /// demoted to full linearization by the robustness layer.
+    /// Always zero: the machine no longer has a degraded mode. The phase
+    /// stays so the cell text and metrics documents keep their field set
+    /// until the next cell-schema change removes it.
     Degraded,
     /// Wrong-path execution after a branch misprediction: cache-service
     /// time (DRAM stall included) of transient demand accesses that are

@@ -140,19 +140,8 @@ pub struct MetricsSink {
     pub ct_loads: u64,
     /// `CTStore` micro-ops observed.
     pub ct_stores: u64,
-    /// CT micro-ops served in degraded (zeroed) mode.
-    pub ct_degraded: u64,
     /// Linearization-pass aggregates.
     pub linearize: LinearizeStats,
-    /// Groups demoted to full linearization.
-    pub degrades: u64,
-    /// Divergent groups repaired by auditor resyncs.
-    pub resync_violations: u64,
-    /// Clean-batch re-promotion events (one per resync, regardless of
-    /// how many groups the batch re-promoted).
-    pub repromotes: u64,
-    /// Faults injected into the BIA event stream.
-    pub faults_injected: u64,
     /// Wrong-path demand accesses observed inside speculation windows.
     pub spec_accesses: u64,
     /// Sum of the cycles charged to the speculative phase by those
@@ -202,19 +191,12 @@ impl TraceSink for MetricsSink {
                 *self.hot_lines.entry(*line).or_insert(0) += 1;
             }
             EventKind::CtOp {
-                store,
-                line,
-                degraded,
-                delta,
-                ..
+                store, line, delta, ..
             } => {
                 if *store {
                     self.ct_stores += 1;
                 } else {
                     self.ct_loads += 1;
-                }
-                if *degraded {
-                    self.ct_degraded += 1;
                 }
                 add_assign_stats(&mut self.hier, delta);
                 *self.hot_lines.entry(*line).or_insert(0) += 1;
@@ -226,10 +208,6 @@ impl TraceSink for MetricsSink {
                 self.linearize.lines_skipped += u64::from(*skipped);
                 self.linearize.lines_fetched += u64::from(*fetched);
             }
-            EventKind::Degrade { .. } => self.degrades += 1,
-            EventKind::Resync { violations } => self.resync_violations += violations,
-            EventKind::Repromote { .. } => self.repromotes += 1,
-            EventKind::Faults { injected } => self.faults_injected += injected,
             EventKind::SpecAccess {
                 line,
                 cycles,
@@ -336,7 +314,6 @@ mod tests {
                 line: 11,
                 bitmap: 3,
                 cycles: 3,
-                degraded: true,
                 delta: HierarchyStats::default(),
             },
         });
@@ -351,18 +328,12 @@ mod tests {
                 fetched: 2,
             },
         });
-        s.record(&TraceRecord {
-            cycle: 6,
-            kind: EventKind::Faults { injected: 4 },
-        });
-        assert_eq!(s.events, 6);
+        assert_eq!(s.events, 5);
         assert_eq!(s.op_count(MemOp::Load), 3);
         assert_eq!(s.hier.l1d.reads, 3);
         assert_eq!(s.ct_loads, 1);
-        assert_eq!(s.ct_degraded, 1);
         assert_eq!(s.linearize.passes, 1);
         assert_eq!(s.linearize.lines_skipped, 6);
-        assert_eq!(s.faults_injected, 4);
         // line 10 and 11 both have 2 accesses -> tie broken by address.
         assert_eq!(s.hottest_lines(3), vec![(10, 2), (11, 2)]);
         assert_eq!(s.distinct_lines(), 2);

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Argument parsing is deliberately hand-rolled (no CLI dependency). The
-//! experiment subcommands (`run`, `compare`, `fuzz`) are veneers
+//! experiment subcommands (`run`, `compare`) are veneers
 //! over the [`ctbia::harness`] sweep engine: each describes its work as a
 //! grid of [`CellSpec`]s, so results are memoized under `results/cache/`
 //! and independent cells simulate in parallel.
@@ -21,15 +21,14 @@ use ctbia::core::ctmem::Width;
 use ctbia::core::ds::DataflowSet;
 use ctbia::core::taint::LeakViolation;
 use ctbia::harness::{
-    counter_fields, execute_cell_traced, CellReport, CellSpec, DiskCache, FaultSpec, GridCell,
-    GridEngine, StrategySpec, SweepEngine, WorkloadSpec,
+    counter_fields, execute_cell_traced, CellReport, CellSpec, DiskCache, GridCell, GridEngine,
+    StrategySpec, SweepEngine, WorkloadSpec,
 };
 use ctbia::machine::{BiaPlacement, Machine};
 use ctbia::serve::{
     self, submit_with_retry_to, ChaosSpec, Response, RetryPolicy, ServeTarget, ServerConfig,
     SubmitRequest, TenantSpec,
 };
-use ctbia::sim::fault::{parse_fault_kinds, FaultKind};
 use ctbia::sim::hierarchy::Level;
 use ctbia::trace::{JsonlSink, MetricsDoc, MetricsSink, Phase, TeeSink};
 use ctbia::verify::table::{grid_row, grid_summary};
@@ -52,8 +51,6 @@ USAGE:
     ctbia compare <WORKLOAD> [SIZE]
     ctbia attack [SECRET]
     ctbia leakage <WORKLOAD> [SIZE]
-    ctbia audit <WORKLOAD> [SIZE] [--placement l1d|l2|llc]
-    ctbia fuzz [--faults LIST] [--seed N] [--iters K] <WORKLOAD> [SIZE] [--placement l1d|l2|llc]
     ctbia verify [--quick] [--threads N]
     ctbia verify <WORKLOAD> [SIZE] [--strategy insecure|ct|bia|bia-loads] [--placement l1d|l2|llc] [--spec-window N]
     ctbia analyze [--quick] [--threads N]
@@ -65,7 +62,6 @@ USAGE:
 
 WORKLOADS: dijkstra | histogram | permutation | binary-search | heappop
            (plus leaky-bin and spectre, intentionally leaky controls, for `verify`)
-FAULTS:    drop | dup | delay | corrupt | flip | storm | interfere (comma-separated)
 
 `ctbia verify` runs the taint sanitizer and the trace-equivalence oracle
 over the canonical grid; with a workload argument it verifies one cell
@@ -559,170 +555,6 @@ fn cmd_leakage(args: &[String]) -> Result<(), String> {
             (secrets.len() as f64).log2()
         );
     }
-    Ok(())
-}
-
-/// `ctbia audit <WORKLOAD> [SIZE] [--placement ..]` — run the workload
-/// under the BIA strategy with the shadow auditor enabled and report
-/// whether the BIA ever diverged from ground truth.
-fn cmd_audit(args: &[String]) -> Result<(), String> {
-    let mut name = None;
-    let mut size = None;
-    let mut placement = BiaPlacement::L1d;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--placement" => {
-                i += 1;
-                placement = parse_placement(args.get(i).ok_or("--placement needs a value")?)?;
-            }
-            v if name.is_none() && !v.starts_with('-') => name = Some(v.to_string()),
-            v if size.is_none() && !v.starts_with('-') => size = Some(parse_size(v)?),
-            other => return Err(format!("unexpected argument '{other}'")),
-        }
-        i += 1;
-    }
-    let name = name.ok_or("audit: missing workload name")?;
-    let size = size.unwrap_or_else(|| default_size(&name));
-    let wl = make_workload(&name, size)?;
-    let reference = wl.run(&mut Machine::insecure(), Strategy::Insecure);
-    let mut m = Machine::with_bia(placement);
-    m.enable_audit().map_err(|e| e.to_string())?;
-    let run = wl.run(&mut m, Strategy::bia());
-    let robust = m.counters().robust;
-    println!(
-        "audit of {} under BIA@{placement}: {} batches, {} violations, {} inline desyncs, {} downgrades",
-        wl.name(),
-        robust.audit_batches,
-        robust.audit_violations,
-        robust.inline_desyncs,
-        robust.downgrades
-    );
-    for v in m
-        .auditor()
-        .expect("audit enabled")
-        .violations()
-        .iter()
-        .take(5)
-    {
-        println!("  {v}");
-    }
-    if run.digest != reference.digest {
-        return Err("audited run produced a different result — bug".into());
-    }
-    if robust.audit_violations > 0 {
-        return Err(format!(
-            "{} violation(s) detected on a fault-free run — BIA desync bug",
-            robust.audit_violations
-        ));
-    }
-    println!("clean: BIA matched ground truth on every drained batch");
-    Ok(())
-}
-
-/// `ctbia fuzz [--faults LIST] [--seed N] [--iters K] <WORKLOAD> [SIZE]` —
-/// repeatedly run the workload while a seeded injector sabotages the BIA,
-/// checking that graceful degradation keeps every result bit-correct.
-///
-/// Every iteration is an independent cell carrying its own fault seed, so
-/// the whole campaign runs on the parallel sweep engine and stays
-/// reproducible under any worker schedule. No cache is attached: fuzzing
-/// is about exercising the injector, not replaying old runs.
-fn cmd_fuzz(args: &[String]) -> Result<(), String> {
-    let mut faults = vec![FaultKind::Drop, FaultKind::Dup, FaultKind::Flip];
-    let mut seed = 7u64;
-    let mut iters = 25u64;
-    let mut placement = BiaPlacement::L1d;
-    let mut name = None;
-    let mut size = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--faults" => {
-                i += 1;
-                faults = parse_fault_kinds(args.get(i).ok_or("--faults needs a value")?)?;
-            }
-            "--seed" => {
-                i += 1;
-                let s = args.get(i).ok_or("--seed needs a value")?;
-                seed = s.parse().map_err(|_| format!("invalid seed '{s}'"))?;
-            }
-            "--iters" => {
-                i += 1;
-                let s = args.get(i).ok_or("--iters needs a value")?;
-                iters = s
-                    .parse()
-                    .ok()
-                    .filter(|&k| k > 0)
-                    .ok_or_else(|| format!("invalid iteration count '{s}'"))?;
-            }
-            "--placement" => {
-                i += 1;
-                placement = parse_placement(args.get(i).ok_or("--placement needs a value")?)?;
-            }
-            v if name.is_none() && !v.starts_with('-') => name = Some(v.to_string()),
-            v if size.is_none() && !v.starts_with('-') => size = Some(parse_size(v)?),
-            other => return Err(format!("unexpected argument '{other}'")),
-        }
-        i += 1;
-    }
-    let name = name.ok_or("fuzz: missing workload name")?;
-    let size = size.unwrap_or_else(|| default_size(&name));
-    let workload = WorkloadSpec::named(&name, size)?;
-    let fault_list = faults
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    println!(
-        "fuzzing {} under BIA@{placement}: faults [{fault_list}], seed {seed}, {iters} iters",
-        workload.name()
-    );
-    let iter_seed = |iter: u64| seed ^ iter.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    // Cell 0 is the fault-free insecure reference; cells 1..=iters each
-    // carry a distinct but reproducible fault schedule.
-    let mut grid = vec![CellSpec::new(workload, StrategySpec::Insecure, placement)];
-    for iter in 0..iters {
-        let mut cell = CellSpec::new(workload, StrategySpec::Bia, placement);
-        cell.audit = true;
-        cell.faults = Some(FaultSpec {
-            kinds: faults.clone(),
-            seed: iter_seed(iter),
-            rate_ppm: 100_000,      // 10% of events faulted
-            batch_rate_ppm: 50_000, // 5% of batches structurally faulted
-        });
-        grid.push(cell);
-    }
-    let reports = SweepEngine::new().run(&grid)?;
-    let reference = reports[0].digest;
-    let (mut faults_total, mut violations, mut inline, mut downgrades, mut resyncs) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    let mut mismatches = 0u64;
-    for (iter, report) in reports[1..].iter().enumerate() {
-        let r = report.counters.robust;
-        faults_total += r.faults_injected;
-        violations += r.audit_violations;
-        inline += r.inline_desyncs;
-        downgrades += r.downgrades;
-        resyncs += r.resyncs;
-        if report.digest != reference {
-            mismatches += 1;
-            println!(
-                "  iter {iter}: INCORRECT RESULT (seed {:#x})",
-                iter_seed(iter as u64)
-            );
-        }
-    }
-    println!(
-        "injected {faults_total} faults: {violations} audit violations, {inline} inline desyncs, \
-         {downgrades} downgrades, {resyncs} resyncs"
-    );
-    if mismatches > 0 {
-        return Err(format!(
-            "{mismatches}/{iters} iterations produced incorrect results"
-        ));
-    }
-    println!("all {iters} iterations bit-correct: every desync was caught or absorbed");
     Ok(())
 }
 
@@ -1366,7 +1198,6 @@ fn cmd_list() {
     println!("            spectre (Spectre-v1 gadget; leaks only with --spec-window > 0)");
     println!("strategies: insecure ct ct-avx2 bia bia-loads");
     println!("placements: l1d l2 llc");
-    println!("faults:     drop dup delay corrupt flip storm interfere (for `ctbia fuzz`)");
     println!("crypto kernels (in `fig09_crypto`):");
     println!("  AES ARC2 ARC4 Blowfish CAST DES DES3 XOR");
 }
@@ -1413,8 +1244,6 @@ fn main() -> ExitCode {
         Some("compare") => cmd_compare(&args[1..]),
         Some("attack") => cmd_attack(&args[1..]),
         Some("leakage") => cmd_leakage(&args[1..]),
-        Some("audit") => cmd_audit(&args[1..]),
-        Some("fuzz") => cmd_fuzz(&args[1..]),
         Some("verify") => cmd_verify(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),

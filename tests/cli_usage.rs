@@ -1,0 +1,87 @@
+//! The README may only show `ctbia` subcommands the binary's own usage
+//! text lists, and removed subcommands must fail as unknown. Runs the
+//! built `ctbia` binary; starts no daemon.
+
+use std::collections::BTreeSet;
+use std::process::Command;
+
+fn ctbia(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_ctbia"))
+        .args(args)
+        .output()
+        .expect("the ctbia binary runs")
+}
+
+/// Subcommands named on the `USAGE:` lines of `ctbia --help`
+/// (`    ctbia <cmd> ...`).
+fn usage_commands() -> BTreeSet<String> {
+    let out = ctbia(&["--help"]);
+    assert!(out.status.success(), "--help exits 0");
+    let text = String::from_utf8(out.stdout).expect("usage is UTF-8");
+    text.lines()
+        .filter_map(|l| l.strip_prefix("    ctbia "))
+        .map(|rest| first_word(rest).to_string())
+        .collect()
+}
+
+fn first_word(s: &str) -> &str {
+    let end = s
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .unwrap_or(s.len());
+    &s[..end]
+}
+
+/// Every `(line, subcommand)` the README invokes: after `cargo run
+/// --release [--bin ctbia] --`, after a backticked `` `ctbia ``, or at the
+/// start of a code line `ctbia `.
+fn readme_commands() -> Vec<(usize, String)> {
+    let readme = include_str!("../README.md");
+    let prefixes = [
+        "cargo run --release -- ",
+        "cargo run --release --bin ctbia -- ",
+        "`ctbia ",
+    ];
+    let mut out = Vec::new();
+    for (n, line) in readme.lines().enumerate() {
+        if let Some(rest) = line.strip_prefix("ctbia ") {
+            out.push((n + 1, first_word(rest).to_string()));
+        }
+        for prefix in prefixes {
+            let mut rest = line;
+            while let Some(i) = rest.find(prefix) {
+                rest = &rest[i + prefix.len()..];
+                out.push((n + 1, first_word(rest).to_string()));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn readme_names_only_listed_subcommands() {
+    let listed = usage_commands();
+    for cmd in ["run", "compare", "verify", "analyze", "serve", "submit"] {
+        assert!(listed.contains(cmd), "usage lists `{cmd}`: {listed:?}");
+    }
+    let used = readme_commands();
+    assert!(used.len() >= 10, "the README scan found commands: {used:?}");
+    for (line, cmd) in used {
+        assert!(
+            listed.contains(&cmd),
+            "README.md:{line} runs `ctbia {cmd}`, which `ctbia --help` does not list"
+        );
+    }
+}
+
+#[test]
+fn removed_subcommands_are_unknown() {
+    for cmd in ["audit", "fuzz"] {
+        let out = ctbia(&[cmd, "histogram"]);
+        assert!(!out.status.success(), "`ctbia {cmd}` must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown command '{cmd}'")),
+            "`ctbia {cmd}` stderr: {stderr}"
+        );
+    }
+}
