@@ -100,7 +100,7 @@ impl Interp {
     /// lines are forced resident (the CT op guarantees post-residency)
     /// without refreshing their age, preserving interval soundness.
     fn sweep_bia(&mut self, ds: &DataflowSet, store: bool) {
-        let (page_insts, fetch_insts) = if store {
+        let (page_insts, miss_insts) = if store {
             (BIA_PAGE_INSTS + BIA_STORE_PAGE_INSTS, BIA_STORE_FETCH_INSTS)
         } else {
             (BIA_PAGE_INSTS, BIA_FETCH_INSTS)
@@ -119,7 +119,7 @@ impl Interp {
                     Residency::In => {}
                     Residency::Out => {
                         self.cache.touch(line);
-                        self.insts += fetch_insts;
+                        self.insts += miss_insts;
                     }
                     Residency::Maybe => self.cache.force_resident(line),
                 }

@@ -21,8 +21,8 @@
 //! The subset invariant is checked by `debug_assert`s here and by dedicated
 //! property tests against [`ctbia_sim::cache::Cache::page_truth`].
 
-use ctbia_sim::addr::PageIdx;
-use ctbia_sim::hierarchy::{CacheEvent, CacheEventKind};
+use ctbia_sim::addr::{LineAddr, PageIdx};
+use ctbia_sim::hierarchy::{CacheEventKind, CacheMonitor};
 use ctbia_sim::replacement::{ReplacementKind, ReplacementState};
 use std::fmt;
 
@@ -213,17 +213,6 @@ struct Entry {
     dirtiness: u64,
 }
 
-/// One valid entry as seen by [`Bia::snapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BiaEntrySnapshot {
-    /// Group index (the entry's tag).
-    pub group: u64,
-    /// Existence bitmap.
-    pub existence: u64,
-    /// Dirtiness bitmap.
-    pub dirtiness: u64,
-}
-
 /// The BIA table.
 #[derive(Debug, Clone)]
 pub struct Bia {
@@ -288,7 +277,7 @@ impl Bia {
 
     /// The (group, bit) pair of a line under the configured granularity.
     #[inline]
-    fn group_and_bit(&self, line: ctbia_sim::addr::LineAddr) -> (u64, u32) {
+    fn group_and_bit(&self, line: LineAddr) -> (u64, u32) {
         let shift = self.cfg.granularity_log2 - 6;
         (
             line.raw() >> shift,
@@ -387,12 +376,39 @@ impl Bia {
         })
     }
 
-    /// Applies one monitored-cache event (§4.2's "BIA monitors the cache
-    /// for any update"). Events for pages without an entry are ignored —
-    /// the source of the benign subset inconsistency the paper discusses.
+    /// Cumulative statistics.
+    pub fn stats(&self) -> &BiaStats {
+        &self.stats
+    }
+
+    /// Restores the exactly-as-built state — all entries invalid, stats
+    /// zeroed, replacement rewound — while keeping the entry allocation.
+    pub fn reset(&mut self) {
+        self.entries.fill(Entry::default());
+        self.repl.reset();
+        self.stats = BiaStats::default();
+        self.last_found = 0;
+    }
+
+    /// Pages currently tracked (tests and debugging; meaningful for
+    /// `M = 12`, where groups are pages).
+    pub fn tracked_pages(&self) -> Vec<PageIdx> {
+        self.entries
+            .iter()
+            .filter(|e| e.valid)
+            .map(|e| PageIdx::new(e.tag))
+            .collect()
+    }
+}
+
+/// The BIA "monitors the cache for any update" (§4.2): the hierarchy hands
+/// it each monitored-level event at the emit site, in emission order
+/// (DESIGN.md §14). Events for pages without an entry are ignored — the
+/// source of the benign subset inconsistency the paper discusses.
+impl CacheMonitor for Bia {
     #[inline]
-    pub fn on_event(&mut self, ev: &CacheEvent) {
-        let (group, bit_idx) = self.group_and_bit(ev.line);
+    fn cache_event(&mut self, line: LineAddr, kind: CacheEventKind) {
+        let (group, bit_idx) = self.group_and_bit(line);
         let Some(i) = self.find_cached(group) else {
             self.stats.events_ignored += 1;
             return;
@@ -400,16 +416,8 @@ impl Bia {
         self.stats.events_applied += 1;
         let bit = 1u64 << bit_idx;
         let e = &mut self.entries[i];
-        match ev.kind {
-            CacheEventKind::Hit { dirty } => {
-                e.existence |= bit;
-                if dirty {
-                    e.dirtiness |= bit;
-                } else {
-                    e.dirtiness &= !bit;
-                }
-            }
-            CacheEventKind::Fill { dirty } => {
+        match kind {
+            CacheEventKind::Hit { dirty } | CacheEventKind::Fill { dirty } => {
                 e.existence |= bit;
                 if dirty {
                     e.dirtiness |= bit;
@@ -436,106 +444,11 @@ impl Bia {
             "dirtiness must be a subset of existence"
         );
     }
-
-    /// Applies a batch of events in order.
-    pub fn apply_events<I: IntoIterator<Item = CacheEvent>>(&mut self, events: I) {
-        for ev in events {
-            self.on_event(&ev);
-        }
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> &BiaStats {
-        &self.stats
-    }
-
-    /// Zeroes statistics (entries are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = BiaStats::default();
-    }
-
-    /// Restores the exactly-as-built state — all entries invalid, stats
-    /// zeroed, replacement rewound — while keeping the entry allocation.
-    pub fn reset(&mut self) {
-        self.entries.fill(Entry::default());
-        self.repl.reset();
-        self.stats = BiaStats::default();
-        self.last_found = 0;
-    }
-
-    /// Pages currently tracked (tests and debugging; meaningful for
-    /// `M = 12`, where groups are pages).
-    pub fn tracked_pages(&self) -> Vec<PageIdx> {
-        self.entries
-            .iter()
-            .filter(|e| e.valid)
-            .map(|e| PageIdx::new(e.tag))
-            .collect()
-    }
-
-    /// Group indices currently tracked (any granularity).
-    pub fn tracked_groups(&self) -> Vec<u64> {
-        self.entries
-            .iter()
-            .filter(|e| e.valid)
-            .map(|e| e.tag)
-            .collect()
-    }
-
-    /// The group index covering `addr` (`addr >> M`).
-    pub fn group_of(&self, addr: ctbia_sim::addr::PhysAddr) -> u64 {
-        self.group_of_addr(addr)
-    }
-
-    /// The (group, bit) coordinates of a line under the configured
-    /// granularity.
-    pub fn locate(&self, line: ctbia_sim::addr::LineAddr) -> (u64, u32) {
-        self.group_and_bit(line)
-    }
-
-    /// Snapshot of every valid entry in storage order (tests and
-    /// debugging, at any granularity).
-    pub fn snapshot(&self) -> Vec<BiaEntrySnapshot> {
-        self.entries
-            .iter()
-            .filter(|e| e.valid)
-            .map(|e| BiaEntrySnapshot {
-                group: e.tag,
-                existence: e.existence,
-                dirtiness: e.dirtiness,
-            })
-            .collect()
-    }
-
-    /// Number of valid entries.
-    pub fn valid_entries(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
-    }
-}
-
-/// Inline monitoring: a `Bia` can be handed directly to
-/// [`Hierarchy::access_with`](ctbia_sim::hierarchy::Hierarchy::access_with)
-/// as the monitor, so the monitored level's events update the bitmaps at
-/// the emit site with no intermediate event buffer. This is equivalent to
-/// buffering the events and replaying them through [`Bia::apply_events`]
-/// afterwards — same final bitmaps, same statistics, same order — because
-/// `on_event` is applied per event in emission order either way (the
-/// contract DESIGN.md §14 spells out).
-impl ctbia_sim::hierarchy::CacheMonitor for Bia {
-    #[inline]
-    fn cache_event(&mut self, line: ctbia_sim::addr::LineAddr, kind: CacheEventKind) {
-        self.on_event(&CacheEvent { line, kind });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctbia_sim::addr::LineAddr;
-
-    fn ev(line: LineAddr, kind: CacheEventKind) -> CacheEvent {
-        CacheEvent { line, kind }
-    }
 
     #[test]
     fn table1_geometry() {
@@ -565,11 +478,11 @@ mod tests {
         let mut bia = Bia::new(BiaConfig::default()).unwrap();
         let p = PageIdx::new(3);
         bia.access(p);
-        bia.on_event(&ev(p.line(5), CacheEventKind::Fill { dirty: false }));
-        bia.on_event(&ev(
+        bia.cache_event(p.line(5), CacheEventKind::Fill { dirty: false });
+        bia.cache_event(
             PageIdx::new(99).line(5),
             CacheEventKind::Fill { dirty: false },
-        ));
+        );
         assert_eq!(bia.peek(p).unwrap().existence, 1 << 5);
         assert_eq!(bia.peek(PageIdx::new(99)), None);
         assert_eq!(bia.stats().events_applied, 1);
@@ -581,11 +494,11 @@ mod tests {
         let mut bia = Bia::new(BiaConfig::default()).unwrap();
         let p = PageIdx::new(1);
         bia.access(p);
-        bia.on_event(&ev(p.line(2), CacheEventKind::Hit { dirty: true }));
+        bia.cache_event(p.line(2), CacheEventKind::Hit { dirty: true });
         let v = bia.peek(p).unwrap();
         assert_eq!(v.existence, 1 << 2);
         assert_eq!(v.dirtiness, 1 << 2);
-        bia.on_event(&ev(p.line(2), CacheEventKind::Hit { dirty: false }));
+        bia.cache_event(p.line(2), CacheEventKind::Hit { dirty: false });
         let v = bia.peek(p).unwrap();
         assert_eq!(v.dirtiness, 0, "clean hit clears stale dirtiness");
         assert_eq!(v.existence, 1 << 2);
@@ -596,8 +509,8 @@ mod tests {
         let mut bia = Bia::new(BiaConfig::default()).unwrap();
         let p = PageIdx::new(2);
         bia.access(p);
-        bia.on_event(&ev(p.line(9), CacheEventKind::Fill { dirty: true }));
-        bia.on_event(&ev(p.line(9), CacheEventKind::Evict));
+        bia.cache_event(p.line(9), CacheEventKind::Fill { dirty: true });
+        bia.cache_event(p.line(9), CacheEventKind::Evict);
         assert_eq!(
             bia.peek(p).unwrap(),
             BiaView {
@@ -612,11 +525,11 @@ mod tests {
         let mut bia = Bia::new(BiaConfig::default()).unwrap();
         let p = PageIdx::new(4);
         bia.access(p);
-        bia.on_event(&ev(p.line(1), CacheEventKind::DirtyChange { dirty: true }));
+        bia.cache_event(p.line(1), CacheEventKind::DirtyChange { dirty: true });
         let v = bia.peek(p).unwrap();
         assert_eq!(v.existence, 0b10);
         assert_eq!(v.dirtiness, 0b10);
-        bia.on_event(&ev(p.line(1), CacheEventKind::DirtyChange { dirty: false }));
+        bia.cache_event(p.line(1), CacheEventKind::DirtyChange { dirty: false });
         let v = bia.peek(p).unwrap();
         assert_eq!(v.existence, 0b10);
         assert_eq!(v.dirtiness, 0);
@@ -633,7 +546,7 @@ mod tests {
         let mut bia = Bia::new(cfg).unwrap();
         let p0 = PageIdx::new(0);
         bia.access(p0);
-        bia.on_event(&ev(p0.line(0), CacheEventKind::Fill { dirty: false }));
+        bia.cache_event(p0.line(0), CacheEventKind::Fill { dirty: false });
         assert_eq!(bia.peek(p0).unwrap().existence, 1);
         bia.access(PageIdx::new(2));
         bia.access(PageIdx::new(4)); // evicts p0 (LRU) from set 0
@@ -719,48 +632,26 @@ mod tests {
 
     #[test]
     fn finer_granularity_tracks_smaller_groups() {
-        use ctbia_sim::addr::{LineAddr, PhysAddr};
+        use ctbia_sim::addr::PhysAddr;
         // M = 9: one entry covers 512 B = 8 lines.
         let mut bia = Bia::new(BiaConfig::with_granularity(9)).unwrap();
         assert_eq!(bia.granularity_log2(), 9);
         let addr = PhysAddr::new(0x1200); // group 0x1200 >> 9 = 9
         bia.access_for(addr);
         // Line 0x1240/64 = 0x49 -> group 0x49 >> 3 = 9, bit 1.
-        bia.on_event(&ev(
-            LineAddr::new(0x49),
-            CacheEventKind::Fill { dirty: false },
-        ));
+        bia.cache_event(LineAddr::new(0x49), CacheEventKind::Fill { dirty: false });
         let v = bia.peek_for(addr).unwrap();
         assert_eq!(v.existence, 0b10);
         // A line one group over is ignored (group 10 not tracked).
-        bia.on_event(&ev(
-            LineAddr::new(0x50),
-            CacheEventKind::Fill { dirty: false },
-        ));
+        bia.cache_event(LineAddr::new(0x50), CacheEventKind::Fill { dirty: false });
         assert_eq!(bia.peek_for(PhysAddr::new(0x1400)), None);
-        assert_eq!(bia.tracked_groups(), vec![9]);
+        assert_eq!(bia.stats().events_ignored, 1);
     }
 
     #[test]
     fn stats_display() {
         let bia = Bia::new(BiaConfig::default()).unwrap();
         assert!(bia.stats().to_string().contains("accesses"));
-    }
-
-    #[test]
-    fn snapshot_and_group_helpers() {
-        let mut bia = Bia::new(BiaConfig::default()).unwrap();
-        let p = PageIdx::new(5);
-        bia.access(p);
-        bia.on_event(&ev(p.line(3), CacheEventKind::Fill { dirty: true }));
-        let snap = bia.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].group, 5);
-        assert_eq!(snap[0].existence, 1 << 3);
-        assert_eq!(snap[0].dirtiness, 1 << 3);
-        assert_eq!(bia.group_of(p.base()), 5);
-        assert_eq!(bia.locate(p.line(3)), (5, 3));
-        assert_eq!(bia.valid_entries(), 1);
     }
 
     #[test]

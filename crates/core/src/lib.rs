@@ -59,7 +59,7 @@ mod proptests;
 #[cfg(test)]
 mod testutil;
 
-pub use bia::{Bia, BiaConfig, BiaConfigError, BiaEntrySnapshot, BiaStats, BiaView};
+pub use bia::{Bia, BiaConfig, BiaConfigError, BiaStats, BiaView};
 pub use ctflow::CtCond;
 pub use ctmem::{CtLoad, CtMemory, CtMemoryExt, CtStore, LinearizeInfo, Width};
 pub use ds::{Bitmask, DataflowSet, DsGroup, DsPage};

@@ -136,8 +136,6 @@ impl TestMachine {
     ) -> u64 {
         self.insts += 1;
         self.trace.push((op, addr.line().raw()));
-        // Inline monitoring: the BIA consumes the monitored level's events
-        // at the emit site; no event buffer is involved.
         self.hier.access_with(addr.line(), flags, &mut self.bia);
         match value {
             Some(v) => {

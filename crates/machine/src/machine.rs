@@ -3,8 +3,8 @@
 //!
 //! The machine is the `ctbia` equivalent of the paper's modified gem5
 //! system (§7.1): it executes memory operations against the cache
-//! hierarchy, keeps the BIA synchronized with the monitored level's event
-//! stream, and accounts instructions and cycles per the
+//! hierarchy, hands the BIA every monitored-level event as it happens, and
+//! accounts instructions and cycles per the
 //! [`crate::cost::CostModel`].
 
 use crate::cost::CostModel;
@@ -18,7 +18,7 @@ use ctbia_sim::addr::{LineAddr, PhysAddr};
 use ctbia_sim::cache::{AccessKind, Slot};
 use ctbia_sim::config::{CacheConfig, ConfigError, HierarchyConfig};
 use ctbia_sim::hierarchy::{
-    AccessFlags, AccessResult, CacheEvent, Hierarchy, Level, MonitorLevel, NullMonitor,
+    AccessFlags, AccessResult, Hierarchy, Level, MonitorLevel, NullMonitor,
 };
 use ctbia_trace::{EventKind, LinearizeStats, MemOp, Phase, PhaseCycles, TraceRecord, TraceSink};
 use std::collections::HashMap;
@@ -532,9 +532,6 @@ pub struct Machine {
     interference: Option<Interference>,
     interference_clock: u64,
     interference_next: usize,
-    /// Spare event buffer, swapped with the hierarchy's on every drain so
-    /// the steady-state event path performs no allocation.
-    event_buf: Vec<CacheEvent>,
     /// Bounded-speculation window (0 = speculation off; see
     /// [`MachineConfig::spec_window`]).
     spec_window: u32,
@@ -626,7 +623,6 @@ impl Machine {
             interference: None,
             interference_clock: 0,
             interference_next: 0,
-            event_buf: Vec::new(),
             spec_window: config.spec_window,
             spec_seed: config.spec_seed,
             spec_predictor: HashMap::new(),
@@ -681,7 +677,6 @@ impl Machine {
         self.interference = None;
         self.interference_clock = 0;
         self.interference_next = 0;
-        self.event_buf.clear();
         // `spec_window`/`spec_seed` are configuration and survive the
         // reset; the predictor state and window bookkeeping do not.
         self.spec_predictor.clear();
@@ -702,8 +697,8 @@ impl Machine {
         self.bia.as_ref()
     }
 
-    /// The cache hierarchy (immutable; mutate only through machine
-    /// operations so the BIA stays synchronized).
+    /// The cache hierarchy, read-only: every mutation goes through a
+    /// machine operation, which hands the BIA each monitored-level event.
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.hier
     }
@@ -925,11 +920,11 @@ impl Machine {
         (r, self.counters() - before)
     }
 
-    /// Evicts `addr`'s line from every cache level (a `clflush`), keeping
-    /// the BIA synchronized. Used by tests and the attacker model.
+    /// Evicts `addr`'s line from every cache level (a `clflush`); the BIA
+    /// sees the monitored level's eviction like any other event. Used by
+    /// tests and the attacker model.
     pub fn flush_line(&mut self, addr: PhysAddr) {
-        self.hier.invalidate_everywhere(addr.line());
-        self.sync_bia();
+        self.invalidate_line(addr.line());
     }
 
     /// A demand load that also returns its latency in cycles — the
@@ -964,34 +959,34 @@ impl Machine {
         let op = intf.actions[self.interference_next % intf.actions.len()];
         self.interference_next += 1;
         match op {
-            CoRunnerOp::Flush(addr) => {
-                self.hier.invalidate_everywhere(addr.line());
-            }
+            CoRunnerOp::Flush(addr) => self.invalidate_line(addr.line()),
             CoRunnerOp::Touch(addr) => {
-                self.hier.access(addr.line(), AccessFlags::read());
+                self.hier_access(addr.line(), AccessFlags::read());
             }
             CoRunnerOp::Prefetch(addr) => {
                 if !self.hier.cache(Level::L1d).is_resident(addr.line()) {
                     // A clean fill, as a prefetcher would perform.
-                    self.hier.access(addr.line(), AccessFlags::read());
+                    self.hier_access(addr.line(), AccessFlags::read());
                 }
             }
         }
-        self.sync_bia();
     }
 
-    /// Applies the monitored level's buffered events to the BIA. Only the
-    /// hierarchy's buffered entry points — a flush and the co-runner's
-    /// actions — leave events behind; the demand path hands the BIA to
-    /// the hierarchy as its monitor instead. The drain swaps the
-    /// hierarchy's event buffer with the machine's spare, so steady-state
-    /// simulation allocates nothing here.
-    fn sync_bia(&mut self) {
-        if self.hier.has_events() {
-            self.hier.drain_events_into(&mut self.event_buf);
-            if let Some(bia) = &mut self.bia {
-                bia.apply_events(self.event_buf.iter().copied());
-            }
+    /// A hierarchy access with the BIA, if any, as the monitor. No BIA
+    /// means no monitored level, so no events at all.
+    #[inline]
+    fn hier_access(&mut self, line: LineAddr, flags: AccessFlags) -> AccessResult {
+        match &mut self.bia {
+            Some(bia) => self.hier.access_with(line, flags, bia),
+            None => self.hier.access_with(line, flags, &mut NullMonitor),
+        }
+    }
+
+    /// Removes `line` from every level with the BIA, if any, as the monitor.
+    fn invalidate_line(&mut self, line: LineAddr) {
+        match &mut self.bia {
+            Some(bia) => self.hier.invalidate_everywhere_with(line, bia),
+            None => self.hier.invalidate_everywhere_with(line, &mut NullMonitor),
         }
     }
 
@@ -1059,10 +1054,7 @@ impl Machine {
         } else {
             None
         };
-        let result = match &mut self.bia {
-            Some(bia) => self.hier.access_with(addr.line(), flags, bia),
-            None => self.hier.access_with(addr.line(), flags, &mut NullMonitor),
-        };
+        let result = self.hier_access(addr.line(), flags);
         let nearest = if flags.dram_direct {
             false
         } else if flags.bypass_l2 {
@@ -1142,12 +1134,10 @@ impl Machine {
         } else {
             None
         };
-        // The BIA is the hierarchy's monitor and consumes events at the
-        // emit site — no buffer, no drain. Machines without one take an
-        // L1d-hit fast path: the hit performs the cache's exact demand
-        // bookkeeping and nothing else in the walk — deeper probes, fills,
-        // prefetch, events — can run, so the full `access_with` is only
-        // needed when the hit-only attempt misses.
+        // Machines without a BIA take an L1d-hit fast path: the hit performs
+        // the cache's exact demand bookkeeping and nothing else in the walk —
+        // deeper probes, fills, prefetch, events — can run, so the full
+        // `access_with` is only needed when the hit-only attempt misses.
         let plain = !flags.dram_direct && !flags.bypass_l1 && !flags.bypass_l2;
         let result = if plain
             && self.bia.is_none()
@@ -1162,11 +1152,7 @@ impl Machine {
                 dram_latency: 0,
             }
         } else {
-            match &mut self.bia {
-                Some(bia) => self.hier.access_with(addr.line(), flags, bia),
-                // No BIA means no monitored level, so no events at all.
-                None => self.hier.access_with(addr.line(), flags, &mut NullMonitor),
-            }
+            self.hier_access(addr.line(), flags)
         };
         let nearest = if flags.dram_direct {
             false

@@ -1,4 +1,6 @@
-//! The full memory hierarchy: L1i, L1d, unified L2, unified LLC, DRAM.
+//! The data-side memory hierarchy: L1d, unified L2, unified LLC, DRAM.
+//! Instruction fetches are not simulated; the machine counts L1i
+//! references analytically.
 //!
 //! The hierarchy is **mostly-inclusive, write-back, write-allocate**: a
 //! demand miss fills the line into every probed level, dirty victims are
@@ -12,24 +14,12 @@
 //! realizes that monitoring through the [`CacheMonitor`] trait: when a
 //! monitor level is selected via [`Hierarchy::set_monitor`], every hit,
 //! fill, eviction, invalidation, and dirty-bit change *at that level* is
-//! delivered to the monitor at the point the state change happens. Two
-//! consumers exist (DESIGN.md §14):
-//!
-//! * **Inline** — the machine passes the BIA itself into
-//!   [`Hierarchy::access_with`], so the monitored level updates the BIA's
-//!   existence/dirtiness words at the emit site, with no intermediate
-//!   buffer. This is the steady-state path.
-//! * **Buffered** — the plain [`Hierarchy::access`] records events into an
-//!   internal `Vec<CacheEvent>` (`Vec<CacheEvent>` implements
-//!   `CacheMonitor` by pushing) that the machine drains afterwards via
-//!   [`Hierarchy::drain_events_into`]. The machine's co-runner and
-//!   `clflush` take this path: they act between the program's accesses,
-//!   outside the demand walk that carries the BIA.
-//!
-//! Both paths deliver the identical event sequence, so the BIA ends in the
-//! same state either way. No events are recorded when no monitor is set,
-//! and the buffered path allocates nothing in steady state once its buffer
-//! has grown to the high-water batch size.
+//! handed to the monitor passed into [`Hierarchy::access_with`] or
+//! [`Hierarchy::invalidate_everywhere_with`], at the point the state
+//! change happens and in that order (DESIGN.md §14). The hierarchy keeps
+//! no event buffer: a caller that passes [`NullMonitor`] discards the
+//! events, which is why the plain [`Hierarchy::access`] refuses (in debug
+//! builds) a monitored hierarchy.
 //!
 //! # CT operations
 //!
@@ -42,13 +32,11 @@ use crate::addr::LineAddr;
 use crate::cache::{AccessKind, AccessOutcome, Cache, ProbeOutcome, Slot};
 use crate::config::{ConfigError, HierarchyConfig, InclusionPolicy};
 use crate::dram::Dram;
-use crate::stats::HierarchyStats;
+use crate::stats::{CacheStats, HierarchyStats};
 
 /// Identifies a cache level (or DRAM) in results and statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Level {
-    /// L1 instruction cache.
-    L1i,
     /// L1 data cache.
     L1d,
     /// Unified second-level cache.
@@ -62,7 +50,6 @@ pub enum Level {
 impl std::fmt::Display for Level {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Level::L1i => f.write_str("L1i"),
             Level::L1d => f.write_str("L1d"),
             Level::L2 => f.write_str("L2"),
             Level::Llc => f.write_str("LLC"),
@@ -117,39 +104,19 @@ pub enum CacheEventKind {
     },
 }
 
-/// One observable state change at the monitored cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheEvent {
-    /// The affected line.
-    pub line: LineAddr,
-    /// What happened.
-    pub kind: CacheEventKind,
-}
-
 /// A consumer of monitored-level state changes.
 ///
 /// The hierarchy calls [`CacheMonitor::cache_event`] at every emit site
 /// *for the monitored level only*, in the exact order the state changes
-/// happen. Implemented by `Vec<CacheEvent>` (buffer for later draining —
-/// the co-runner path) and by the BIA itself in `ctbia-core`
-/// (inline application — the steady-state path).
+/// happen. The BIA in `ctbia-core` implements it and updates its bitmaps
+/// right there; nothing is buffered in between.
 pub trait CacheMonitor {
     /// Observes one state change at the monitored level.
     fn cache_event(&mut self, line: LineAddr, kind: CacheEventKind);
 }
 
-impl CacheMonitor for Vec<CacheEvent> {
-    #[inline]
-    fn cache_event(&mut self, line: LineAddr, kind: CacheEventKind) {
-        self.push(CacheEvent { line, kind });
-    }
-}
-
-/// A monitor that discards every event. The fast path for machines with no
-/// monitored level: behaviourally identical to buffering into an event
-/// vector that nothing ever drains (with no monitor set, nothing is
-/// emitted in the first place), but lets [`Hierarchy::access_with`] skip
-/// the event-buffer borrow juggling entirely.
+/// A monitor that discards every event: the monitor of a hierarchy with
+/// no monitored level, where nothing is emitted in the first place.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullMonitor;
 
@@ -247,7 +214,6 @@ pub struct AccessResult {
 /// The composed memory hierarchy.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
-    l1i: Cache,
     l1d: Cache,
     l2: Cache,
     llc: Cache,
@@ -255,7 +221,6 @@ pub struct Hierarchy {
     prefetch_next_line: bool,
     prefetch_fills: u64,
     monitor: Option<MonitorLevel>,
-    events: Vec<CacheEvent>,
     llc_slices: u32,
     llc_ls_hash_bit: u32,
     slice_counts: Vec<u64>,
@@ -287,7 +252,6 @@ impl Hierarchy {
     pub fn new(cfg: HierarchyConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         Ok(Hierarchy {
-            l1i: Cache::new(cfg.l1i.clone())?,
             l1d: Cache::new(cfg.l1d.clone())?,
             l2: Cache::new(cfg.l2.clone())?,
             llc: Cache::new(cfg.llc.clone())?,
@@ -295,7 +259,6 @@ impl Hierarchy {
             prefetch_next_line: cfg.l1d_next_line_prefetcher,
             prefetch_fills: 0,
             monitor: None,
-            events: Vec::new(),
             llc_slices: cfg.llc_slices,
             llc_ls_hash_bit: cfg.llc_ls_hash_bit,
             slice_counts: vec![0; cfg.llc_slices as usize],
@@ -303,31 +266,15 @@ impl Hierarchy {
         })
     }
 
-    /// Selects (or clears) the level whose state changes are recorded as
-    /// [`CacheEvent`]s for BIA consumption.
+    /// Selects (or clears) the level whose state changes are delivered to
+    /// the monitor passed into each access.
     pub fn set_monitor(&mut self, monitor: Option<MonitorLevel>) {
         self.monitor = monitor;
-        self.events.clear();
     }
 
     /// The currently monitored level.
     pub fn monitor(&self) -> Option<MonitorLevel> {
         self.monitor
-    }
-
-    /// Drains all pending events into `out` (cleared first) by swapping the
-    /// two buffers. Passing the same `out` on every drain makes the event
-    /// path allocation-free once both buffers have grown to the high-water
-    /// batch size: the emptied `out` becomes the hierarchy's next event
-    /// buffer, and its capacity is reused.
-    pub fn drain_events_into(&mut self, out: &mut Vec<CacheEvent>) {
-        out.clear();
-        std::mem::swap(&mut self.events, out);
-    }
-
-    /// True if events are pending.
-    pub fn has_events(&self) -> bool {
-        !self.events.is_empty()
     }
 
     #[inline]
@@ -353,7 +300,6 @@ impl Hierarchy {
 
     fn cache_mut(&mut self, level: Level) -> &mut Cache {
         match level {
-            Level::L1i => &mut self.l1i,
             Level::L1d => &mut self.l1d,
             Level::L2 => &mut self.l2,
             Level::Llc => &mut self.llc,
@@ -364,7 +310,6 @@ impl Hierarchy {
     /// Borrows a cache level immutably (for inspection and tests).
     pub fn cache(&self, level: Level) -> &Cache {
         match level {
-            Level::L1i => &self.l1i,
             Level::L1d => &self.l1d,
             Level::L2 => &self.l2,
             Level::Llc => &self.llc,
@@ -448,7 +393,7 @@ impl Hierarchy {
     /// line is not lost from the hierarchy (victim-cache behaviour).
     fn spill_clean<M: CacheMonitor>(&mut self, mon: &mut M, from: Level, line: LineAddr) {
         let below = match from {
-            Level::L1i | Level::L1d => Level::L2,
+            Level::L1d => Level::L2,
             Level::L2 => Level::Llc,
             Level::Llc | Level::Dram => return, // dropped; still in DRAM
         };
@@ -462,8 +407,8 @@ impl Hierarchy {
     /// victim has already left the lower levels).
     fn back_invalidate<M: CacheMonitor>(&mut self, mon: &mut M, from: Level, line: LineAddr) {
         let uppers: &[Level] = match from {
-            Level::L2 => &[Level::L1d, Level::L1i],
-            Level::Llc => &[Level::L1d, Level::L1i, Level::L2],
+            Level::L2 => &[Level::L1d],
+            Level::Llc => &[Level::L1d, Level::L2],
             _ => return,
         };
         for &u in uppers {
@@ -479,7 +424,7 @@ impl Hierarchy {
     /// Writes a dirty victim evicted from `from` into the next level down.
     fn writeback<M: CacheMonitor>(&mut self, mon: &mut M, from: Level, line: LineAddr) {
         let below = match from {
-            Level::L1i | Level::L1d => Level::L2,
+            Level::L1d => Level::L2,
             Level::L2 => Level::Llc,
             Level::Llc => {
                 self.dram.write(line);
@@ -549,20 +494,24 @@ impl Hierarchy {
         self.l1d.replay_hits(slots, kind);
     }
 
-    /// A demand data access, buffering monitored events for a later
-    /// [`Hierarchy::drain_events_into`]. See [`AccessFlags`] for routing
-    /// options and [`Hierarchy::access_with`] for the inline-monitor form.
+    /// A demand data access on an unmonitored hierarchy: see
+    /// [`AccessFlags`] for routing options and [`Hierarchy::access_with`]
+    /// for the monitored form.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that no level is monitored, since the events a
+    /// monitored level emits would be dropped here.
     pub fn access(&mut self, line: LineAddr, flags: AccessFlags) -> AccessResult {
-        let mut events = std::mem::take(&mut self.events);
-        let result = self.access_with(line, flags, &mut events);
-        self.events = events;
-        result
+        debug_assert!(
+            self.monitor.is_none(),
+            "plain access would drop the monitored level's events; use access_with"
+        );
+        self.access_with(line, flags, &mut NullMonitor)
     }
 
     /// A demand data access delivering monitored events directly to `mon`
-    /// at each emit site — the inline-monitor path, which skips the event
-    /// buffer entirely. The event sequence `mon` sees is identical to what
-    /// [`Hierarchy::access`] would have buffered.
+    /// at each emit site.
     pub fn access_with<M: CacheMonitor>(
         &mut self,
         line: LineAddr,
@@ -673,60 +622,6 @@ impl Hierarchy {
         }
     }
 
-    /// An instruction fetch: walks L1i → L2 → LLC → DRAM with demand-read
-    /// semantics, filling every missed level. Buffers monitored events;
-    /// see [`Hierarchy::fetch_inst_with`] for the inline-monitor form.
-    pub fn fetch_inst(&mut self, line: LineAddr) -> AccessResult {
-        let mut events = std::mem::take(&mut self.events);
-        let result = self.fetch_inst_with(line, &mut events);
-        self.events = events;
-        result
-    }
-
-    /// An instruction fetch delivering monitored events directly to `mon`
-    /// (an L1i miss fills L2/LLC, which an L2- or LLC-resident BIA
-    /// observes).
-    pub fn fetch_inst_with<M: CacheMonitor>(
-        &mut self,
-        line: LineAddr,
-        mon: &mut M,
-    ) -> AccessResult {
-        let path = [Level::L1i, Level::L2, Level::Llc];
-        let mut latency = 0;
-        let mut hit_at = None;
-        for (i, &level) in path.iter().enumerate() {
-            latency += self.cache(level).hit_latency();
-            if level == Level::Llc {
-                self.count_slice(line);
-            }
-            match self.cache_mut(level).access(line, AccessKind::Read, true) {
-                AccessOutcome::Hit { dirty, .. } => {
-                    self.emit(mon, level, line, CacheEventKind::Hit { dirty });
-                    hit_at = Some((i, level));
-                    break;
-                }
-                AccessOutcome::Miss => {}
-            }
-        }
-        let mut dram_latency = 0;
-        let (filled_up_to, hit_level) = match hit_at {
-            Some((i, level)) => (i, level),
-            None => {
-                dram_latency = self.dram.read(line);
-                latency += dram_latency;
-                (path.len(), Level::Dram)
-            }
-        };
-        for &level in path.iter().take(filled_up_to).rev() {
-            self.fill_at(mon, level, line, false);
-        }
-        AccessResult {
-            latency,
-            hit_level,
-            dram_latency,
-        }
-    }
-
     /// The cache-lookup half of `CTLoad`/`CTStore`: a state-free probe at
     /// the level the BIA monitors. Returns the probe outcome and the lookup
     /// latency (the monitored level's hit latency; probes do not recurse).
@@ -756,20 +651,11 @@ impl Hierarchy {
     }
 
     /// Removes `line` from every level (a `clflush`-like operation, used by
-    /// tests and the attacker model). Dirty copies are written back to DRAM.
-    /// Buffers monitored events; see
-    /// [`Hierarchy::invalidate_everywhere_with`] for the inline form.
-    pub fn invalidate_everywhere(&mut self, line: LineAddr) {
-        let mut events = std::mem::take(&mut self.events);
-        self.invalidate_everywhere_with(line, &mut events);
-        self.events = events;
-    }
-
-    /// Removes `line` from every level, delivering monitored evictions
-    /// directly to `mon`.
+    /// the machine's `flush_line` and co-runner), delivering monitored
+    /// evictions directly to `mon`. Dirty copies are written back to DRAM.
     pub fn invalidate_everywhere_with<M: CacheMonitor>(&mut self, line: LineAddr, mon: &mut M) {
         let mut was_dirty = false;
-        for level in [Level::L1i, Level::L1d, Level::L2, Level::Llc] {
+        for level in [Level::L1d, Level::L2, Level::Llc] {
             if let Some(dirty) = self.cache_mut(level).invalidate(line) {
                 self.emit(mon, level, line, CacheEventKind::Evict);
                 was_dirty |= dirty;
@@ -780,10 +666,11 @@ impl Hierarchy {
         }
     }
 
-    /// Snapshot of every counter in the hierarchy.
+    /// Snapshot of every counter in the hierarchy. No instruction cache is
+    /// simulated, so `l1i` is always zero.
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {
-            l1i: *self.l1i.stats(),
+            l1i: CacheStats::default(),
             l1d: *self.l1d.stats(),
             l2: *self.l2.stats(),
             llc: *self.llc.stats(),
@@ -794,7 +681,6 @@ impl Hierarchy {
 
     /// Zeroes all statistics (contents are kept).
     pub fn reset_stats(&mut self) {
-        self.l1i.reset_stats();
         self.l1d.reset_stats();
         self.l2.reset_stats();
         self.llc.reset_stats();
@@ -805,18 +691,16 @@ impl Hierarchy {
         }
     }
 
-    /// Restores the exactly-as-built state — contents, stats, and pending
-    /// events all cleared — while keeping every allocation and the attached
-    /// monitor configuration. A reset hierarchy is indistinguishable from a
-    /// freshly constructed one to everything that can observe it.
+    /// Restores the exactly-as-built state — contents and stats cleared —
+    /// while keeping every allocation and the monitored level. A reset
+    /// hierarchy is indistinguishable from a freshly constructed one to
+    /// everything that can observe it.
     pub fn reset(&mut self) {
-        self.l1i.reset();
         self.l1d.reset();
         self.l2.reset();
         self.llc.reset();
         self.dram.reset();
         self.prefetch_fills = 0;
-        self.events.clear();
         self.slice_counts.fill(0);
     }
 }
@@ -825,16 +709,24 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use crate::config::HierarchyConfig;
-    use crate::stats::CacheStats;
 
     fn h() -> Hierarchy {
         Hierarchy::new(HierarchyConfig::tiny()).unwrap()
     }
 
-    fn drain(h: &mut Hierarchy) -> Vec<CacheEvent> {
-        let mut out = Vec::new();
-        h.drain_events_into(&mut out);
-        out
+    /// Records the monitored level's events in emission order.
+    type Events = Vec<(LineAddr, CacheEventKind)>;
+
+    impl CacheMonitor for Events {
+        fn cache_event(&mut self, line: LineAddr, kind: CacheEventKind) {
+            self.push((line, kind));
+        }
+    }
+
+    fn access_recorded(h: &mut Hierarchy, line: LineAddr, flags: AccessFlags) -> Events {
+        let mut evs = Events::new();
+        h.access_with(line, flags, &mut evs);
+        evs
     }
 
     #[test]
@@ -876,11 +768,6 @@ mod tests {
         // DRAM-direct: the whole access is DRAM time.
         let direct = h.access(LineAddr::new(999), AccessFlags::read().dram_direct());
         assert_eq!(direct.dram_latency, direct.latency);
-        // Instruction fetch obeys the same split.
-        let inst = h.fetch_inst(LineAddr::new(500));
-        assert_eq!(inst.hit_level, Level::Dram);
-        assert!(inst.dram_latency > 0 && inst.dram_latency < inst.latency);
-        assert_eq!(h.fetch_inst(LineAddr::new(500)).dram_latency, 0);
     }
 
     #[test]
@@ -968,54 +855,14 @@ mod tests {
         let mut h = h();
         h.set_monitor(Some(MonitorLevel::L1d));
         let l = LineAddr::new(6);
-        h.access(l, AccessFlags::read());
-        let evs = drain(&mut h);
-        assert_eq!(
-            evs,
-            vec![CacheEvent {
-                line: l,
-                kind: CacheEventKind::Fill { dirty: false }
-            }]
-        );
-        h.access(l, AccessFlags::write());
-        let evs = drain(&mut h);
-        assert!(evs.contains(&CacheEvent {
-            line: l,
-            kind: CacheEventKind::Hit { dirty: true }
-        }));
-        assert!(evs.contains(&CacheEvent {
-            line: l,
-            kind: CacheEventKind::DirtyChange { dirty: true }
-        }));
+        let evs = access_recorded(&mut h, l, AccessFlags::read());
+        assert_eq!(evs, vec![(l, CacheEventKind::Fill { dirty: false })]);
+        let evs = access_recorded(&mut h, l, AccessFlags::write());
+        assert!(evs.contains(&(l, CacheEventKind::Hit { dirty: true })));
+        assert!(evs.contains(&(l, CacheEventKind::DirtyChange { dirty: true })));
         h.set_monitor(None);
-        h.access(LineAddr::new(7), AccessFlags::read());
-        assert!(!h.has_events());
-    }
-
-    #[test]
-    fn drain_into_swaps_buffers_and_reuses_capacity() {
-        let mut h = h();
-        h.set_monitor(Some(MonitorLevel::L1d));
-        let mut buf = Vec::new();
-        h.access(LineAddr::new(6), AccessFlags::read());
-        h.drain_events_into(&mut buf);
-        assert_eq!(
-            buf,
-            vec![CacheEvent {
-                line: LineAddr::new(6),
-                kind: CacheEventKind::Fill { dirty: false }
-            }]
-        );
-        assert!(!h.has_events());
-        // The second drain must clear stale contents and deliver only the
-        // new batch, via the swapped-back buffer.
-        h.access(LineAddr::new(7), AccessFlags::read());
-        h.drain_events_into(&mut buf);
-        assert_eq!(buf.len(), 1);
-        assert_eq!(buf[0].line, LineAddr::new(7));
-        // Draining with nothing pending yields an empty buffer.
-        h.drain_events_into(&mut buf);
-        assert!(buf.is_empty());
+        let evs = access_recorded(&mut h, LineAddr::new(7), AccessFlags::read());
+        assert!(evs.is_empty());
     }
 
     #[test]
@@ -1024,16 +871,11 @@ mod tests {
         h.set_monitor(Some(MonitorLevel::L1d));
         let sets = h.cache(Level::L1d).num_sets() as u64;
         let a = LineAddr::new(0);
-        h.access(a, AccessFlags::read());
-        h.access(LineAddr::new(sets), AccessFlags::read());
-        drain(&mut h);
-        h.access(LineAddr::new(2 * sets), AccessFlags::read());
-        let evs = drain(&mut h);
+        access_recorded(&mut h, a, AccessFlags::read());
+        access_recorded(&mut h, LineAddr::new(sets), AccessFlags::read());
+        let evs = access_recorded(&mut h, LineAddr::new(2 * sets), AccessFlags::read());
         assert!(
-            evs.contains(&CacheEvent {
-                line: a,
-                kind: CacheEventKind::Evict
-            }),
+            evs.contains(&(a, CacheEventKind::Evict)),
             "expected eviction of {a} in {evs:?}"
         );
     }
@@ -1043,7 +885,7 @@ mod tests {
         let mut h = h();
         let l = LineAddr::new(21);
         h.access(l, AccessFlags::write());
-        h.invalidate_everywhere(l);
+        h.invalidate_everywhere_with(l, &mut NullMonitor);
         for level in [Level::L1d, Level::L2, Level::Llc] {
             assert!(!h.cache(level).is_resident(l));
         }
@@ -1143,12 +985,8 @@ mod tests {
         let mut h = h();
         h.set_monitor(Some(MonitorLevel::Llc));
         let l = LineAddr::new(9);
-        h.access(l, AccessFlags::read().bypassing_l2());
-        let evs = drain(&mut h);
-        assert!(evs.contains(&CacheEvent {
-            line: l,
-            kind: CacheEventKind::Fill { dirty: false }
-        }));
+        let evs = access_recorded(&mut h, l, AccessFlags::read().bypassing_l2());
+        assert!(evs.contains(&(l, CacheEventKind::Fill { dirty: false })));
         let (p, lat) = h.ct_probe(l, MonitorLevel::Llc);
         assert!(p.resident);
         assert_eq!(lat, 41);
@@ -1178,17 +1016,5 @@ mod tests {
         // reset_stats clears slice counters too.
         h.reset_stats();
         assert_eq!(h.llc_slice_counts().iter().sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn fetch_inst_uses_l1i() {
-        let mut h = h();
-        let l = LineAddr::new(500);
-        let r = h.fetch_inst(l);
-        assert_eq!(r.hit_level, Level::Dram);
-        let r = h.fetch_inst(l);
-        assert_eq!(r.hit_level, Level::L1i);
-        assert_eq!(h.stats().l1i.accesses(), 2);
-        assert!(!h.cache(Level::L1d).is_resident(l));
     }
 }

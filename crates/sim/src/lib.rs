@@ -1,7 +1,7 @@
 //! # ctbia-sim — cache hierarchy simulator substrate
 //!
 //! A from-scratch, cycle-cost simulator of a classic memory hierarchy
-//! (L1i/L1d, unified L2, unified LLC, DRAM), built as the substrate for the
+//! (L1d, unified L2, unified LLC, DRAM), built as the substrate for the
 //! `ctbia` reproduction of *Hardware Support for Constant-Time Programming*
 //! (MICRO '23). It plays the role gem5's classic memory system plays in the
 //! paper's evaluation (Table 1).
@@ -16,9 +16,9 @@
 //!    [`hierarchy::Hierarchy::ct_write_if_dirty`] implement the cache half
 //!    of the paper's `CTLoad`/`CTStore`: probe without fill, never forward a
 //!    miss, never touch replacement state.
-//! 3. **Observability.** A monitored level emits a
-//!    [`hierarchy::CacheEvent`] stream — exactly the "BIA monitors the cache
-//!    for any update" interface of §4.2.
+//! 3. **Observability.** A monitored level hands every state change to a
+//!    [`hierarchy::CacheMonitor`] as it happens — exactly the "BIA monitors
+//!    the cache for any update" interface of §4.2.
 //! 4. **Determinism.** No wall-clock, no OS threads, seeded randomness; two
 //!    runs with the same inputs produce identical statistics, which the
 //!    security tests rely on.
@@ -60,7 +60,5 @@ pub use abstract_cache::{AbstractCache, LineState, Residency};
 pub use addr::{LineAddr, PageIdx, PhysAddr, LINES_PER_PAGE, LINE_BYTES, PAGE_BYTES};
 pub use cache::{AccessKind, Cache, ProbeOutcome, Slot};
 pub use config::{CacheConfig, ConfigError, DramConfig, HierarchyConfig};
-pub use hierarchy::{
-    AccessFlags, AccessResult, CacheEvent, CacheEventKind, Hierarchy, Level, MonitorLevel,
-};
+pub use hierarchy::{AccessFlags, AccessResult, CacheEventKind, Hierarchy, Level, MonitorLevel};
 pub use stats::{CacheStats, DramStats, HierarchyStats};

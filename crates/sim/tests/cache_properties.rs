@@ -188,7 +188,6 @@ proptest! {
                 Level::L2 => 2 + 15,
                 Level::Llc => 2 + 15 + 41,
                 Level::Dram => 2 + 15 + 41 + 200,
-                Level::L1i => unreachable!("data access cannot hit L1i"),
             };
             prop_assert_eq!(r.latency, expected_latency);
             // After any access the line is in L1d (fill-on-miss).

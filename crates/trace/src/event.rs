@@ -254,7 +254,6 @@ impl TraceRecord {
 /// Stable lowercase tag for a hierarchy level.
 pub fn level_tag(level: Level) -> &'static str {
     match level {
-        Level::L1i => "l1i",
         Level::L1d => "l1d",
         Level::L2 => "l2",
         Level::Llc => "llc",

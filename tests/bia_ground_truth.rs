@@ -2,7 +2,8 @@
 //! stream the BIA stays a conservative subset of the cache it monitors
 //! (§5.2) — every existence bit it holds names a resident line and every
 //! dirtiness bit a dirty one — and BIA-linearized workloads compute the
-//! insecure reference's result at every placement.
+//! insecure reference's result at every placement, with a co-runner
+//! flushing their lines underneath them.
 
 use ctbia::core::bia::BiaConfig;
 use ctbia::core::ctmem::{CtMemory, Width};
@@ -66,6 +67,25 @@ fn ghostrider_workloads() -> Vec<Box<dyn Workload>> {
     ]
 }
 
+/// Lines of a fresh machine's allocation region, where every workload's
+/// arrays start.
+const REGION_LINES: u64 = 48;
+
+/// A co-runner that flushes the workload's own lines, one every other
+/// demand access: the BIA tracks those lines, so a flush it failed to see
+/// would leave an existence bit naming a line that is gone.
+fn region_flusher() -> Interference {
+    let base = Machine::insecure()
+        .alloc(64, 64)
+        .expect("a fresh machine allocates");
+    Interference {
+        period: 2,
+        actions: (0..REGION_LINES)
+            .map(|k| CoRunnerOp::Flush(base.offset(k * 64)))
+            .collect(),
+    }
+}
+
 #[test]
 fn ghostrider_workloads_match_reference_and_keep_the_subset() {
     for wl in &ghostrider_workloads() {
@@ -74,6 +94,7 @@ fn ghostrider_workloads_match_reference_and_keep_the_subset() {
             for strategy in [Linearization::bia(), Linearization::bia_loads()] {
                 let context = format!("{} under {strategy}@{placement}", wl.name());
                 let mut m = Machine::with_bia(placement);
+                m.set_interference(Some(region_flusher()));
                 let run = wl.run(&mut m, strategy);
                 assert_eq!(run.digest, reference.digest, "{context}: wrong result");
                 // Every kernel makes secret-indexed loads or stores, so the

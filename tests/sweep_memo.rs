@@ -250,7 +250,7 @@ fn run(p: &Program, looped: bool) -> Outcome {
     if p.observe {
         traces.push(m.take_observation());
     }
-    let levels = [Level::L1i, Level::L1d, Level::L2, Level::Llc];
+    let levels = [Level::L1d, Level::L2, Level::Llc];
     let h = m.hierarchy();
     let l1d = h.cache(Level::L1d);
     let mut resident = l1d.resident_lines();
