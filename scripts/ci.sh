@@ -37,9 +37,9 @@
 #                                a second run of the grid analyzes 0
 #                                cells, every one from results/cache
 #  11. verdict byte gate       -- from a fresh directory (empty memo
-#                                cache) the verify and analyze quick
-#                                grids write exactly the committed
-#                                reference entries under
+#                                cache) the verify and analyze grids,
+#                                quick and full, write exactly the
+#                                committed reference entries under
 #                                results/verdicts/, byte for byte, with
 #                                none missing on either side
 #  12. serve suites + smoke    -- the e2e/protocol/stress/chaos/tenants/
@@ -181,14 +181,16 @@ echo "==> analyzer refuses to certify the leaky control"
 # Verdict byte gate. The verify and analyze steps above run in the repo
 # root, where results/cache may already hold every quick-grid verdict (a
 # cell digest covers the spec, not the verifier), so a verifier or
-# analyzer change would go unseen there. Both quick grids run again from
-# a fresh directory, and every entry they write must equal the committed
-# reference results/verdicts/<key>; a reference no cold run writes fails
-# too.
+# analyzer change would go unseen there. Both grids, quick and full, run
+# again from a fresh directory, and every entry they write must equal the
+# committed reference results/verdicts/<key>; a reference no cold run
+# writes fails too.
 VERDICT_DIR=$(mktemp -d)
-echo "==> verify --quick and analyze --quick (cold) must write results/verdicts/*"
+echo "==> verify and analyze, quick and full (cold), must write results/verdicts/*"
 (cd "$VERDICT_DIR" && "$BIN_DIR/ctbia" verify --quick >/dev/null &&
-    timeout 60 "$BIN_DIR/ctbia" analyze --quick >/dev/null)
+    timeout 60 "$BIN_DIR/ctbia" analyze --quick >/dev/null &&
+    timeout 300 "$BIN_DIR/ctbia" verify >/dev/null &&
+    timeout 300 "$BIN_DIR/ctbia" analyze >/dev/null)
 for ENTRY in "$VERDICT_DIR"/results/cache/*; do
     KEY=$(basename "$ENTRY")
     if [ ! -f "results/verdicts/$KEY" ]; then
