@@ -3,9 +3,9 @@
 //! Certifies a workload/strategy/placement cell **without executing any
 //! concrete secret**, in three passes over an access-program IR:
 //!
-//! 1. **Extraction** ([`recmem`], [`ir`]) — the workload's
-//!    [`TaintSink`](ctbia_verify::TaintSink) mirror runs exactly once
-//!    against a recording backend. Public values compute concretely;
+//! 1. **Extraction** ([`recmem`], [`ir`]) — the workload's kernel body,
+//!    the code the measured run executes, runs exactly once on the
+//!    [`TaintSink`](ctbia_core::sink::TaintSink) recording backend. Public values compute concretely;
 //!    every secret is replaced by a *poisoned* symbolic payload that
 //!    panics the moment it would be observed concretely, so the
 //!    extracted [`AccessProgram`](ir::AccessProgram) provably depends
@@ -47,7 +47,6 @@
 
 pub mod absint;
 pub mod cell;
-pub mod crypto;
 pub mod engine;
 pub mod ir;
 pub mod lint;
@@ -55,7 +54,6 @@ pub mod recmem;
 
 pub use absint::{interpret, AbsResult};
 pub use cell::{execute_analyze_cell, AnalyzeCell, AnalyzeReport, ANALYZE_SCHEMA_VERSION};
-pub use crypto::crypto_mirror;
 pub use engine::{analyze_grid, AnalyzeEngine};
 pub use ir::{AccessProgram, AddrExpr, Op, Region};
 pub use lint::lint;

@@ -1,9 +1,10 @@
 //! The recording taint sink and the extraction driver.
 //!
 //! [`RecMem`] implements [`TaintSink`] without a machine behind it: the
-//! same kernel code that the dynamic sanitizer runs concretely executes
-//! here *symbolically*, and every memory event is lifted into the
-//! [`AccessProgram`] IR. Three invariants make the result trustworthy:
+//! same kernel body that the measured run and the dynamic sanitizer
+//! execute concretely runs here *symbolically*, and every memory event
+//! is lifted into the [`AccessProgram`] IR. Three invariants make the
+//! result trustworthy:
 //!
 //! 1. **Secrets are poisoned.** [`TaintSink::secret`] discards the
 //!    concrete value and hands back a recognizable poison payload, so no
@@ -24,12 +25,13 @@
 use crate::ir::{AccessProgram, AddrExpr, Op, Region};
 use ctbia_core::ctmem::Width;
 use ctbia_core::ds::DataflowSet;
+use ctbia_core::sink::TaintSink;
 use ctbia_core::taint::{LeakKind, LeakViolation, Taint, Tv};
 use ctbia_harness::WorkloadSpec;
 use ctbia_sim::addr::{PhysAddr, LINE_BYTES};
-use ctbia_verify::{run_mirror, TaintSink};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
@@ -120,7 +122,7 @@ impl RecState {
     }
 }
 
-/// The recording [`TaintSink`]: executes a Tv mirror symbolically and
+/// The recording [`TaintSink`]: executes a kernel body symbolically and
 /// accumulates the [`AccessProgram`]. Construct one per extraction via
 /// [`extract`].
 #[derive(Debug)]
@@ -143,11 +145,10 @@ impl RecMem {
     }
 }
 
-impl TaintSink for RecMem {
-    fn alloc_u32_array(&mut self, n: u64) -> PhysAddr {
+impl TaintSink<Tv> for RecMem {
+    fn alloc(&mut self, bytes: u64) -> PhysAddr {
         let mut st = self.st.borrow_mut();
         let base = st.next_base;
-        let bytes = n * 4;
         st.next_base = (st.next_base + bytes + LINE_BYTES - 1) & !(LINE_BYTES - 1);
         st.regions.push(Region {
             base: PhysAddr::new(base),
@@ -156,32 +157,31 @@ impl TaintSink for RecMem {
         PhysAddr::new(base)
     }
 
-    fn poke_u32(&mut self, addr: PhysAddr, v: u32) {
-        self.st
-            .borrow_mut()
-            .write(addr.raw(), Width::U32, u64::from(v));
+    fn poke(&mut self, addr: PhysAddr, width: Width, value: &Tv) {
+        let mut st = self.st.borrow_mut();
+        if value.is_secret() {
+            st.mark_secret(addr.raw(), width.bytes());
+        } else {
+            st.write(addr.raw(), width, value.v);
+        }
     }
 
-    fn poke_i32(&mut self, addr: PhysAddr, v: i32) {
-        self.poke_u32(addr, v as u32);
-    }
-
-    fn peek_u32(&mut self, addr: PhysAddr) -> u32 {
-        self.st.borrow().read(addr.raw(), Width::U32) as u32
+    fn peek(&mut self, addr: PhysAddr, width: Width) -> Tv {
+        Tv::public(self.st.borrow().read(addr.raw(), width))
     }
 
     fn mark_secret(&mut self, base: PhysAddr, bytes: u64) {
         self.st.borrow_mut().mark_secret(base.raw(), bytes);
     }
 
-    fn secret(&mut self, v: u64, detail: String) -> Tv {
+    fn secret(&mut self, v: u64, detail: fmt::Arguments<'_>) -> Tv {
         // The concrete value is deliberately dropped: the extracted
         // program must be identical for every secret.
         let _ = v;
         let payload = self.st.borrow_mut().fresh_poison();
         Tv {
             v: payload,
-            taint: Taint::secret(detail),
+            taint: Taint::secret(detail.to_string()),
         }
     }
 
@@ -366,10 +366,15 @@ impl TaintSink for RecMem {
         self.st.borrow_mut().exec_insts += insts;
     }
 
-    fn take_violations(&mut self) -> Vec<LeakViolation> {
-        // Recording backends derive violations statically (lint pass);
-        // abort causes stay in the program, not the mirror outcome.
-        Vec::new()
+    /// The recorder models no transient execution (a zero-wide window):
+    /// wrong paths never run, so the static passes judge the
+    /// architectural program only.
+    fn spec_branch(
+        &mut self,
+        _site: u64,
+        _taken: bool,
+        _wrong_path: &mut dyn FnMut(&mut dyn TaintSink<Tv>),
+    ) {
     }
 }
 
@@ -384,27 +389,21 @@ pub fn extractions_performed() -> u64 {
     EXTRACTIONS.with(Cell::get)
 }
 
-/// Extracts the access program of `workload` by running its Tv mirror
-/// (or, for the crypto kernels, its count-driven mirror) once against a
-/// recording sink with poisoned secrets.
+/// Extracts the access program of `workload` by running its kernel body
+/// once against a recording sink with poisoned secrets.
 ///
 /// # Panics
 ///
 /// Re-raises any extraction panic that is *not* an intentional abort
 /// (secret control flow) — e.g. a poisoned secret observed concretely,
-/// which would mean the mirror laundered a secret.
+/// which would mean the kernel laundered a secret.
 #[must_use]
 pub fn extract(workload: &WorkloadSpec) -> AccessProgram {
     EXTRACTIONS.with(|c| c.set(c.get() + 1));
     let (rec, st) = RecMem::new_shared();
     let result = catch_unwind(AssertUnwindSafe(move || {
         let mut rec = rec;
-        match workload {
-            WorkloadSpec::Crypto(kernel) => crate::crypto::crypto_mirror(&mut rec, *kernel),
-            other => {
-                let _ = run_mirror(&mut rec, other);
-            }
-        }
+        let _ = workload.build().run_tainted(&mut rec);
     }));
     let state = Rc::try_unwrap(st)
         .expect("recorder released at extraction end")
@@ -426,10 +425,10 @@ mod tests {
     #[test]
     fn secrets_come_back_poisoned_and_tainted() {
         let (mut rec, _st) = RecMem::new_shared();
-        let s = rec.secret(42, "k".into());
+        let s = rec.secret(42, format_args!("k"));
         assert!(is_poisoned(s.v), "concrete value must be discarded");
         assert!(s.is_secret());
-        let t = rec.secret(42, "k2".into());
+        let t = rec.secret(42, format_args!("k2"));
         assert_ne!(s.v, t.v, "each secret gets a distinct payload");
     }
 
@@ -437,7 +436,7 @@ mod tests {
     #[should_panic(expected = "poisoned secret observed concretely")]
     fn laundered_secrets_panic_at_the_sink() {
         let (mut rec, _st) = RecMem::new_shared();
-        let s = rec.secret(5, "key".into());
+        let s = rec.secret(5, format_args!("key"));
         // Launder: strip the taint but keep the (poisoned) value.
         let laundered = Tv::public(s.v);
         let _ = rec.load(&laundered, Width::U32, "stealthy probe");
@@ -448,7 +447,7 @@ mod tests {
         let spec = WorkloadSpec::named("bin", 64).unwrap();
         // Build a tiny synthetic run: branch on a secret directly.
         let (mut rec, st) = RecMem::new_shared();
-        let s = rec.secret(1, "bit".into());
+        let s = rec.secret(1, format_args!("bit"));
         let caught = catch_unwind(AssertUnwindSafe(move || {
             let _ = rec.branch(&s, "if (secret)");
         }));
@@ -463,11 +462,11 @@ mod tests {
     #[test]
     fn memory_round_trips_preserve_taint_conservatively() {
         let (mut rec, _st) = RecMem::new_shared();
-        let base = rec.alloc_u32_array(16);
-        rec.poke_u32(base, 7);
+        let base = rec.alloc(64);
+        rec.poke(base, Width::U32, &Tv::public(7));
         let a = Tv::public(base.raw());
         assert_eq!(rec.load(&a, Width::U32, "pub").v, 7);
-        let s = rec.secret(1, "k".into());
+        let s = rec.secret(1, format_args!("k"));
         rec.store(&a, Width::U32, &s, "spill");
         let back = rec.load(&a, Width::U32, "reload");
         assert!(back.is_secret() && is_poisoned(back.v));
@@ -479,5 +478,19 @@ mod tests {
         let before = extractions_performed();
         let _ = extract(&WorkloadSpec::named("hist", 64).unwrap());
         assert_eq!(extractions_performed(), before + 1);
+    }
+
+    #[test]
+    fn every_crypto_ds_access_is_symbolic_and_xor_has_none() {
+        use ctbia_harness::CryptoKernel;
+        let aes = extract(&WorkloadSpec::Crypto(CryptoKernel::Aes));
+        assert!(aes
+            .ops
+            .iter()
+            .filter(|op| matches!(op, Op::Ds { .. }))
+            .all(Op::is_symbolic_access));
+        let xor = extract(&WorkloadSpec::Crypto(CryptoKernel::Xor));
+        assert_eq!(xor.ds_ops(), 0);
+        assert!(!xor.ops.iter().any(Op::is_symbolic_access));
     }
 }

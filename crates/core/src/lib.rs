@@ -20,6 +20,9 @@
 //! * [`taint`] — the value-level secret-taint lattice, taint-carrying
 //!   values ([`taint::Tv`]), and structured [`taint::LeakViolation`]
 //!   reports consumed by the `ctbia-verify` sanitizer.
+//! * [`sink`] — the [`sink::TaintSink`] surface and [`sink::Value`]
+//!   trait every workload kernel is written against, so one kernel body
+//!   runs measured (`u64`), sanitized and recorded ([`taint::Tv`]).
 //!
 //! # Example: mitigating a secret-indexed load
 //!
@@ -51,6 +54,7 @@ pub mod ctmem;
 pub mod ds;
 pub mod linearize;
 pub mod predicate;
+pub mod sink;
 pub mod strategy;
 pub mod taint;
 
@@ -64,5 +68,6 @@ pub use ctflow::CtCond;
 pub use ctmem::{CtLoad, CtMemory, CtMemoryExt, CtStore, LinearizeInfo, Width};
 pub use ds::{Bitmask, DataflowSet, DsGroup, DsPage};
 pub use linearize::{ct_load_bia, ct_load_sw, ct_store_bia, ct_store_sw, BiaOptions, SwProfile};
+pub use sink::{elem_addr, TaintSink, Value};
 pub use strategy::Strategy;
 pub use taint::{LeakKind, LeakViolation, Taint, TaintLabel, Tv};

@@ -227,3 +227,18 @@ fn quick_grid_verdict_keys_are_pinned() {
         "46a614ea12b23adce92b0e9fb6846423"
     );
 }
+
+#[test]
+fn crypto_verify_verdict_key_is_pinned() {
+    // Crypto verdicts run the taint pass on the kernel itself, so their
+    // keys differ from those of the oracle-only verdicts before it; this
+    // one names a committed `results/verdicts/` file.
+    let aes = verify_grid(false)
+        .into_iter()
+        .find(|c| c.label() == "verify:AES/CT")
+        .unwrap();
+    assert_eq!(
+        format!("{:032x}", aes.digest()),
+        "2872fb8db8530e0f8043e12dedae1e10"
+    );
+}

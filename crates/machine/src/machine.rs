@@ -920,6 +920,58 @@ impl Machine {
         (r, self.counters() - before)
     }
 
+    /// The first half of [`CtMemory::spec_branch`]: predicts the branch
+    /// at `site` whose architectural outcome is `taken` and, on a
+    /// misprediction, opens a wrong-path window and returns `true`. The
+    /// caller then runs the wrong path against this machine and closes
+    /// the window with [`Machine::spec_exit`]. Always `false` without
+    /// speculation (`spec_window = 0`).
+    pub fn spec_enter(&mut self, site: u64, taken: bool) -> bool {
+        if self.spec_window == 0 {
+            return false;
+        }
+        self.spec.branches += 1;
+        // Per-site 2-bit saturating counter, deterministically seeded so
+        // the same (spec_seed, site) pair always mispredicts at the same
+        // points of the branch history — goldens and the oracle depend on
+        // reproducibility, not on modeling any particular frontend.
+        let seed = self.spec_seed;
+        let ctr = self
+            .spec_predictor
+            .entry(site)
+            .or_insert_with(|| (splitmix64(seed ^ site) & 3) as u8);
+        let predict_taken = *ctr >= 2;
+        if taken {
+            if *ctr < 3 {
+                *ctr += 1;
+            }
+        } else if *ctr > 0 {
+            *ctr -= 1;
+        }
+        if predict_taken == taken {
+            return false;
+        }
+        self.spec.mispredicts += 1;
+        debug_assert!(
+            !self.spec_active,
+            "nested speculation windows are not modeled"
+        );
+        self.spec_active = true;
+        self.spec_used = 0;
+        true
+    }
+
+    /// Squashes the wrong-path window [`Machine::spec_enter`] opened at
+    /// `site`.
+    pub fn spec_exit(&mut self, site: u64) {
+        debug_assert!(self.spec_active, "no wrong-path window is open");
+        self.spec_active = false;
+        let accesses = u64::from(self.spec_used);
+        self.spec.squashes += 1;
+        self.emit(EventKind::Squash { site, accesses });
+        self.spec_used = 0;
+    }
+
     /// Evicts `addr`'s line from every cache level (a `clflush`); the BIA
     /// sees the monitored level's eviction like any other event. Used by
     /// tests and the attacker model.
@@ -1448,43 +1500,10 @@ impl CtMemory for Machine {
         taken: bool,
         wrong_path: &mut dyn FnMut(&mut dyn CtMemory),
     ) {
-        if self.spec_window == 0 {
-            return;
+        if self.spec_enter(site, taken) {
+            wrong_path(self);
+            self.spec_exit(site);
         }
-        self.spec.branches += 1;
-        // Per-site 2-bit saturating counter, deterministically seeded so
-        // the same (spec_seed, site) pair always mispredicts at the same
-        // points of the branch history — goldens and the oracle depend on
-        // reproducibility, not on modeling any particular frontend.
-        let seed = self.spec_seed;
-        let ctr = self
-            .spec_predictor
-            .entry(site)
-            .or_insert_with(|| (splitmix64(seed ^ site) & 3) as u8);
-        let predict_taken = *ctr >= 2;
-        if taken {
-            if *ctr < 3 {
-                *ctr += 1;
-            }
-        } else if *ctr > 0 {
-            *ctr -= 1;
-        }
-        if predict_taken == taken {
-            return;
-        }
-        self.spec.mispredicts += 1;
-        debug_assert!(
-            !self.spec_active,
-            "nested speculation windows are not modeled"
-        );
-        self.spec_active = true;
-        self.spec_used = 0;
-        wrong_path(self);
-        self.spec_active = false;
-        let accesses = u64::from(self.spec_used);
-        self.spec.squashes += 1;
-        self.emit(EventKind::Squash { site, accesses });
-        self.spec_used = 0;
     }
 
     fn ct_load(&mut self, addr: PhysAddr) -> CtLoad {

@@ -12,9 +12,8 @@
 //! whatever the taint analysis thought.
 //!
 //! The two analyses are complementary: the sanitizer localizes bugs with
-//! provenance but only covers mirrored kernels; the oracle covers any
-//! runnable workload (crypto included) but reports only the first
-//! divergence, not its cause.
+//! provenance but judges one run; the oracle compares a family of
+//! secrets but reports only the first divergence, not its cause.
 
 use ctbia_harness::CellSpec;
 use ctbia_machine::{Machine, ObsTrace};

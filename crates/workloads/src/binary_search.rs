@@ -10,12 +10,12 @@
 //! probe load is performed. The insecure variant issues direct loads —
 //! whose addresses leak the comparison trace.
 
-use crate::run::{digest_u64, size_label, InputRng, Run, Workload};
+use crate::run::{digest_u64, measure, size_label, InputRng, Run, Workload};
 use crate::strategy::Strategy;
-use ctbia_core::ctmem::CtMemory;
 use ctbia_core::ctmem::Width;
 use ctbia_core::ds::DataflowSet;
-use ctbia_core::predicate::{ct_lt, select};
+use ctbia_core::sink::{elem_addr, TaintSink, Value};
+use ctbia_core::taint::Tv;
 use ctbia_machine::{Counters, Machine};
 
 /// Per-probe bookkeeping: midpoint, clamp, compare, two bound selects.
@@ -61,6 +61,65 @@ impl BinarySearch {
             .collect()
     }
 
+    /// The kernel, written once for every surface and for both probe
+    /// flavours: `raw_probe` makes the probe a raw demand load at the
+    /// secret-derived midpoint (the one line
+    /// [`LeakyBinarySearch`](crate::LeakyBinarySearch) changes) instead
+    /// of a load through the strategy. Returns the lower-bound index for
+    /// each key.
+    pub(crate) fn search<V: Value, S: TaintSink<V> + ?Sized>(
+        &self,
+        s: &mut S,
+        raw_probe: bool,
+    ) -> Vec<V> {
+        let n = self.size as u64;
+        let arr = s.alloc(n * 4);
+        for (i, &v) in self.array().iter().enumerate() {
+            s.poke(
+                arr.offset(i as u64 * 4),
+                Width::U32,
+                &V::public(u64::from(v)),
+            );
+        }
+        let ds = DataflowSet::contiguous(arr, n * 4);
+        let probes = (64 - (n - 1).leading_zeros() as u64) + 1; // ceil(log2 n) + 1
+
+        let mut results = Vec::with_capacity(self.searches);
+        for (k, &key) in self.keys().iter().enumerate() {
+            let key = s.secret(u64::from(key), format_args!("search key #{k}"));
+            // Loop-continuation branch: the not-taken path (falling out
+            // of the loop) touches no memory.
+            s.spec_branch(LOOP_SITE, true, &mut |_| {});
+            let mut lo = V::public(0);
+            let mut hi = V::public(n);
+            for _ in 0..s.trip_count(&V::public(probes), "probe loop") {
+                s.exec(PER_PROBE_INSTS);
+                let mid = lo.add(&hi).shr(1);
+                // Clamp so the probe address stays in range even when
+                // the logical range is empty (fixed probe count).
+                let addr = elem_addr(arr, &mid.ct_min(&V::public(n - 1)), 4);
+                let v = if raw_probe {
+                    s.load(&addr, Width::U32, "probe a[mid] (raw)")
+                } else {
+                    s.ds_load(&ds, &addr, Width::U32, "probe a[mid]")
+                };
+                let active = lo.ct_lt(&hi);
+                let go_right = v.ct_lt(&key).and(&active);
+                lo = V::select(&go_right, &mid.add(&V::public(1)), &lo);
+                hi = V::select(&go_right.not().and(&active), &mid, &hi);
+            }
+            results.push(lo);
+        }
+        // Loop exit: the trained predictor expects another search, so
+        // the wrong path transiently issues a phantom search's first
+        // probe (the clamped midpoint of the full range).
+        let phantom = elem_addr(arr, &V::public((n / 2).min(n - 1)), 4);
+        s.spec_branch(LOOP_SITE, false, &mut |s| {
+            let _ = s.load(&phantom, Width::U32, "phantom probe a[mid]");
+        });
+        results
+    }
+
     /// Runs the kernel; returns the lower-bound index for each key plus the
     /// measured counters.
     ///
@@ -68,47 +127,8 @@ impl BinarySearch {
     ///
     /// Panics if the machine lacks RAM or (for [`Strategy::Bia`]) a BIA.
     pub fn run_full(&self, m: &mut Machine, strategy: Strategy) -> (Vec<u32>, Counters) {
-        let n = self.size as u64;
-        let data = self.array();
-        let keys = self.keys();
-        let arr = m.alloc_u32_array(n).expect("alloc array");
-        for (i, &v) in data.iter().enumerate() {
-            m.poke_u32(arr.offset(i as u64 * 4), v);
-        }
-        let ds = DataflowSet::contiguous(arr, n * 4);
-        let probes = (64 - (n - 1).leading_zeros() as u64) + 1; // ceil(log2 n) + 1
-
-        let mut results = Vec::with_capacity(keys.len());
-        let (_, counters) = m.measure(|m| {
-            for &key in &keys {
-                // Loop-continuation branch: the not-taken path (falling
-                // out of the loop) touches no memory.
-                m.spec_branch(LOOP_SITE, true, &mut |_| {});
-                let mut lo = 0u64;
-                let mut hi = n;
-                for _ in 0..probes {
-                    m.exec(PER_PROBE_INSTS);
-                    let mid = (lo + hi) / 2;
-                    // Clamp so the probe address stays in range even when
-                    // the logical range is empty (fixed probe count).
-                    let idx = mid.min(n - 1);
-                    let v = strategy.load(m, &ds, arr.offset(idx * 4), Width::U32);
-                    let active = ct_lt(lo, hi);
-                    let go_right = ct_lt(v, key as u64) & active;
-                    lo = select(go_right, mid + 1, lo);
-                    hi = select(!go_right & active, mid, hi);
-                }
-                results.push(lo as u32);
-            }
-            // Loop exit: the trained predictor expects another search,
-            // so the wrong path transiently issues a phantom search's
-            // first probe (the clamped midpoint of the full range).
-            let phantom = arr.offset((n / 2).min(n - 1) * 4);
-            m.spec_branch(LOOP_SITE, false, &mut |mm| {
-                let _ = mm.load(phantom, Width::U32);
-            });
-        });
-        (results, counters)
+        let (idx, counters) = measure(m, strategy, |s| self.search(s, false));
+        (idx.into_iter().map(|i| i as u32).collect(), counters)
     }
 }
 
@@ -130,6 +150,17 @@ impl Workload for BinarySearch {
             digest: digest_u64(idx.into_iter().map(u64::from)),
             counters,
         }
+    }
+
+    fn run_tainted(&self, s: &mut dyn TaintSink<Tv>) -> Vec<Tv> {
+        self.search(s, false)
+    }
+
+    fn reference(&self) -> Vec<u64> {
+        reference(&self.array(), &self.keys())
+            .into_iter()
+            .map(u64::from)
+            .collect()
     }
 }
 

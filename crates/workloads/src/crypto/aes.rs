@@ -14,10 +14,12 @@
 // Round/index loops intentionally index several arrays in lockstep.
 #![allow(clippy::needless_range_loop)]
 
-use super::SimTable;
-use crate::run::{digest_u64, Run, Workload};
+use super::{secrets, SimTable};
+use crate::run::{digest_u64, measure, Run, Workload};
 use crate::strategy::Strategy;
-use ctbia_core::ctmem::CtMemory;
+use ctbia_core::ctmem::Width;
+use ctbia_core::sink::{TaintSink, Value};
+use ctbia_core::taint::Tv;
 use ctbia_machine::{Counters, Machine};
 
 /// Register work per T-table lookup: shifts, XOR, loop share.
@@ -162,59 +164,83 @@ impl Aes {
         k
     }
 
+    /// The counter blocks encrypted by run `blk`.
+    fn block(blk: u128) -> u128 {
+        blk.wrapping_mul(0x0123_4567_89ab_cdef_fedc_ba98_7654_3211)
+    }
+
+    /// The kernel, written once for every surface. The key schedule runs
+    /// host-side; the round keys enter as secrets. Returns each
+    /// ciphertext block as its low then high 64-bit word.
+    fn body<V: Value, S: TaintSink<V> + ?Sized>(&self, s: &mut S) -> Vec<V> {
+        let sb = sbox();
+        let te = t_tables(&sb);
+        let te_tables: Vec<SimTable> = te
+            .iter()
+            .map(|t| SimTable::public(s, Width::U32, t.iter().map(|&x| u64::from(x))))
+            .collect();
+        let s_table = SimTable::public(s, Width::U8, sb.iter().map(|&x| u64::from(x)));
+        let rk: Vec<V> = secrets(
+            s,
+            key_schedule(&sb, &self.key())
+                .iter()
+                .flatten()
+                .map(|&w| u64::from(w)),
+            "AES-128 round keys",
+        );
+        let byte = |x: &V, sh: u32| x.shr(sh).and(&V::public(0xff));
+
+        let mut out = Vec::with_capacity(2 * self.blocks);
+        for blk in 0..self.blocks as u128 {
+            let block = Self::block(blk);
+            let mut st = Vec::with_capacity(4);
+            for i in 0..4 {
+                let w = ((block >> (96 - 32 * i)) & 0xffff_ffff) as u64;
+                st.push(V::public(w).xor(&rk[i]));
+                s.exec(2);
+            }
+            for round in 1..10 {
+                let mut next = Vec::with_capacity(4);
+                for i in 0..4 {
+                    let t0 = te_tables[0].lookup(s, &st[i].shr(24), "Te lookup");
+                    let t1 = te_tables[1].lookup(s, &byte(&st[(i + 1) % 4], 16), "Te lookup");
+                    let t2 = te_tables[2].lookup(s, &byte(&st[(i + 2) % 4], 8), "Te lookup");
+                    let t3 = te_tables[3].lookup(s, &byte(&st[(i + 3) % 4], 0), "Te lookup");
+                    s.exec(4 * PER_LOOKUP_INSTS);
+                    next.push(t0.xor(&t1).xor(&t2).xor(&t3).xor(&rk[4 * round + i]));
+                }
+                st = next;
+            }
+            let mut w = Vec::with_capacity(4);
+            for i in 0..4 {
+                let b0 = s_table.lookup(s, &st[i].shr(24), "final S-box lookup");
+                let b1 = s_table.lookup(s, &byte(&st[(i + 1) % 4], 16), "final S-box lookup");
+                let b2 = s_table.lookup(s, &byte(&st[(i + 2) % 4], 8), "final S-box lookup");
+                let b3 = s_table.lookup(s, &byte(&st[(i + 3) % 4], 0), "final S-box lookup");
+                s.exec(4 * PER_LOOKUP_INSTS);
+                let bytes = V::lift([&b0, &b1, &b2, &b3], |b| {
+                    u64::from(u32::from_be_bytes(b.map(|x| x as u8)))
+                });
+                w.push(bytes.xor(&rk[40 + i]));
+            }
+            out.push(w[2].shl(32).or(&w[3]));
+            out.push(w[0].shl(32).or(&w[1]));
+        }
+        out
+    }
+
     /// Runs the kernel, returning the ciphertext blocks and counters.
     ///
     /// # Panics
     ///
     /// Panics if the machine lacks RAM or (for [`Strategy::Bia`]) a BIA.
     pub fn run_full(&self, m: &mut Machine, strategy: Strategy) -> (Vec<u128>, Counters) {
-        let s = sbox();
-        let te = t_tables(&s);
-        let rk = key_schedule(&s, &self.key());
-        let te_tables: Vec<SimTable> = te.iter().map(|t| SimTable::new_u32(m, t)).collect();
-        let s_table = SimTable::new_u8(m, &s);
-
-        let mut out = Vec::with_capacity(self.blocks);
-        let (_, counters) = m.measure(|m| {
-            for blk in 0..self.blocks as u128 {
-                let block = blk.wrapping_mul(0x0123_4567_89ab_cdef_fedc_ba98_7654_3211);
-                let mut st = [0u32; 4];
-                for (i, v) in st.iter_mut().enumerate() {
-                    *v = ((block >> (96 - 32 * i)) & 0xffff_ffff) as u32 ^ rk[0][i];
-                    m.exec(2);
-                }
-                for round in 1..10 {
-                    let mut next = [0u32; 4];
-                    for (i, n) in next.iter_mut().enumerate() {
-                        let b0 = (st[i] >> 24) as u64;
-                        let b1 = (st[(i + 1) % 4] >> 16 & 0xff) as u64;
-                        let b2 = (st[(i + 2) % 4] >> 8 & 0xff) as u64;
-                        let b3 = (st[(i + 3) % 4] & 0xff) as u64;
-                        let t0 = te_tables[0].lookup(m, strategy, b0) as u32;
-                        let t1 = te_tables[1].lookup(m, strategy, b1) as u32;
-                        let t2 = te_tables[2].lookup(m, strategy, b2) as u32;
-                        let t3 = te_tables[3].lookup(m, strategy, b3) as u32;
-                        m.exec(4 * PER_LOOKUP_INSTS);
-                        *n = t0 ^ t1 ^ t2 ^ t3 ^ rk[round][i];
-                    }
-                    st = next;
-                }
-                let mut ct = 0u128;
-                for i in 0..4 {
-                    let b0 = s_table.lookup(m, strategy, (st[i] >> 24) as u64) as u8;
-                    let b1 =
-                        s_table.lookup(m, strategy, (st[(i + 1) % 4] >> 16 & 0xff) as u64) as u8;
-                    let b2 =
-                        s_table.lookup(m, strategy, (st[(i + 2) % 4] >> 8 & 0xff) as u64) as u8;
-                    let b3 = s_table.lookup(m, strategy, (st[(i + 3) % 4] & 0xff) as u64) as u8;
-                    m.exec(4 * PER_LOOKUP_INSTS);
-                    let w = u32::from_be_bytes([b0, b1, b2, b3]) ^ rk[10][i];
-                    ct = (ct << 32) | w as u128;
-                }
-                out.push(ct);
-            }
-        });
-        (out, counters)
+        let (words, counters) = measure(m, strategy, |s| self.body(s));
+        let blocks = words
+            .chunks(2)
+            .map(|w| u128::from(w[0]) | u128::from(w[1]) << 64)
+            .collect();
+        (blocks, counters)
     }
 }
 
@@ -238,6 +264,20 @@ impl Workload for Aes {
             digest: digest_u64(ct.into_iter().flat_map(|c| [c as u64, (c >> 64) as u64])),
             counters,
         }
+    }
+
+    fn run_tainted(&self, s: &mut dyn TaintSink<Tv>) -> Vec<Tv> {
+        self.body(s)
+    }
+
+    fn reference(&self) -> Vec<u64> {
+        let sb = sbox();
+        let te = t_tables(&sb);
+        let rk = key_schedule(&sb, &self.key());
+        (0..self.blocks as u128)
+            .map(|blk| encrypt_ref(&te, &sb, &rk, Self::block(blk)))
+            .flat_map(|c| [c as u64, (c >> 64) as u64])
+            .collect()
     }
 }
 

@@ -19,9 +19,12 @@
 // Round/index loops intentionally index several arrays in lockstep.
 #![allow(clippy::needless_range_loop)]
 
-use super::SimTable;
-use crate::run::{digest_u64, InputRng, Run, Workload};
+use super::{secrets, SimTable};
+use crate::run::{digest_u64, measure, InputRng, Run, Workload};
 use crate::strategy::Strategy;
+use ctbia_core::ctmem::Width;
+use ctbia_core::sink::{TaintSink, Value};
+use ctbia_core::taint::Tv;
 use ctbia_machine::{Counters, Machine};
 
 /// Register work per round: XORs, adds, byte extraction, loop share.
@@ -117,35 +120,81 @@ impl Blowfish {
         (0..16).map(|_| rng.below(256) as u8).collect()
     }
 
-    fn f_mem(s: &[SimTable; 4], m: &mut Machine, strategy: Strategy, x: u32) -> u32 {
-        use ctbia_core::ctmem::CtMemory;
-        let a = (x >> 24) as u64;
-        let b = (x >> 16 & 0xff) as u64;
-        let c = (x >> 8 & 0xff) as u64;
-        let d = (x & 0xff) as u64;
-        let v0 = s[0].lookup(m, strategy, a) as u32;
-        let v1 = s[1].lookup(m, strategy, b) as u32;
-        let v2 = s[2].lookup(m, strategy, c) as u32;
-        let v3 = s[3].lookup(m, strategy, d) as u32;
-        m.exec(PER_ROUND_INSTS);
-        (v0.wrapping_add(v1) ^ v2).wrapping_add(v3)
+    /// The round function F: four secret-byte-indexed S-box lookups.
+    fn f<V: Value, S: TaintSink<V> + ?Sized>(sb: &[SimTable; 4], s: &mut S, x: &V) -> V {
+        let byte = V::public(0xff);
+        let v0 = sb[0].lookup(s, &x.shr(24), "S-box F lookup");
+        let v1 = sb[1].lookup(s, &x.shr(16).and(&byte), "S-box F lookup");
+        let v2 = sb[2].lookup(s, &x.shr(8).and(&byte), "S-box F lookup");
+        let v3 = sb[3].lookup(s, &x.and(&byte), "S-box F lookup");
+        s.exec(PER_ROUND_INSTS);
+        V::lift([&v0, &v1, &v2, &v3], |v| {
+            let [a, b, c, d] = v.map(|x| x as u32);
+            u64::from((a.wrapping_add(b) ^ c).wrapping_add(d))
+        })
     }
 
-    fn encrypt_mem(
-        p: &[u32; 18],
-        s: &[SimTable; 4],
-        m: &mut Machine,
-        strategy: Strategy,
-        mut l: u32,
-        mut r: u32,
-    ) -> (u32, u32) {
-        for i in 0..16 {
-            l ^= p[i];
-            r ^= Self::f_mem(s, m, strategy, l);
+    /// One block encryption against the in-memory S-boxes.
+    fn encrypt<V: Value, S: TaintSink<V> + ?Sized>(
+        p: &[V],
+        sb: &[SimTable; 4],
+        s: &mut S,
+        mut l: V,
+        mut r: V,
+    ) -> (V, V) {
+        for pi in &p[..16] {
+            l = l.xor(pi);
+            r = r.xor(&Self::f(sb, s, &l));
             std::mem::swap(&mut l, &mut r);
         }
         std::mem::swap(&mut l, &mut r);
-        (r ^ p[17], l ^ p[16])
+        (r.xor(&p[17]), l.xor(&p[16]))
+    }
+
+    /// The kernel, written once for every surface: the whole key
+    /// schedule (the phase §7.3.3 highlights) then `blocks` data blocks.
+    /// Returns the ciphertext halves.
+    fn body<V: Value, S: TaintSink<V> + ?Sized>(&self, s: &mut S) -> Vec<V> {
+        let key: Vec<V> = secrets(s, self.key().into_iter().map(u64::from), "Blowfish key");
+        let (p0, s0) = initial_tables(self.table_seed);
+        let sb: [SimTable; 4] =
+            std::array::from_fn(|k| SimTable::public(s, Width::U32, s0[k].map(u64::from)));
+
+        // Key schedule.
+        let mut p: Vec<V> = p0.iter().map(|&v| V::public(u64::from(v))).collect();
+        for (i, v) in p.iter_mut().enumerate() {
+            let k: [&V; 4] = std::array::from_fn(|j| &key[(4 * i + j) % key.len()]);
+            let k = V::lift(k, |b| b.iter().fold(0, |k, &b| (k << 8) | b));
+            *v = v.xor(&k);
+            s.exec(6);
+        }
+        let (mut l, mut r) = (V::public(0), V::public(0));
+        for i in (0..18).step_by(2) {
+            (l, r) = Self::encrypt(&p, &sb, s, l, r);
+            p[i] = l.clone();
+            p[i + 1] = r.clone();
+        }
+        for t in &sb {
+            for k in (0..256u64).step_by(2) {
+                (l, r) = Self::encrypt(&p, &sb, s, l, r);
+                t.store_public(s, k, &l, "S-box rewrite");
+                t.store_public(s, k + 1, &r, "S-box rewrite");
+            }
+        }
+        // Data encryption.
+        let mut out = Vec::with_capacity(2 * self.blocks);
+        for b in 0..self.blocks as u32 {
+            let (cl, cr) = Self::encrypt(
+                &p,
+                &sb,
+                s,
+                V::public(u64::from(b.wrapping_mul(0x9e3779b9))),
+                V::public(u64::from(!b)),
+            );
+            out.push(cl);
+            out.push(cr);
+        }
+        out
     }
 
     /// Runs the kernel; returns ciphertext halves and counters.
@@ -154,50 +203,8 @@ impl Blowfish {
     ///
     /// Panics if the machine lacks RAM or (for [`Strategy::Bia`]) a BIA.
     pub fn run_full(&self, m: &mut Machine, strategy: Strategy) -> (Vec<u32>, Counters) {
-        let key = self.key();
-        let (p0, s0) = initial_tables(self.table_seed);
-        let s: [SimTable; 4] = [
-            SimTable::new_u32(m, &s0[0]),
-            SimTable::new_u32(m, &s0[1]),
-            SimTable::new_u32(m, &s0[2]),
-            SimTable::new_u32(m, &s0[3]),
-        ];
-
-        let mut out = Vec::with_capacity(2 * self.blocks + 2);
-        let (_, counters) = m.measure(|m| {
-            use ctbia_core::ctmem::CtMemory;
-            // Key schedule (measured — this is the phase §7.3.3 highlights).
-            let mut p = p0;
-            for (i, v) in p.iter_mut().enumerate() {
-                let mut k = 0u32;
-                for j in 0..4 {
-                    k = (k << 8) | key[(4 * i + j) % key.len()] as u32;
-                }
-                *v ^= k;
-                m.exec(6);
-            }
-            let (mut l, mut r) = (0u32, 0u32);
-            for i in (0..18).step_by(2) {
-                (l, r) = Self::encrypt_mem(&p, &s, m, strategy, l, r);
-                p[i] = l;
-                p[i + 1] = r;
-            }
-            for sb in 0..4 {
-                for k in (0..256u64).step_by(2) {
-                    (l, r) = Self::encrypt_mem(&p, &s, m, strategy, l, r);
-                    s[sb].store_public(m, k, l as u64);
-                    s[sb].store_public(m, k + 1, r as u64);
-                }
-            }
-            // Data encryption.
-            for b in 0..self.blocks as u32 {
-                let (cl, cr) =
-                    Self::encrypt_mem(&p, &s, m, strategy, b.wrapping_mul(0x9e3779b9), !b);
-                out.push(cl);
-                out.push(cr);
-            }
-        });
-        (out, counters)
+        let (ct, counters) = measure(m, strategy, |s| self.body(s));
+        (ct.into_iter().map(|h| h as u32).collect(), counters)
     }
 }
 
@@ -222,6 +229,20 @@ impl Workload for Blowfish {
             digest: digest_u64(ct.into_iter().map(u64::from)),
             counters,
         }
+    }
+
+    fn run_tainted(&self, s: &mut dyn TaintSink<Tv>) -> Vec<Tv> {
+        self.body(s)
+    }
+
+    fn reference(&self) -> Vec<u64> {
+        let st = BlowfishRef::new(self.table_seed, &self.key());
+        (0..self.blocks as u32)
+            .flat_map(|b| {
+                let (l, r) = st.encrypt_block(b.wrapping_mul(0x9e3779b9), !b);
+                [u64::from(l), u64::from(r)]
+            })
+            .collect()
     }
 }
 

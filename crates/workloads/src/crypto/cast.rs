@@ -10,9 +10,12 @@
 // Round/index loops intentionally index several arrays in lockstep.
 #![allow(clippy::needless_range_loop)]
 
-use super::SimTable;
-use crate::run::{digest_u64, InputRng, Run, Workload};
+use super::{secrets, SimTable};
+use crate::run::{digest_u64, measure, InputRng, Run, Workload};
 use crate::strategy::Strategy;
+use ctbia_core::ctmem::Width;
+use ctbia_core::sink::{TaintSink, Value};
+use ctbia_core::taint::Tv;
 use ctbia_machine::{Counters, Machine};
 
 /// Register work per round: key op, rotate, three combining ops, swap.
@@ -86,39 +89,56 @@ pub struct Cast {
 }
 
 impl Cast {
+    /// The block encrypted by run `b`.
+    fn block(b: u64) -> u64 {
+        b.wrapping_mul(0xc457_1357_9bdf_0247)
+    }
+
+    /// The kernel, written once for every surface: the round keys enter
+    /// as secrets; every round makes four secret-byte-indexed lookups.
+    /// Returns the ciphertext blocks.
+    fn body<V: Value, S: TaintSink<V> + ?Sized>(&self, s: &mut S) -> Vec<V> {
+        let (sb, km, kr) = tables_and_keys(self.table_seed, self.seed);
+        let tables: Vec<SimTable> = sb
+            .iter()
+            .map(|t| SimTable::public(s, Width::U32, t.map(u64::from)))
+            .collect();
+        let km: Vec<V> = secrets(s, km.map(u64::from), "CAST key");
+        let kr: Vec<V> = secrets(s, kr.map(u64::from), "CAST key");
+        let byte = V::public(0xff);
+        let mut out = Vec::with_capacity(self.blocks);
+        for b in 0..self.blocks as u64 {
+            let block = Self::block(b);
+            let (mut l, mut r) = (V::public(block >> 32), V::public(block & 0xffff_ffff));
+            for i in 0..16 {
+                let kind = i % 3;
+                let x = V::lift([&km[i], &kr[i], &r], |[km, kr, d]| {
+                    u64::from(mix(kind, km as u32, kr as u32, d as u32))
+                });
+                let v0 = tables[0].lookup(s, &x.shr(24), "CAST S-box lookup");
+                let v1 = tables[1].lookup(s, &x.shr(16).and(&byte), "CAST S-box lookup");
+                let v2 = tables[2].lookup(s, &x.shr(8).and(&byte), "CAST S-box lookup");
+                let v3 = tables[3].lookup(s, &x.and(&byte), "CAST S-box lookup");
+                s.exec(PER_ROUND_INSTS);
+                let f = V::lift([&v0, &v1, &v2, &v3], |v| {
+                    u64::from(combine(kind, v.map(|x| x as u32)))
+                });
+                let nl = r;
+                r = l.xor(&f);
+                l = nl;
+            }
+            out.push(r.shl(32).or(&l));
+        }
+        out
+    }
+
     /// Runs the kernel; returns ciphertext blocks and counters.
     ///
     /// # Panics
     ///
     /// Panics if the machine lacks RAM or (for [`Strategy::Bia`]) a BIA.
     pub fn run_full(&self, m: &mut Machine, strategy: Strategy) -> (Vec<u64>, Counters) {
-        use ctbia_core::ctmem::CtMemory;
-        let (s, km, kr) = tables_and_keys(self.table_seed, self.seed);
-        let tables: Vec<SimTable> = s.iter().map(|sb| SimTable::new_u32(m, sb)).collect();
-        let mut out = Vec::with_capacity(self.blocks);
-        let (_, counters) = m.measure(|m| {
-            for b in 0..self.blocks as u64 {
-                let block = b.wrapping_mul(0xc457_1357_9bdf_0247);
-                let (mut l, mut r) = ((block >> 32) as u32, block as u32);
-                for i in 0..16 {
-                    let kind = i % 3;
-                    let x = mix(kind, km[i], kr[i], r);
-                    let v = [
-                        tables[0].lookup(m, strategy, (x >> 24) as u64) as u32,
-                        tables[1].lookup(m, strategy, (x >> 16 & 0xff) as u64) as u32,
-                        tables[2].lookup(m, strategy, (x >> 8 & 0xff) as u64) as u32,
-                        tables[3].lookup(m, strategy, (x & 0xff) as u64) as u32,
-                    ];
-                    m.exec(PER_ROUND_INSTS);
-                    let f = combine(kind, v);
-                    let nl = r;
-                    r = l ^ f;
-                    l = nl;
-                }
-                out.push(((r as u64) << 32) | l as u64);
-            }
-        });
-        (out, counters)
+        measure(m, strategy, |s| self.body(s))
     }
 }
 
@@ -143,6 +163,17 @@ impl Workload for Cast {
             digest: digest_u64(ct),
             counters,
         }
+    }
+
+    fn run_tainted(&self, s: &mut dyn TaintSink<Tv>) -> Vec<Tv> {
+        self.body(s)
+    }
+
+    fn reference(&self) -> Vec<u64> {
+        let (sb, km, kr) = tables_and_keys(self.table_seed, self.seed);
+        (0..self.blocks as u64)
+            .map(|b| encrypt_ref(&sb, &km, &kr, Self::block(b)))
+            .collect()
     }
 }
 

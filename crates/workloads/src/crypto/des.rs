@@ -17,9 +17,12 @@
 // Round/index loops intentionally index several arrays in lockstep.
 #![allow(clippy::needless_range_loop)]
 
-use super::SimTable;
-use crate::run::{digest_u64, InputRng, Run, Workload};
+use super::{secrets, SimTable};
+use crate::run::{digest_u64, measure, InputRng, Run, Workload};
 use crate::strategy::Strategy;
+use ctbia_core::ctmem::Width;
+use ctbia_core::sink::{TaintSink, Value};
+use ctbia_core::taint::Tv;
 use ctbia_machine::{Counters, Machine};
 
 /// Register work per round besides the lookups: expansion, XOR,
@@ -102,29 +105,38 @@ pub fn encrypt3_ref(s: &[[u8; 64]; 8], rks: &[[u64; 16]; 3], block: u64) -> u64 
     encrypt_ref(s, &rks[2], b)
 }
 
-fn encrypt_mem(
+/// The eight S-boxes in memory, one line each.
+fn sbox_tables<V: Value, S: TaintSink<V> + ?Sized>(s: &mut S, seed: u64) -> Vec<SimTable> {
+    sboxes(seed)
+        .iter()
+        .map(|sb| SimTable::public(s, Width::U8, sb.map(u64::from)))
+        .collect()
+}
+
+/// One block encryption under the (secret) round keys `rk`.
+fn encrypt<V: Value, S: TaintSink<V> + ?Sized>(
     tables: &[SimTable],
-    m: &mut Machine,
-    strategy: Strategy,
-    rk: &[u64; 16],
-    block: u64,
-) -> u64 {
-    use ctbia_core::ctmem::CtMemory;
-    let (mut l, mut r) = ((block >> 32) as u32, block as u32);
+    s: &mut S,
+    rk: &[V],
+    block: &V,
+) -> V {
+    let (mut l, mut r) = (block.shr(32), block.and(&V::public(0xffff_ffff)));
     for k in rk {
-        let x = expand(r) ^ k;
-        let mut f = 0u32;
+        let x = V::lift([&r], |[r]| expand(r as u32)).xor(k);
+        let mut f = V::public(0);
         for (chunk, table) in tables.iter().enumerate() {
-            let six = (x >> (6 * chunk)) & 0x3f;
-            f |= (table.lookup(m, strategy, six) as u32) << (4 * chunk);
+            let six = x.shr(6 * chunk as u32).and(&V::public(0x3f));
+            f = f.or(&table
+                .lookup(s, &six, "DES S-box lookup")
+                .shl(4 * chunk as u32));
         }
-        m.exec(PER_ROUND_INSTS);
-        f = permute_p(f);
+        s.exec(PER_ROUND_INSTS);
+        f = V::lift([&f], |[f]| u64::from(permute_p(f as u32)));
         let nl = r;
-        r = l ^ f;
+        r = l.xor(&f);
         l = nl;
     }
-    ((r as u64) << 32) | l as u64
+    r.shl(32).or(&l)
 }
 
 /// The DES workload.
@@ -143,28 +155,28 @@ impl Des {
         InputRng::new(self.seed).next_u64()
     }
 
+    /// The block encrypted by run `b`.
+    fn block(b: u64) -> u64 {
+        b.wrapping_mul(0xdeadbeef_12345677)
+    }
+
+    /// The kernel, written once for every surface: the round keys enter
+    /// as secrets. Returns the ciphertext blocks.
+    fn body<V: Value, S: TaintSink<V> + ?Sized>(&self, s: &mut S) -> Vec<V> {
+        let tables = sbox_tables(s, self.table_seed);
+        let rk: Vec<V> = secrets(s, round_keys(self.key()), "DES key");
+        (0..self.blocks as u64)
+            .map(|b| encrypt(&tables, s, &rk, &V::public(Self::block(b))))
+            .collect()
+    }
+
     /// Runs the kernel; returns ciphertext blocks and counters.
     ///
     /// # Panics
     ///
     /// Panics if the machine lacks RAM or (for [`Strategy::Bia`]) a BIA.
     pub fn run_full(&self, m: &mut Machine, strategy: Strategy) -> (Vec<u64>, Counters) {
-        let s = sboxes(self.table_seed);
-        let tables: Vec<SimTable> = s.iter().map(|sb| SimTable::new_u8(m, sb)).collect();
-        let rk = round_keys(self.key());
-        let mut out = Vec::with_capacity(self.blocks);
-        let (_, counters) = m.measure(|m| {
-            for b in 0..self.blocks as u64 {
-                out.push(encrypt_mem(
-                    &tables,
-                    m,
-                    strategy,
-                    &rk,
-                    b.wrapping_mul(0xdeadbeef_12345677),
-                ));
-            }
-        });
-        (out, counters)
+        measure(m, strategy, |s| self.body(s))
     }
 }
 
@@ -190,6 +202,17 @@ impl Workload for Des {
             counters,
         }
     }
+
+    fn run_tainted(&self, s: &mut dyn TaintSink<Tv>) -> Vec<Tv> {
+        self.body(s)
+    }
+
+    fn reference(&self) -> Vec<u64> {
+        let (sb, rk) = (sboxes(self.table_seed), round_keys(self.key()));
+        (0..self.blocks as u64)
+            .map(|b| encrypt_ref(&sb, &rk, Self::block(b)))
+            .collect()
+    }
 }
 
 /// The 3DES (EDE) workload.
@@ -209,26 +232,36 @@ impl Des3 {
         [rng.next_u64(), rng.next_u64(), rng.next_u64()]
     }
 
+    /// The block encrypted by run `b`.
+    fn block(b: u64) -> u64 {
+        b.wrapping_mul(0x0bad_cafe_dead_f00d)
+    }
+
+    /// The kernel, written once for every surface: three passes under
+    /// three secret key schedules. Returns the ciphertext blocks.
+    fn body<V: Value, S: TaintSink<V> + ?Sized>(&self, s: &mut S) -> Vec<V> {
+        let tables = sbox_tables(s, self.table_seed);
+        let rks: Vec<Vec<V>> = self
+            .keys()
+            .iter()
+            .map(|&k| secrets(s, round_keys(k), "DES key"))
+            .collect();
+        (0..self.blocks as u64)
+            .map(|b| {
+                rks.iter().fold(V::public(Self::block(b)), |x, rk| {
+                    encrypt(&tables, s, rk, &x)
+                })
+            })
+            .collect()
+    }
+
     /// Runs the kernel; returns ciphertext blocks and counters.
     ///
     /// # Panics
     ///
     /// Panics if the machine lacks RAM or (for [`Strategy::Bia`]) a BIA.
     pub fn run_full(&self, m: &mut Machine, strategy: Strategy) -> (Vec<u64>, Counters) {
-        let s = sboxes(self.table_seed);
-        let tables: Vec<SimTable> = s.iter().map(|sb| SimTable::new_u8(m, sb)).collect();
-        let rks: Vec<[u64; 16]> = self.keys().iter().map(|&k| round_keys(k)).collect();
-        let mut out = Vec::with_capacity(self.blocks);
-        let (_, counters) = m.measure(|m| {
-            for b in 0..self.blocks as u64 {
-                let mut x = b.wrapping_mul(0x0bad_cafe_dead_f00d);
-                for rk in &rks {
-                    x = encrypt_mem(&tables, m, strategy, rk, x);
-                }
-                out.push(x);
-            }
-        });
-        (out, counters)
+        measure(m, strategy, |s| self.body(s))
     }
 }
 
@@ -253,6 +286,18 @@ impl Workload for Des3 {
             digest: digest_u64(ct),
             counters,
         }
+    }
+
+    fn run_tainted(&self, s: &mut dyn TaintSink<Tv>) -> Vec<Tv> {
+        self.body(s)
+    }
+
+    fn reference(&self) -> Vec<u64> {
+        let sb = sboxes(self.table_seed);
+        let rks = self.keys().map(round_keys);
+        (0..self.blocks as u64)
+            .map(|b| encrypt3_ref(&sb, &rks, Self::block(b)))
+            .collect()
     }
 }
 

@@ -8,10 +8,12 @@
 //! the paper's §6.3 where the BIA's per-page preprocessing can cost more
 //! than it saves.
 
-use super::SimTable;
-use crate::run::{digest_u64, InputRng, Run, Workload};
+use super::{secrets, SimTable};
+use crate::run::{digest_u64, measure, InputRng, Run, Workload};
 use crate::strategy::Strategy;
-use ctbia_core::ctmem::CtMemory;
+use ctbia_core::ctmem::Width;
+use ctbia_core::sink::{TaintSink, Value};
+use ctbia_core::taint::Tv;
 use ctbia_machine::{Counters, Machine};
 
 /// Register work per RC4 step (index arithmetic, masking, loop).
@@ -35,44 +37,49 @@ impl Rc4 {
         (0..self.key_len).map(|_| rng.below(256) as u8).collect()
     }
 
+    /// The kernel, written once for every surface: the KSA then
+    /// `stream_len` PRGA steps. Returns the keystream bytes.
+    fn body<V: Value, S: TaintSink<V> + ?Sized>(&self, s: &mut S) -> Vec<V> {
+        let key: Vec<V> = secrets(s, self.key().into_iter().map(u64::from), "ARC4 key");
+        let st = SimTable::public(s, Width::U8, 0..256);
+        let byte = V::public(255);
+
+        // KSA.
+        let mut j = V::public(0);
+        for i in 0..256u64 {
+            let si = st.lookup_public(s, i, "S[i]");
+            j = j.add(&si).add(&key[i as usize % key.len()]).and(&byte);
+            s.exec(PER_STEP_INSTS);
+            let sj = st.lookup(s, &j, "S[j]");
+            st.store_public(s, i, &sj, "S[i] = S[j]");
+            st.store(s, &j, &si, "S[j] = S[i]");
+        }
+        // PRGA.
+        let mut out = Vec::with_capacity(self.stream_len);
+        let mut i = 0u64;
+        let mut j = V::public(0);
+        for _ in 0..self.stream_len {
+            i = (i + 1) & 255;
+            let si = st.lookup_public(s, i, "S[i]");
+            j = j.add(&si).and(&byte);
+            s.exec(PER_STEP_INSTS);
+            let sj = st.lookup(s, &j, "S[j]");
+            st.store_public(s, i, &sj, "S[i] = S[j]");
+            st.store(s, &j, &si, "S[j] = S[i]");
+            let t = si.add(&sj).and(&byte);
+            out.push(st.lookup(s, &t, "S[t] keystream"));
+        }
+        out
+    }
+
     /// Runs the kernel, returning the keystream and counters.
     ///
     /// # Panics
     ///
     /// Panics if the machine lacks RAM or (for [`Strategy::Bia`]) a BIA.
     pub fn run_full(&self, m: &mut Machine, strategy: Strategy) -> (Vec<u8>, Counters) {
-        let key = self.key();
-        let identity: Vec<u8> = (0..=255).collect();
-        let s = SimTable::new_u8(m, &identity);
-
-        let mut out = Vec::with_capacity(self.stream_len);
-        let (_, counters) = m.measure(|m| {
-            // KSA.
-            let mut j = 0u64;
-            for i in 0..256u64 {
-                let si = s.lookup_public(m, i);
-                j = (j + si + key[(i as usize) % key.len()] as u64) & 255;
-                m.exec(PER_STEP_INSTS);
-                let sj = s.lookup(m, strategy, j);
-                s.store_public(m, i, sj);
-                s.store(m, strategy, j, si);
-            }
-            // PRGA.
-            let mut i = 0u64;
-            let mut j = 0u64;
-            for _ in 0..self.stream_len {
-                i = (i + 1) & 255;
-                let si = s.lookup_public(m, i);
-                j = (j + si) & 255;
-                m.exec(PER_STEP_INSTS);
-                let sj = s.lookup(m, strategy, j);
-                s.store_public(m, i, sj);
-                s.store(m, strategy, j, si);
-                let t = (si + sj) & 255;
-                out.push(s.lookup(m, strategy, t) as u8);
-            }
-        });
-        (out, counters)
+        let (ks, counters) = measure(m, strategy, |s| self.body(s));
+        (ks.into_iter().map(|b| b as u8).collect(), counters)
     }
 }
 
@@ -116,6 +123,17 @@ impl Workload for Rc4 {
             digest: digest_u64(ks.into_iter().map(u64::from)),
             counters,
         }
+    }
+
+    fn run_tainted(&self, s: &mut dyn TaintSink<Tv>) -> Vec<Tv> {
+        self.body(s)
+    }
+
+    fn reference(&self) -> Vec<u64> {
+        reference(&self.key(), self.stream_len)
+            .into_iter()
+            .map(u64::from)
+            .collect()
     }
 }
 

@@ -4,9 +4,11 @@
 //! counter, so constant-time programming changes nothing and every
 //! strategy costs the same — the ≈1× bar at the right edge of Figure 9.
 
-use crate::run::{digest_u64, InputRng, Run, Workload};
+use crate::run::{digest_u64, measure, InputRng, Run, Workload};
 use crate::strategy::Strategy;
-use ctbia_core::ctmem::CtMemoryExt;
+use ctbia_core::ctmem::Width;
+use ctbia_core::sink::{elem_addr, TaintSink, Value};
+use ctbia_core::taint::Tv;
 use ctbia_machine::{Counters, Machine};
 
 /// Register work per element: index math, xor, loop.
@@ -36,6 +38,46 @@ impl XorCipher {
         (0..self.key_words).map(|_| rng.next_u64() as u32).collect()
     }
 
+    /// The kernel, written once for every surface: public-address demand
+    /// traffic over secret message and key *contents*. Returns the
+    /// ciphertext.
+    fn body<V: Value, S: TaintSink<V> + ?Sized>(&self, s: &mut S) -> Vec<V> {
+        let n = self.words as u64;
+        let kn = self.key_words as u64;
+        let input = s.alloc(n * 4);
+        let karr = s.alloc(kn * 4);
+        let output = s.alloc(n * 4);
+        for (base, words) in [(input, self.message()), (karr, self.key())] {
+            for (i, &v) in words.iter().enumerate() {
+                s.poke(
+                    base.offset(i as u64 * 4),
+                    Width::U32,
+                    &V::public(u64::from(v)),
+                );
+            }
+        }
+        s.mark_secret(input, n * 4);
+        s.mark_secret(karr, kn * 4);
+        for i in 0..n {
+            let v = s.load(&elem_addr(input, &V::public(i), 4), Width::U32, "in[i]");
+            let k = s.load(
+                &elem_addr(karr, &V::public(i % kn), 4),
+                Width::U32,
+                "key[i % klen]",
+            );
+            s.exec(PER_ELEMENT_INSTS);
+            s.store(
+                &elem_addr(output, &V::public(i), 4),
+                Width::U32,
+                &v.xor(&k),
+                "out[i]",
+            );
+        }
+        (0..n)
+            .map(|i| s.peek(output.offset(i * 4), Width::U32))
+            .collect()
+    }
+
     /// Runs the kernel; returns the ciphertext and counters.
     ///
     /// The `strategy` parameter is accepted for harness uniformity but has
@@ -44,31 +86,9 @@ impl XorCipher {
     /// # Panics
     ///
     /// Panics if the machine lacks RAM.
-    pub fn run_full(&self, m: &mut Machine, _strategy: Strategy) -> (Vec<u32>, Counters) {
-        let msg = self.message();
-        let key = self.key();
-        let n = self.words as u64;
-        let kn = self.key_words as u64;
-        let input = m.alloc_u32_array(n).expect("alloc in");
-        let karr = m.alloc_u32_array(kn).expect("alloc key");
-        let output = m.alloc_u32_array(n).expect("alloc out");
-        for (i, &v) in msg.iter().enumerate() {
-            m.poke_u32(input.offset(i as u64 * 4), v);
-        }
-        for (i, &v) in key.iter().enumerate() {
-            m.poke_u32(karr.offset(i as u64 * 4), v);
-        }
-        let (_, counters) = m.measure(|m| {
-            use ctbia_core::ctmem::CtMemory;
-            for i in 0..n {
-                let v = m.load_u32(input.offset(i * 4));
-                let k = m.load_u32(karr.offset((i % kn) * 4));
-                m.exec(PER_ELEMENT_INSTS);
-                m.store_u32(output.offset(i * 4), v ^ k);
-            }
-        });
-        let out = (0..n).map(|i| m.peek_u32(output.offset(i * 4))).collect();
-        (out, counters)
+    pub fn run_full(&self, m: &mut Machine, strategy: Strategy) -> (Vec<u32>, Counters) {
+        let (ct, counters) = measure(m, strategy, |s| self.body(s));
+        (ct.into_iter().map(|w| w as u32).collect(), counters)
     }
 }
 
@@ -101,6 +121,17 @@ impl Workload for XorCipher {
             digest: digest_u64(ct.into_iter().map(u64::from)),
             counters,
         }
+    }
+
+    fn run_tainted(&self, s: &mut dyn TaintSink<Tv>) -> Vec<Tv> {
+        self.body(s)
+    }
+
+    fn reference(&self) -> Vec<u64> {
+        reference(&self.message(), &self.key())
+            .into_iter()
+            .map(u64::from)
+            .collect()
     }
 }
 

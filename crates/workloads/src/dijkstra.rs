@@ -12,12 +12,12 @@
 //! addresses — and keeps the running minimum in registers, so only the
 //! `selected[u]` marking and the `adj[u][j]` reads need linearization.
 
-use crate::run::{digest_u64, Run, Workload};
+use crate::run::{digest_u64, measure, Run, Workload};
 use crate::strategy::Strategy;
-use ctbia_core::ctmem::CtMemory;
-use ctbia_core::ctmem::{CtMemoryExt, Width};
+use ctbia_core::ctmem::Width;
 use ctbia_core::ds::DataflowSet;
-use ctbia_core::predicate::{ct_eq, ct_lt, select};
+use ctbia_core::sink::{elem_addr, TaintSink, Value};
+use ctbia_core::taint::Tv;
 use ctbia_machine::{Counters, Machine};
 
 /// Weights are kept small so sums never approach the INF sentinel.
@@ -65,6 +65,94 @@ impl Dijkstra {
         adj
     }
 
+    /// The kernel, written once for every surface. The adjacency matrix
+    /// is secret; distances become secret on the first relaxation and
+    /// `selected[]` through the secret-indexed marking store. Both are
+    /// then only read at public (sequential-scan) addresses, while
+    /// `adj[u][j]` and `selected[u]` go through the strategy. Returns the
+    /// distances from vertex 0.
+    fn body<V: Value, S: TaintSink<V> + ?Sized>(&self, s: &mut S) -> Vec<V> {
+        let n = self.vertices as u64;
+        let adj = s.alloc(n * n * 4);
+        let dist = s.alloc(n * 4);
+        let selected = s.alloc(n * 4);
+        for (i, &w) in self.adjacency().iter().enumerate() {
+            s.poke(
+                adj.offset(i as u64 * 4),
+                Width::U32,
+                &V::public(u64::from(w)),
+            );
+        }
+        // DS of adj[u][j] for public j, secret u: column j of the matrix.
+        let col_ds: Vec<DataflowSet> = (0..n)
+            .map(|j| DataflowSet::strided(adj.offset(j * 4), n, n * 4, 4))
+            .collect();
+        let ds_selected = DataflowSet::contiguous(selected, n * 4);
+        let inf = V::public(u64::from(INF));
+
+        s.mark_secret(adj, n * n * 4);
+        // Public initialization.
+        for i in 0..s.trip_count(&V::public(n), "init loop") {
+            let d0 = if i == 0 { V::public(0) } else { inf.clone() };
+            s.store(
+                &elem_addr(dist, &V::public(i), 4),
+                Width::U32,
+                &d0,
+                "dist init",
+            );
+            s.store(
+                &elem_addr(selected, &V::public(i), 4),
+                Width::U32,
+                &V::public(0),
+                "selected init",
+            );
+            s.exec(2);
+        }
+        for _ in 0..s.trip_count(&V::public(n), "vertex loop") {
+            // Branchless arg-min over unselected vertices.
+            let mut best = V::public(u64::from(INF) + 1);
+            let mut u = V::public(0);
+            for i in 0..s.trip_count(&V::public(n), "arg-min scan") {
+                let d = s.load(&elem_addr(dist, &V::public(i), 4), Width::U32, "dist[i]");
+                let sel = s.load(
+                    &elem_addr(selected, &V::public(i), 4),
+                    Width::U32,
+                    "selected[i]",
+                );
+                s.exec(SCAN_INSTS);
+                let better = sel.ct_eq(&V::public(0)).and(&d.ct_lt(&best));
+                best = V::select(&better, &d, &best);
+                u = V::select(&better, &V::public(i), &u);
+            }
+            // Mark u selected: secret-indexed store, DS = selected[].
+            s.ds_store(
+                &ds_selected,
+                &elem_addr(selected, &u, 4),
+                Width::U32,
+                &V::public(1),
+                "selected[u] = 1",
+            );
+            // Relax every edge out of u: adj[u][j] is a secret-row load.
+            for j in 0..s.trip_count(&V::public(n), "relax loop") {
+                let addr = elem_addr(adj, &u.mul(&V::public(n)).add(&V::public(j)), 4);
+                let w = s.ds_load(&col_ds[j as usize], &addr, Width::U32, "adj[u][j]");
+                s.exec(RELAX_INSTS);
+                let nd = best.add(&w).ct_min(&inf);
+                let dj = s.load(&elem_addr(dist, &V::public(j), 4), Width::U32, "dist[j]");
+                let better = nd.ct_lt(&dj);
+                s.store(
+                    &elem_addr(dist, &V::public(j), 4),
+                    Width::U32,
+                    &V::select(&better, &nd, &dj),
+                    "dist[j] relax",
+                );
+            }
+        }
+        (0..n)
+            .map(|i| s.peek(dist.offset(i * 4), Width::U32))
+            .collect()
+    }
+
     /// Runs the kernel; returns the distance vector from vertex 0 and the
     /// measured counters.
     ///
@@ -72,56 +160,8 @@ impl Dijkstra {
     ///
     /// Panics if the machine lacks RAM or (for [`Strategy::Bia`]) a BIA.
     pub fn run_full(&self, m: &mut Machine, strategy: Strategy) -> (Vec<u32>, Counters) {
-        let n = self.vertices as u64;
-        let adj_data = self.adjacency();
-        let adj = m.alloc_u32_array(n * n).expect("alloc adj");
-        let dist = m.alloc_u32_array(n).expect("alloc dist");
-        let selected = m.alloc_u32_array(n).expect("alloc selected");
-        for (i, &w) in adj_data.iter().enumerate() {
-            m.poke_u32(adj.offset(i as u64 * 4), w);
-        }
-        // DS of adj[u][j] for public j, secret u: column j of the matrix.
-        let col_ds: Vec<DataflowSet> = (0..n)
-            .map(|j| DataflowSet::strided(adj.offset(j * 4), n, n * 4, 4))
-            .collect();
-        let ds_selected = DataflowSet::contiguous(selected, n * 4);
-
-        let (_, counters) = m.measure(|m| {
-            // Public initialization.
-            for i in 0..n {
-                m.store_u32(dist.offset(i * 4), if i == 0 { 0 } else { INF });
-                m.store_u32(selected.offset(i * 4), 0);
-                m.exec(2);
-            }
-            for _ in 0..n {
-                // Branchless arg-min over unselected vertices.
-                let mut best = INF as u64 + 1;
-                let mut u = 0u64;
-                for i in 0..n {
-                    let d = m.load_u32(dist.offset(i * 4)) as u64;
-                    let s = m.load_u32(selected.offset(i * 4)) as u64;
-                    m.exec(SCAN_INSTS);
-                    let better = ct_eq(s, 0) & ct_lt(d, best);
-                    best = select(better, d, best);
-                    u = select(better, i, u);
-                }
-                // Mark u selected: secret-indexed store, DS = selected[].
-                strategy.store(m, &ds_selected, selected.offset(u * 4), Width::U32, 1);
-                // Relax every edge out of u: adj[u][j] is a secret-row load.
-                for j in 0..n {
-                    let addr = adj.offset((u * n + j) * 4);
-                    let w = strategy.load(m, &col_ds[j as usize], addr, Width::U32);
-                    m.exec(RELAX_INSTS);
-                    let nd = (best + w).min(INF as u64);
-                    let dj = m.load_u32(dist.offset(j * 4)) as u64;
-                    let better = ct_lt(nd, dj);
-                    m.store_u32(dist.offset(j * 4), select(better, nd, dj) as u32);
-                }
-            }
-        });
-
-        let out = (0..n).map(|i| m.peek_u32(dist.offset(i * 4))).collect();
-        (out, counters)
+        let (dist, counters) = measure(m, strategy, |s| self.body(s));
+        (dist.into_iter().map(|d| d as u32).collect(), counters)
     }
 }
 
@@ -161,6 +201,17 @@ impl Workload for Dijkstra {
             digest: digest_u64(dist.into_iter().map(u64::from)),
             counters,
         }
+    }
+
+    fn run_tainted(&self, s: &mut dyn TaintSink<Tv>) -> Vec<Tv> {
+        self.body(s)
+    }
+
+    fn reference(&self) -> Vec<u64> {
+        reference(&self.adjacency(), self.vertices)
+            .into_iter()
+            .map(u64::from)
+            .collect()
     }
 }
 

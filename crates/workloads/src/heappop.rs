@@ -9,12 +9,12 @@
 //! size are handled by clamping the probe address and masking the
 //! comparison, so the demand trace is identical for every secret.
 
-use crate::run::{digest_u64, size_label, InputRng, Run, Workload};
+use crate::run::{digest_u64, measure, size_label, InputRng, Run, Workload};
 use crate::strategy::Strategy;
-use ctbia_core::ctmem::CtMemory;
-use ctbia_core::ctmem::{CtMemoryExt, Width};
+use ctbia_core::ctmem::Width;
 use ctbia_core::ds::DataflowSet;
-use ctbia_core::predicate::{ct_lt, select};
+use ctbia_core::sink::{elem_addr, TaintSink, Value};
+use ctbia_core::taint::Tv;
 use ctbia_machine::{Counters, Machine};
 
 /// Per-level bookkeeping: child index math, clamps, masks, selects.
@@ -54,6 +54,77 @@ impl HeapPop {
         h
     }
 
+    /// The kernel, written once for every surface. The heap contents are
+    /// secret; the root and last element sit at public addresses, but
+    /// the sift path index is secret from the first comparison on and
+    /// only ever addresses memory through the strategy. Returns the
+    /// popped maxima in order.
+    fn body<V: Value, S: TaintSink<V> + ?Sized>(&self, s: &mut S) -> Vec<V> {
+        assert!(
+            self.pops <= self.size,
+            "cannot pop more than the heap holds"
+        );
+        let n = self.size as u64;
+        let heap = s.alloc(n * 4);
+        for (i, &v) in self.heap().iter().enumerate() {
+            s.poke(
+                heap.offset(i as u64 * 4),
+                Width::U32,
+                &V::public(u64::from(v)),
+            );
+        }
+        let ds = DataflowSet::contiguous(heap, n * 4);
+        let depth = 64 - (n.max(2) - 1).leading_zeros() as u64; // ceil(log2 n)
+
+        s.mark_secret(heap, n * 4);
+        let mut popped = Vec::with_capacity(self.pops);
+        let mut size = n; // public: the pop count is public
+        for _ in 0..s.trip_count(&V::public(self.pops as u64), "pop loop") {
+            // Root and last element are at public addresses.
+            let root = s.load(&elem_addr(heap, &V::public(0), 4), Width::U32, "heap[0]");
+            size -= 1;
+            let hold = s.load(
+                &elem_addr(heap, &V::public(size), 4),
+                Width::U32,
+                "heap[size-1]",
+            );
+            s.exec(4);
+            popped.push(root);
+            // Sift `hold` down from the root along a secret path.
+            let mut i = V::public(0);
+            let size_v = V::public(size);
+            let clamp = V::public(size.saturating_sub(1));
+            for _ in 0..s.trip_count(&V::public(depth), "sift loop") {
+                s.exec(PER_LEVEL_INSTS);
+                let c1 = i.mul(&V::public(2)).add(&V::public(1));
+                let c2 = i.mul(&V::public(2)).add(&V::public(2));
+                let c1_ok = c1.ct_lt(&size_v);
+                let c2_ok = c2.ct_lt(&size_v);
+                let a1 = elem_addr(heap, &c1.ct_min(&clamp), 4);
+                let a2 = elem_addr(heap, &c2.ct_min(&clamp), 4);
+                let v1 = s.ds_load(&ds, &a1, Width::U32, "heap child 1").and(&c1_ok);
+                let v2 = s.ds_load(&ds, &a2, Width::U32, "heap child 2").and(&c2_ok);
+                // Larger valid child.
+                let right = v1.ct_lt(&v2);
+                let c = V::select(&right, &c2, &c1);
+                let vc = V::select(&right, &v2, &v1);
+                // Move down if the child beats the held value.
+                let go = hold.ct_lt(&vc);
+                let write = V::select(&go, &vc, &hold);
+                s.ds_store(&ds, &elem_addr(heap, &i, 4), Width::U32, &write, "heap[i]");
+                i = V::select(&go, &c, &i);
+            }
+            s.ds_store(
+                &ds,
+                &elem_addr(heap, &i, 4),
+                Width::U32,
+                &hold,
+                "heap[i] settle",
+            );
+        }
+        popped
+    }
+
     /// Runs the kernel; returns the popped maxima in order plus the
     /// measured counters.
     ///
@@ -62,56 +133,8 @@ impl HeapPop {
     /// Panics if the machine lacks RAM, the pop count exceeds the heap, or
     /// (for [`Strategy::Bia`]) the machine has no BIA.
     pub fn run_full(&self, m: &mut Machine, strategy: Strategy) -> (Vec<u32>, Counters) {
-        assert!(
-            self.pops <= self.size,
-            "cannot pop more than the heap holds"
-        );
-        let n = self.size as u64;
-        let heap_data = self.heap();
-        let heap = m.alloc_u32_array(n).expect("alloc heap");
-        for (i, &v) in heap_data.iter().enumerate() {
-            m.poke_u32(heap.offset(i as u64 * 4), v);
-        }
-        let ds = DataflowSet::contiguous(heap, n * 4);
-        let depth = 64 - (n.max(2) - 1).leading_zeros() as u64; // ceil(log2 n)
-
-        let mut popped = Vec::with_capacity(self.pops);
-        let (_, counters) = m.measure(|m| {
-            let mut size = n;
-            for _ in 0..self.pops {
-                // Root and last element are at public addresses.
-                let root = m.load_u32(heap);
-                size -= 1;
-                let last = m.load_u32(heap.offset(size * 4)) as u64;
-                m.exec(4);
-                popped.push(root);
-                // Sift `last` down from the root along a secret path.
-                let mut i = 0u64;
-                let hold = last;
-                for _ in 0..depth {
-                    m.exec(PER_LEVEL_INSTS);
-                    let c1 = 2 * i + 1;
-                    let c2 = 2 * i + 2;
-                    let c1_ok = ct_lt(c1, size);
-                    let c2_ok = ct_lt(c2, size);
-                    let a1 = heap.offset(c1.min(size.saturating_sub(1)) * 4);
-                    let a2 = heap.offset(c2.min(size.saturating_sub(1)) * 4);
-                    let v1 = strategy.load(m, &ds, a1, Width::U32) & c1_ok;
-                    let v2 = strategy.load(m, &ds, a2, Width::U32) & c2_ok;
-                    // Larger valid child.
-                    let right = ct_lt(v1, v2);
-                    let c = select(right, c2, c1);
-                    let vc = select(right, v2, v1);
-                    // Move down if the child beats the held value.
-                    let go = ct_lt(hold, vc);
-                    let write = select(go, vc, hold);
-                    strategy.store(m, &ds, heap.offset(i * 4), Width::U32, write);
-                    i = select(go, c, i);
-                }
-                strategy.store(m, &ds, heap.offset(i * 4), Width::U32, hold);
-            }
-        });
-        (popped, counters)
+        let (popped, counters) = measure(m, strategy, |s| self.body(s));
+        (popped.into_iter().map(|v| v as u32).collect(), counters)
     }
 }
 
@@ -159,6 +182,17 @@ impl Workload for HeapPop {
             digest: digest_u64(popped.into_iter().map(u64::from)),
             counters,
         }
+    }
+
+    fn run_tainted(&self, s: &mut dyn TaintSink<Tv>) -> Vec<Tv> {
+        self.body(s)
+    }
+
+    fn reference(&self) -> Vec<u64> {
+        reference(&self.heap(), self.pops)
+            .into_iter()
+            .map(u64::from)
+            .collect()
     }
 }
 

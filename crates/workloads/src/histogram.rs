@@ -17,12 +17,13 @@
 //! linearize — the paper notes Histogram's overhead is purely dataflow
 //! linearization.
 
-use crate::run::{digest_u64, size_label, InputRng, Run, Workload};
+use crate::run::{digest_u64, measure, size_label, InputRng, Run, Workload};
 use crate::strategy::Strategy;
-use ctbia_core::ctmem::CtMemory;
-use ctbia_core::ctmem::{CtMemoryExt, Width};
+use ctbia_core::ctmem::Width;
 use ctbia_core::ds::DataflowSet;
 use ctbia_core::predicate::ct_abs;
+use ctbia_core::sink::{elem_addr, TaintSink, Value};
+use ctbia_core::taint::Tv;
 use ctbia_machine::{Counters, Machine};
 
 /// Bookkeeping instructions per element besides the explicit memory
@@ -53,6 +54,46 @@ impl Histogram {
             .collect()
     }
 
+    /// The kernel, written once for every surface: the input values are
+    /// secret, and the bin index derived from them addresses `out[]`
+    /// only through linearized accesses. Returns the bins.
+    fn body<V: Value, S: TaintSink<V> + ?Sized>(&self, s: &mut S) -> Vec<V> {
+        let n = self.size as u64;
+        let in_arr = s.alloc(n * 4);
+        let out = s.alloc(n * 4);
+        for (i, &v) in self.input().iter().enumerate() {
+            s.poke(
+                in_arr.offset(i as u64 * 4),
+                Width::U32,
+                &V::public(u64::from(v as u32)),
+            );
+        }
+        for i in 0..n {
+            s.poke(out.offset(i * 4), Width::U32, &V::public(0));
+        }
+        let ds_out = DataflowSet::contiguous(out, n * 4);
+
+        s.mark_secret(in_arr, n * 4);
+        for i in 0..s.trip_count(&V::public(n), "element loop") {
+            let v = s.load(&elem_addr(in_arr, &V::public(i), 4), Width::U32, "in[i]");
+            s.exec(PER_ELEMENT_INSTS);
+            let t =
+                V::lift([&v], |[v]| ct_abs(i64::from(v as u32 as i32)) as u64).rem(&V::public(n));
+            let addr = elem_addr(out, &t, 4);
+            let p = s.ds_load(&ds_out, &addr, Width::U32, "out[t] read");
+            s.ds_store(
+                &ds_out,
+                &addr,
+                Width::U32,
+                &p.add(&V::public(1)),
+                "out[t] write",
+            );
+        }
+        (0..n)
+            .map(|i| s.peek(out.offset(i * 4), Width::U32))
+            .collect()
+    }
+
     /// Runs the kernel and returns the full bin vector plus the measured
     /// counters.
     ///
@@ -60,31 +101,8 @@ impl Histogram {
     ///
     /// Panics if the machine lacks RAM or (for [`Strategy::Bia`]) a BIA.
     pub fn run_full(&self, m: &mut Machine, strategy: Strategy) -> (Vec<u32>, Counters) {
-        let n = self.size as u64;
-        let input = self.input();
-        let in_arr = m.alloc_u32_array(n).expect("alloc in[]");
-        let out = m.alloc_u32_array(n).expect("alloc out[]");
-        for (i, &v) in input.iter().enumerate() {
-            m.poke_i32(in_arr.offset(i as u64 * 4), v);
-        }
-        for i in 0..n {
-            m.poke_u32(out.offset(i * 4), 0);
-        }
-        let ds_out = DataflowSet::contiguous(out, n * 4);
-
-        let (_, counters) = m.measure(|m| {
-            for i in 0..n {
-                let v = m.load_i32(in_arr.offset(i * 4)) as i64;
-                m.exec(PER_ELEMENT_INSTS);
-                let t = (ct_abs(v) as u64) % n;
-                let addr = out.offset(t * 4);
-                let p = strategy.load(m, &ds_out, addr, Width::U32) as u32;
-                strategy.store(m, &ds_out, addr, Width::U32, p.wrapping_add(1) as u64);
-            }
-        });
-
-        let bins = (0..n).map(|i| m.peek_u32(out.offset(i * 4))).collect();
-        (bins, counters)
+        let (bins, counters) = measure(m, strategy, |s| self.body(s));
+        (bins.into_iter().map(|b| b as u32).collect(), counters)
     }
 }
 
@@ -109,6 +127,17 @@ impl Workload for Histogram {
             digest: digest_u64(bins.into_iter().map(u64::from)),
             counters,
         }
+    }
+
+    fn run_tainted(&self, s: &mut dyn TaintSink<Tv>) -> Vec<Tv> {
+        self.body(s)
+    }
+
+    fn reference(&self) -> Vec<u64> {
+        reference(&self.input(), self.size)
+            .into_iter()
+            .map(u64::from)
+            .collect()
     }
 }
 

@@ -20,16 +20,11 @@
 //! *security* check must fail.
 
 use crate::binary_search::BinarySearch;
-use crate::run::{digest_u64, size_label, Run, Workload};
+use crate::run::{digest_u64, measure, size_label, Run, Workload};
 use crate::strategy::Strategy;
-use ctbia_core::ctmem::CtMemory;
-use ctbia_core::ctmem::Width;
-use ctbia_core::predicate::{ct_lt, select};
+use ctbia_core::sink::TaintSink;
+use ctbia_core::taint::Tv;
 use ctbia_machine::{Counters, Machine};
-
-/// Per-probe bookkeeping, matching the CT variant so instruction counts
-/// are comparable.
-const PER_PROBE_INSTS: u64 = 8;
 
 /// The leaky negative-control workload. Wraps a [`BinarySearch`] for
 /// its inputs; `strategy` is accepted but deliberately not honoured by
@@ -49,43 +44,15 @@ impl LeakyBinarySearch {
     }
 
     /// Runs the kernel; returns the lower-bound index per key plus the
-    /// measured counters. The probe is a raw `m.load` — the leak.
+    /// measured counters. The probe is a raw demand load — the leak: its
+    /// line address enters the cache state and the demand trace.
     ///
     /// # Panics
     ///
     /// Panics if the machine lacks RAM.
-    pub fn run_full(&self, m: &mut Machine, _strategy: Strategy) -> (Vec<u32>, Counters) {
-        let n = self.inner.size as u64;
-        let data = self.inner.array();
-        let keys = self.inner.keys();
-        let arr = m.alloc_u32_array(n).expect("alloc array");
-        for (i, &v) in data.iter().enumerate() {
-            m.poke_u32(arr.offset(i as u64 * 4), v);
-        }
-        let probes = (64 - (n - 1).leading_zeros() as u64) + 1;
-
-        let mut results = Vec::with_capacity(keys.len());
-        let (_, counters) = m.measure(|m| {
-            for &key in &keys {
-                let mut lo = 0u64;
-                let mut hi = n;
-                for _ in 0..probes {
-                    m.exec(PER_PROBE_INSTS);
-                    let mid = (lo + hi) / 2;
-                    let idx = mid.min(n - 1);
-                    // THE BUG: a direct demand load at a secret-derived
-                    // address. Its line address enters the cache state and
-                    // the demand trace.
-                    let v = m.load(arr.offset(idx * 4), Width::U32);
-                    let active = ct_lt(lo, hi);
-                    let go_right = ct_lt(v, key as u64) & active;
-                    lo = select(go_right, mid + 1, lo);
-                    hi = select(!go_right & active, mid, hi);
-                }
-                results.push(lo as u32);
-            }
-        });
-        (results, counters)
+    pub fn run_full(&self, m: &mut Machine, strategy: Strategy) -> (Vec<u32>, Counters) {
+        let (idx, counters) = measure(m, strategy, |s| self.inner.search(s, true));
+        (idx.into_iter().map(|i| i as u32).collect(), counters)
     }
 }
 
@@ -100,6 +67,14 @@ impl Workload for LeakyBinarySearch {
             digest: digest_u64(idx.into_iter().map(u64::from)),
             counters,
         }
+    }
+
+    fn run_tainted(&self, s: &mut dyn TaintSink<Tv>) -> Vec<Tv> {
+        self.inner.search(s, true)
+    }
+
+    fn reference(&self) -> Vec<u64> {
+        self.inner.reference()
     }
 }
 

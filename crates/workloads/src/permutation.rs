@@ -4,11 +4,12 @@
 //! address exposes `b[i]` (Table 2), so its dataflow linearization set is
 //! the whole output array `a` (`O(length_of_array)`).
 
-use crate::run::{digest_u64, size_label, InputRng, Run, Workload};
+use crate::run::{digest_u64, measure, size_label, InputRng, Run, Workload};
 use crate::strategy::Strategy;
-use ctbia_core::ctmem::CtMemory;
-use ctbia_core::ctmem::{CtMemoryExt, Width};
+use ctbia_core::ctmem::Width;
 use ctbia_core::ds::DataflowSet;
+use ctbia_core::sink::{elem_addr, TaintSink, Value};
+use ctbia_core::taint::Tv;
 use ctbia_machine::{Counters, Machine};
 
 /// Per-element bookkeeping: loop control and address generation.
@@ -36,6 +37,36 @@ impl Permutation {
         b
     }
 
+    /// The kernel, written once for every surface: `b` is the secret, so
+    /// `a[b[i]] = i` stores through the strategy at a secret destination
+    /// (a pure implicit flow). Returns `a`.
+    fn body<V: Value, S: TaintSink<V> + ?Sized>(&self, s: &mut S) -> Vec<V> {
+        let n = self.size as u64;
+        let b = s.alloc(n * 4);
+        let a = s.alloc(n * 4);
+        for (i, &v) in self.permutation().iter().enumerate() {
+            s.poke(b.offset(i as u64 * 4), Width::U32, &V::public(u64::from(v)));
+        }
+        let ds_a = DataflowSet::contiguous(a, n * 4);
+
+        s.mark_secret(b, n * 4);
+        for i in 0..s.trip_count(&V::public(n), "element loop") {
+            // A public address; the loaded entry is the secret.
+            let t = s.load(&elem_addr(b, &V::public(i), 4), Width::U32, "b[i]");
+            s.exec(PER_ELEMENT_INSTS);
+            s.ds_store(
+                &ds_a,
+                &elem_addr(a, &t, 4),
+                Width::U32,
+                &V::public(i),
+                "a[b[i]] = i",
+            );
+        }
+        (0..n)
+            .map(|i| s.peek(a.offset(i * 4), Width::U32))
+            .collect()
+    }
+
     /// Runs the kernel; returns the inverted permutation `a` and the
     /// measured counters.
     ///
@@ -43,25 +74,8 @@ impl Permutation {
     ///
     /// Panics if the machine lacks RAM or (for [`Strategy::Bia`]) a BIA.
     pub fn run_full(&self, m: &mut Machine, strategy: Strategy) -> (Vec<u32>, Counters) {
-        let n = self.size as u64;
-        let b_data = self.permutation();
-        let b = m.alloc_u32_array(n).expect("alloc b[]");
-        let a = m.alloc_u32_array(n).expect("alloc a[]");
-        for (i, &v) in b_data.iter().enumerate() {
-            m.poke_u32(b.offset(i as u64 * 4), v);
-        }
-        let ds_a = DataflowSet::contiguous(a, n * 4);
-
-        let (_, counters) = m.measure(|m| {
-            for i in 0..n {
-                let t = m.load_u32(b.offset(i * 4)) as u64; // public address
-                m.exec(PER_ELEMENT_INSTS);
-                strategy.store(m, &ds_a, a.offset(t * 4), Width::U32, i);
-            }
-        });
-
-        let out = (0..n).map(|i| m.peek_u32(a.offset(i * 4))).collect();
-        (out, counters)
+        let (a, counters) = measure(m, strategy, |s| self.body(s));
+        (a.into_iter().map(|v| v as u32).collect(), counters)
     }
 }
 
@@ -85,6 +99,17 @@ impl Workload for Permutation {
             digest: digest_u64(a.into_iter().map(u64::from)),
             counters,
         }
+    }
+
+    fn run_tainted(&self, s: &mut dyn TaintSink<Tv>) -> Vec<Tv> {
+        self.body(s)
+    }
+
+    fn reference(&self) -> Vec<u64> {
+        reference(&self.permutation())
+            .into_iter()
+            .map(u64::from)
+            .collect()
     }
 }
 

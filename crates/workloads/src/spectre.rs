@@ -25,10 +25,11 @@
 //! Outputs (the sum of the public training loads) are identical either
 //! way: the leak lives entirely in microarchitectural state.
 
-use crate::run::{digest_u64, size_label, InputRng, Run, Workload};
+use crate::run::{digest_u64, measure, size_label, InputRng, Run, Workload};
 use crate::strategy::Strategy;
-use ctbia_core::ctmem::CtMemory;
 use ctbia_core::ctmem::Width;
+use ctbia_core::sink::{elem_addr, TaintSink, Value};
+use ctbia_core::taint::Tv;
 use ctbia_machine::{Counters, Machine};
 
 /// Static site id of the gadget's bounds check.
@@ -82,6 +83,74 @@ impl SpectreGadget {
         (0..self.attacks).map(|_| rng.next_u64() as u32).collect()
     }
 
+    /// The gadget, written once for every surface. Every architectural
+    /// access has a public address; each attack round's wrong path reads
+    /// a planted secret and touches the probe line it selects — a
+    /// secret-addressed fill, judged only by a surface that runs wrong
+    /// paths. Returns the accumulated public sum.
+    fn body<V: Value, S: TaintSink<V> + ?Sized>(&self, s: &mut S) -> Vec<V> {
+        let n = self.size as u64;
+        let attacks = self.attacks as u64;
+        let arr = s.alloc((n + attacks) * 4);
+        for (i, &v) in self.array().iter().enumerate() {
+            s.poke(
+                arr.offset(i as u64 * 4),
+                Width::U32,
+                &V::public(u64::from(v)),
+            );
+        }
+        let planted: Vec<V> = self
+            .secrets()
+            .iter()
+            .enumerate()
+            .map(|(k, &v)| {
+                let secret = s.secret(u64::from(v), format_args!("planted secret #{k}"));
+                s.poke(arr.offset((n + k as u64) * 4), Width::U32, &secret);
+                secret
+            })
+            .collect();
+        let probe = s.alloc(PROBE_LINES * PROBE_STRIDE);
+
+        let mut acc = V::public(0);
+        for k in 0..attacks {
+            // Mistrain: in-bounds calls, public indices. The wrong path of
+            // a taken bounds check is the skip side — no accesses — so
+            // even a seeded-cold predictor misprediction here opens an
+            // empty window.
+            for t in 0..TRAIN_CALLS as u64 {
+                let idx = V::public((k * TRAIN_CALLS as u64 + t) % n);
+                s.spec_branch(GADGET_SITE, true, &mut |_| {});
+                s.exec(GADGET_INSTS);
+                let v = s.load(
+                    &elem_addr(arr, &idx, 4),
+                    Width::U32,
+                    "in-bounds training load",
+                );
+                acc = acc.add(&v);
+            }
+            // Attack: a public out-of-bounds index. Architecturally the
+            // check fails and nothing is accessed; transiently the
+            // in-bounds body runs against the planted secret.
+            let oob = elem_addr(arr, &V::public(n + k), 4);
+            let secret = &planted[k as usize];
+            s.spec_branch(GADGET_SITE, false, &mut |s| {
+                let v = s.load(&oob, Width::U32, "transient out-of-bounds read");
+                // The transient read returns planted secret `k`: its bits
+                // come from memory, its provenance names the input.
+                let line = V::lift([secret, &v], |[_, v]| {
+                    (v & 0xffff_ffff & (PROBE_LINES - 1)) * PROBE_STRIDE
+                });
+                let _ = s.load(
+                    &V::public(probe.raw()).add(&line),
+                    Width::U32,
+                    "transient secret-indexed probe",
+                );
+            });
+            s.exec(GADGET_INSTS);
+        }
+        vec![acc]
+    }
+
     /// Runs the gadget; returns the accumulated public sum plus the
     /// measured counters. The configured strategy is irrelevant — every
     /// architectural access already has a public address — which is the
@@ -91,50 +160,9 @@ impl SpectreGadget {
     /// # Panics
     ///
     /// Panics if the machine lacks RAM.
-    pub fn run_full(&self, m: &mut Machine, _strategy: Strategy) -> (u64, Counters) {
-        let n = self.size as u64;
-        let data = self.array();
-        let secrets = self.secrets();
-        let arr = m
-            .alloc_u32_array(n + self.attacks as u64)
-            .expect("alloc array");
-        for (i, &v) in data.iter().enumerate() {
-            m.poke_u32(arr.offset(i as u64 * 4), v);
-        }
-        for (k, &s) in secrets.iter().enumerate() {
-            m.poke_u32(arr.offset((n + k as u64) * 4), s);
-        }
-        let probe = m
-            .alloc_u32_array(PROBE_LINES * PROBE_STRIDE / 4)
-            .expect("alloc probe");
-
-        let mut acc = 0u64;
-        let (_, counters) = m.measure(|m| {
-            for k in 0..self.attacks as u64 {
-                // Mistrain: in-bounds calls, public indices. The wrong
-                // path of a taken bounds check is the skip side — no
-                // accesses — so even a seeded-cold predictor misprediction
-                // here opens an empty window.
-                for t in 0..TRAIN_CALLS as u64 {
-                    let idx = (k * TRAIN_CALLS as u64 + t) % n;
-                    m.spec_branch(GADGET_SITE, true, &mut |_| {});
-                    m.exec(GADGET_INSTS);
-                    let v = m.load(arr.offset(idx * 4), Width::U32);
-                    acc = acc.wrapping_add(v);
-                }
-                // Attack: a public out-of-bounds index. Architecturally
-                // the check fails and nothing is accessed; transiently the
-                // in-bounds body runs against the planted secret.
-                let idx = n + k;
-                m.spec_branch(GADGET_SITE, false, &mut |mm| {
-                    let v = mm.load(arr.offset(idx * 4), Width::U32);
-                    let line = (u64::from(v as u32) & (PROBE_LINES - 1)) * PROBE_STRIDE;
-                    let _ = mm.load(probe.offset(line), Width::U32);
-                });
-                m.exec(GADGET_INSTS);
-            }
-        });
-        (acc, counters)
+    pub fn run_full(&self, m: &mut Machine, strategy: Strategy) -> (u64, Counters) {
+        let (acc, counters) = measure(m, strategy, |s| self.body(s));
+        (acc[0], counters)
     }
 }
 
@@ -149,6 +177,20 @@ impl Workload for SpectreGadget {
             digest: digest_u64([acc]),
             counters,
         }
+    }
+
+    fn run_tainted(&self, s: &mut dyn TaintSink<Tv>) -> Vec<Tv> {
+        self.body(s)
+    }
+
+    fn reference(&self) -> Vec<u64> {
+        let data = self.array();
+        let n = self.size as u64;
+        let train = TRAIN_CALLS as u64;
+        let acc = (0..self.attacks as u64 * train)
+            .map(|i| u64::from(data[(i % n) as usize]))
+            .fold(0u64, u64::wrapping_add);
+        vec![acc]
     }
 }
 
