@@ -493,14 +493,6 @@ impl Cache {
         &self.set_accesses
     }
 
-    /// Zeroes statistics and per-set counters (cache contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-        for c in &mut self.set_accesses {
-            *c = 0;
-        }
-    }
-
     /// Restores the exactly-as-built state while keeping every allocation,
     /// so one cache can serve many back-to-back simulations.
     ///
@@ -666,10 +658,6 @@ mod tests {
         c.access(l, AccessKind::Read, true);
         c.access(l, AccessKind::Write, true);
         assert_eq!(c.set_access_counts(), &[0, 0, 3, 0]);
-        c.reset_stats();
-        assert_eq!(c.set_access_counts(), &[0, 0, 0, 0]);
-        assert_eq!(c.stats().hits, 0);
-        assert!(c.is_resident(l), "reset_stats must keep contents");
     }
 
     #[test]
@@ -751,7 +739,6 @@ mod tests {
         c.access(line(3, 7), AccessKind::Read, true); // a miss that is not filled
         c.probe(l);
         c.mark_dirty(l);
-        c.reset_stats();
         let slot = c.access_if_hit(l, AccessKind::Read, false).unwrap();
         c.replay_hits(&[slot], AccessKind::Write);
         assert_eq!(c.epoch(), e);

@@ -87,11 +87,6 @@ impl Dram {
         &self.stats
     }
 
-    /// Zeroes the statistics (row-buffer state is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = DramStats::default();
-    }
-
     /// Restores the exactly-as-built state: all banks closed, stats zeroed.
     pub fn reset(&mut self) {
         self.open_rows.fill(None);
@@ -124,14 +119,5 @@ mod tests {
         assert_eq!(d.read(far), 160);
         assert_eq!(d.stats().row_hits, 1);
         assert_eq!(d.stats().row_misses, 2);
-    }
-
-    #[test]
-    fn reset_keeps_rows_open() {
-        let mut d = Dram::new(DramConfig::open_row(40, 160));
-        d.read(LineAddr::new(0));
-        d.reset_stats();
-        assert_eq!(d.stats().accesses(), 0);
-        assert_eq!(d.read(LineAddr::new(1)), 40, "row stays open across reset");
     }
 }

@@ -679,18 +679,6 @@ impl Hierarchy {
         }
     }
 
-    /// Zeroes all statistics (contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.l1d.reset_stats();
-        self.l2.reset_stats();
-        self.llc.reset_stats();
-        self.dram.reset_stats();
-        self.prefetch_fills = 0;
-        for c in &mut self.slice_counts {
-            *c = 0;
-        }
-    }
-
     /// Restores the exactly-as-built state — contents and stats cleared —
     /// while keeping every allocation and the monitored level. A reset
     /// hierarchy is indistinguishable from a freshly constructed one to
@@ -1013,8 +1001,5 @@ mod tests {
         // Monolithic LLC: everything slice 0.
         let h2 = Hierarchy::new(HierarchyConfig::tiny()).unwrap();
         assert_eq!(h2.llc_slice_of(LineAddr::new(12345)), 0);
-        // reset_stats clears slice counters too.
-        h.reset_stats();
-        assert_eq!(h.llc_slice_counts().iter().sum::<u64>(), 0);
     }
 }
