@@ -22,7 +22,6 @@
 //! only at *events* — secret introduction, memory propagation — via
 //! [`Taint::via`].
 
-use crate::predicate;
 use std::fmt;
 use std::rc::Rc;
 
@@ -157,11 +156,11 @@ impl Taint {
 
 /// A taint-carrying 64-bit value.
 ///
-/// Arithmetic is wrapping (mirroring the predicate layer's contract)
+/// Its arithmetic is the [`Value`](crate::sink::Value) algebra: wrapping,
 /// and every operation joins the operands' taints, so derived values
-/// are at least as secret as their inputs. The `ct_*` comparisons
-/// mirror [`crate::predicate`] bit-for-bit: a comparison of secrets is
-/// itself a secret *mask*, safe to feed to [`Tv::select`] but a
+/// are at least as secret as their inputs. The `ct_*` comparisons match
+/// [`crate::predicate`] bit-for-bit: a comparison of secrets is itself a
+/// secret *mask*, safe to feed to `Value::select` but a
 /// [`LeakKind::Branch`] violation if used to decide a native branch.
 #[derive(Debug, Clone, Default)]
 pub struct Tv {
@@ -190,131 +189,10 @@ impl Tv {
         }
     }
 
-    /// A value derived from `from` by an operation the `Tv` algebra
-    /// does not model (e.g. sign tricks); inherits `from`'s taint.
-    #[must_use]
-    pub fn derived(v: u64, from: &Tv) -> Tv {
-        Tv {
-            v,
-            taint: from.taint.clone(),
-        }
-    }
-
     /// Whether the value is secret.
     #[must_use]
     pub fn is_secret(&self) -> bool {
         self.taint.is_secret()
-    }
-
-    fn bin(&self, other: &Tv, v: u64) -> Tv {
-        Tv {
-            v,
-            taint: self.taint.join(&other.taint),
-        }
-    }
-
-    /// Wrapping addition.
-    #[must_use]
-    pub fn add(&self, other: &Tv) -> Tv {
-        self.bin(other, self.v.wrapping_add(other.v))
-    }
-
-    /// Wrapping subtraction.
-    #[must_use]
-    pub fn sub(&self, other: &Tv) -> Tv {
-        self.bin(other, self.v.wrapping_sub(other.v))
-    }
-
-    /// Wrapping multiplication.
-    #[must_use]
-    pub fn mul(&self, other: &Tv) -> Tv {
-        self.bin(other, self.v.wrapping_mul(other.v))
-    }
-
-    /// Remainder (panics on a zero divisor, like native `%`).
-    #[must_use]
-    pub fn rem(&self, other: &Tv) -> Tv {
-        self.bin(other, self.v % other.v)
-    }
-
-    /// Bitwise AND.
-    #[must_use]
-    pub fn and(&self, other: &Tv) -> Tv {
-        self.bin(other, self.v & other.v)
-    }
-
-    /// Bitwise OR.
-    #[must_use]
-    pub fn or(&self, other: &Tv) -> Tv {
-        self.bin(other, self.v | other.v)
-    }
-
-    /// Bitwise XOR.
-    #[must_use]
-    pub fn xor(&self, other: &Tv) -> Tv {
-        self.bin(other, self.v ^ other.v)
-    }
-
-    /// Bitwise NOT (taint-preserving).
-    #[must_use]
-    pub fn not(&self) -> Tv {
-        Tv {
-            v: !self.v,
-            taint: self.taint.clone(),
-        }
-    }
-
-    /// Logical shift right by a public amount.
-    #[must_use]
-    pub fn shr(&self, sh: u32) -> Tv {
-        Tv {
-            v: self.v >> sh,
-            taint: self.taint.clone(),
-        }
-    }
-
-    /// Shift left by a public amount.
-    #[must_use]
-    pub fn shl(&self, sh: u32) -> Tv {
-        Tv {
-            v: self.v << sh,
-            taint: self.taint.clone(),
-        }
-    }
-
-    /// All-ones/all-zeros equality mask, mirroring [`predicate::ct_eq`].
-    #[must_use]
-    pub fn ct_eq(&self, other: &Tv) -> Tv {
-        self.bin(other, predicate::ct_eq(self.v, other.v))
-    }
-
-    /// Unsigned less-than mask, mirroring [`predicate::ct_lt`].
-    #[must_use]
-    pub fn ct_lt(&self, other: &Tv) -> Tv {
-        self.bin(other, predicate::ct_lt(self.v, other.v))
-    }
-
-    /// Unsigned less-or-equal mask, mirroring [`predicate::ct_le`].
-    #[must_use]
-    pub fn ct_le(&self, other: &Tv) -> Tv {
-        self.bin(other, predicate::ct_le(self.v, other.v))
-    }
-
-    /// Branchless select, mirroring [`predicate::select`]: `a` where
-    /// `mask` is all-ones, else `b`. The result joins all three taints
-    /// — selecting between publics under a secret mask yields a secret.
-    #[must_use]
-    pub fn select(mask: &Tv, a: &Tv, b: &Tv) -> Tv {
-        Tv {
-            v: predicate::select(mask.v, a.v, b.v),
-            taint: mask.taint.join(&a.taint).join(&b.taint),
-        }
-    }
-
-    /// Branchless unsigned minimum, mirroring [`predicate::ct_min`].
-    #[must_use]
-    pub fn ct_min(&self, other: &Tv) -> Tv {
-        self.bin(other, predicate::ct_min(self.v, other.v))
     }
 }
 
@@ -388,6 +266,8 @@ impl fmt::Display for LeakViolation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate;
+    use crate::sink::Value;
 
     #[test]
     fn lattice_join_is_monotone() {

@@ -1,8 +1,10 @@
 //! # ctbia-workloads — benchmark kernels for the ctbia reproduction
 //!
-//! The programs the paper evaluates, each written **once** against the
-//! [`CtMemory`](ctbia_core::ctmem::CtMemory) machine and parameterized by a
-//! [`Strategy`]:
+//! The programs the paper evaluates, each written **once** as a generic
+//! body over the [`TaintSink`](ctbia_core::sink::TaintSink) surface. The
+//! body runs measured on a machine under a [`Strategy`] (through
+//! [`MachineSink`]), and the same body runs under `ctbia-verify`'s taint
+//! sanitizer and `ctbia-analyze`'s static recorder:
 //!
 //! * The five Ghostrider programs of Table 2 (Figures 7a–7e):
 //!   [`Dijkstra`], [`Histogram`], [`Permutation`], [`BinarySearch`],
@@ -50,6 +52,6 @@ pub use heappop::HeapPop;
 pub use histogram::Histogram;
 pub use leaky::LeakyBinarySearch;
 pub use permutation::Permutation;
-pub use run::{digest_u64, size_label, InputRng, Run, Workload};
+pub use run::{digest_u64, measure, size_label, InputRng, MachineSink, Run, Workload};
 pub use spectre::SpectreGadget;
 pub use strategy::Strategy;
