@@ -15,8 +15,8 @@ use crate::ir::AccessProgram;
 use crate::lint::lint;
 use crate::recmem::extract;
 use ctbia_core::taint::LeakViolation;
-use ctbia_harness::{CellSpec, Digest, WorkloadSpec};
-use ctbia_verify::{write_violations, CacheTextReader, STORED_VIOLATIONS};
+use ctbia_harness::{CacheTextReader, CellSpec, Digest, WorkloadSpec};
+use ctbia_verify::{read_violations_then_end, write_violations, STORED_VIOLATIONS};
 use std::fmt;
 
 /// Version tag of the certification-report cache encoding. Bump whenever
@@ -148,7 +148,7 @@ impl AnalyzeReport {
             trace_millibits: r.number("trace_millibits")?,
             state_lines: r.number("state_lines")?,
             predicted_insts: r.number("predicted_insts")?,
-            violations: r.violations_then_end()?,
+            violations: read_violations_then_end(r)?,
         })
     }
 }

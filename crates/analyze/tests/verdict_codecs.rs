@@ -1,5 +1,5 @@
 //! Fuzz tests for the two verdict cache codecs: `VerifyReport` and
-//! `AnalyzeReport` (both built on `ctbia_verify::CacheTextReader`).
+//! `AnalyzeReport` (both built on `ctbia_harness::CacheTextReader`).
 //!
 //! Each decoder reads in one pass, in the exact line order its encoder
 //! writes: the schema line, the fixed `key value` lines, the optional
@@ -210,10 +210,13 @@ fn reference_violations(out: &mut String, violations: &[LeakViolation]) {
 
 /// Characters free text (labels, contexts, provenance steps, divergences)
 /// may hold: key and trailer fragments, spaces, tabs, digits and
-/// multi-byte UTF-8. No line breaks: free text is one line of the text.
+/// multi-byte UTF-8, including characters whose continuation bytes end in
+/// the bits of `\n` or a space (`Ċ` is `C4 8A`, `Ġ` is `C4 A0`), Unicode
+/// line breaks `str::lines` does not split on, and a non-ASCII digit. No
+/// `\n`: free text is one line of the text.
 const TEXT_CHARS: &[char] = &[
     'e', 'n', 'd', 'v', 'i', 'o', 'l', 'p', 'r', ' ', '\t', '-', '0', 'x', '1', '/', '@', 'é', '€',
-    '😀',
+    '😀', 'Ċ', 'Ġ', '\u{85}', '\u{2028}', '\u{663}',
 ];
 
 const KINDS: [LeakKind; 7] = [
@@ -245,10 +248,14 @@ impl Rng {
         self.below(2) == 1
     }
 
-    /// A value at every magnitude from one digit to twenty.
+    /// A value at every magnitude from one digit to twenty, `u64::MAX`
+    /// included.
     fn number(&mut self) -> u64 {
         let z = self.next();
-        z >> (z % 64)
+        match z % 65 {
+            64 => u64::MAX,
+            shift => z >> shift,
+        }
     }
 
     fn text(&mut self) -> String {
@@ -270,7 +277,9 @@ impl Rng {
     }
 }
 
-/// Values no number or flag line may carry.
+/// Values no number or flag line may carry: every number is read in
+/// canonical decimal, so a sign, leading zeros, `u64::MAX + 1` and
+/// non-ASCII digits are damage too.
 const BAD_VALUES: &[&str] = &[
     "",
     "x",
@@ -280,8 +289,16 @@ const BAD_VALUES: &[&str] = &[
     "7 ",
     "0x10",
     "18446744073709551616",
+    "99999999999999999999",
     "true",
     "1 1",
+    "+5",
+    "+1",
+    "007",
+    "01",
+    "00",
+    "\u{663}",
+    "\u{ff11}",
 ];
 
 /// Applies mutation `op` to `text`, steered by `a` and `b`.
@@ -309,7 +326,11 @@ fn mutate<R: Codec>(text: &str, op: u8, a: u64, b: u64) -> String {
         4 => lines[0] = R::WRONG_SCHEMAS[(a as usize) % R::WRONG_SCHEMAS.len()].into(),
         5 => lines.push(R::JUNK_LINES[(a as usize) % R::JUNK_LINES.len()].into()),
         6 => lines.insert(j, R::JUNK_LINES[(a as usize) % R::JUNK_LINES.len()].into()),
-        _ => lines[t] = lines[t].replacen(' ', "  ", 1),
+        7 => lines[t] = lines[t].replacen(' ', "  ", 1),
+        // `\r\n` line endings throughout.
+        8 => return lines.iter().map(|l| format!("{l}\r\n")).collect(),
+        // A `\r` before one number or flag line's `\n`.
+        _ => lines[t].push('\r'),
     }
     let mut out = lines.join("\n");
     out.push('\n');
@@ -394,6 +415,48 @@ fn a_deleted_fixed_line_is_a_miss() {
     assert_eq!(VerifyReport::from_cache_text(text), None);
 }
 
+#[test]
+fn twenty_digit_numbers_round_trip_and_one_past_misses() {
+    let verify = VerifyReport {
+        leak_violations: u64::MAX,
+        pairs: u64::MAX,
+        obs_digest: u64::MAX,
+        ..VerifyReport::generate(&mut Rng(1))
+    };
+    let analyze = AnalyzeReport {
+        ops: u64::MAX,
+        ds_ops: u64::MAX,
+        violation_count: u64::MAX,
+        trace_millibits: u64::MAX,
+        state_lines: u64::MAX,
+        predicted_insts: u64::MAX,
+        ..AnalyzeReport::generate(&mut Rng(1))
+    };
+    fn check<R: Codec>(r: R) {
+        let text = r.encode();
+        assert_eq!(text, r.reference_encode());
+        assert_eq!(R::decode(&text), Some(r.clone()));
+        for (k, line) in text.lines().enumerate() {
+            if line.ends_with(" 18446744073709551615") {
+                let past: String = text
+                    .lines()
+                    .enumerate()
+                    .map(|(i, l)| {
+                        if i == k {
+                            format!("{}6\n", &l[..l.len() - 1])
+                        } else {
+                            format!("{l}\n")
+                        }
+                    })
+                    .collect();
+                assert_eq!(R::decode(&past), None, "{past}");
+            }
+        }
+    }
+    check(verify);
+    check(analyze);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -410,7 +473,7 @@ proptest! {
     #[test]
     fn mutated_verify_text_keeps_its_verdict(
         seed in any::<u64>(),
-        op in 0u8..8,
+        op in 0u8..10,
         a in any::<u64>(),
         b in any::<u64>(),
     ) {
@@ -421,7 +484,7 @@ proptest! {
     #[test]
     fn mutated_analyze_text_keeps_its_verdict(
         seed in any::<u64>(),
-        op in 0u8..8,
+        op in 0u8..10,
         a in any::<u64>(),
         b in any::<u64>(),
     ) {

@@ -12,6 +12,8 @@
 //!
 //! * **Read-time**: `load` treats any unparseable entry as a miss, so a
 //!   torn or bit-flipped file costs a re-simulation, never a wrong result.
+//!   A hit of any report kind is one file read ([`DiskCache::load_text`])
+//!   and one pass of the shared [`crate::report::CacheTextReader`].
 //! * **Startup recovery**: [`DiskCache::recover`] scans the directory,
 //!   deletes orphaned write-ahead temp files left by a crashed writer, and
 //!   moves recognizably torn entries (no versioned header, no `end`
@@ -22,7 +24,7 @@
 
 use crate::report::CellReport;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -110,7 +112,13 @@ impl DiskCache {
     /// unreadable). The grid engine reads every cell kind through it and
     /// decodes with the kind's own versioned codec.
     pub fn load_text(&self, key: &str) -> Option<String> {
-        fs::read_to_string(self.path_of(key)).ok()
+        // Reading through `take` skips the `statx` that `fs::read_to_string`
+        // spends on a size hint: a hit is open, read, read (end of file),
+        // close. 4 KiB holds every cell, verify and analyze entry.
+        let file = fs::File::open(self.path_of(key)).ok()?;
+        let mut text = String::with_capacity(4096);
+        file.take(u64::MAX).read_to_string(&mut text).ok()?;
+        Some(text)
     }
 
     /// Raw crash-consistent write of `text` under `key` (write-ahead temp

@@ -51,5 +51,5 @@ pub use engine::{
     execute_cell, execute_cell_traced, CellOutcome, GridCell, GridEngine, SweepEngine,
 };
 pub use memo::{MemoFill, MemoIndex, MemoProvenance};
-pub use report::{counter_fields, CellReport};
+pub use report::{counter_fields, CacheTextReader, CellReport};
 pub use spec::{CellSpec, CryptoKernel, SimConfig, StrategySpec, WorkloadSpec};

@@ -3,10 +3,14 @@
 //! A [`CellReport`] carries the workload's output digest (the bit-equality
 //! currency of the whole repo) and the full [`Counters`] snapshot — every
 //! statistic any figure or table derives from. The cache encoding is a flat
-//! `key value` text format, versioned with
-//! [`SCHEMA_VERSION`](crate::digest::SCHEMA_VERSION) and closed by an `end`
-//! trailer so truncated or corrupt files parse to `None` (a cache miss)
-//! instead of a wrong result.
+//! `key value` text format, versioned with [`SCHEMA_VERSION`] and closed by
+//! an `end` trailer so truncated or corrupt files parse to `None` (a cache
+//! miss) instead of a wrong result.
+//!
+//! Every cache text — cell, verify and analyze reports — is decoded by
+//! the one [`CacheTextReader`], which checks each expected key in place
+//! and parses each number in the scan that finds its line's end: a hit is
+//! one byte-level pass over the text.
 
 use crate::digest::SCHEMA_VERSION;
 use ctbia_machine::Counters;
@@ -143,23 +147,20 @@ impl CellReport {
     /// Decodes a report from the cache text format in one pass, reading
     /// the lines in exactly the order [`CellReport::to_cache_text`] writes
     /// them. Any anomaly — wrong version, a missing, reordered, duplicated
-    /// or extra line, an unparsable value, a missing `end` trailer —
-    /// returns `None`, which callers treat as a cache miss.
+    /// or extra line, a value not in canonical decimal, a missing `end`
+    /// trailer — returns `None`, which callers treat as a cache miss.
     pub fn from_cache_text(text: &str) -> Option<CellReport> {
-        let mut lines = text.lines();
-        if lines.next()? != SCHEMA_VERSION {
-            return None;
-        }
-        let label = lines.next()?.strip_prefix("label ")?.to_string();
-        let digest = value_of(lines.next()?, "digest")?;
+        let mut r = CacheTextReader::open(text, SCHEMA_VERSION)?;
+        let label = r.text("label")?.to_string();
+        let digest = r.number("digest")?;
         let mut counters = Counters::default();
         macro_rules! take {
             ($key:expr, $($f:ident).+) => {
-                counters.$($f).+ = value_of(lines.next()?, $key)?;
+                counters.$($f).+ = r.number($key)?;
             };
         }
         with_counter_fields!(take);
-        (lines.next()? == "end").then_some(CellReport {
+        (r.line()? == "end").then_some(CellReport {
             label,
             digest,
             counters,
@@ -167,9 +168,74 @@ impl CellReport {
     }
 }
 
-/// The value of a `key value` line, if the line carries exactly `key`.
-fn value_of(line: &str, key: &str) -> Option<u64> {
-    line.strip_prefix(key)?.strip_prefix(' ')?.parse().ok()
+/// A one-pass reader over a versioned cache text, in the order its
+/// encoder writes it: the schema line, `key value` lines each closed by
+/// `\n`, and an `end` trailer. Each read returns `None` unless the next
+/// line is the one expected there; numbers must be canonical decimal (no
+/// sign, no leading zero, at most `u64::MAX`), so every accepted number
+/// re-encodes to the same bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct CacheTextReader<'a> {
+    rest: &'a str,
+}
+
+impl<'a> CacheTextReader<'a> {
+    /// Starts reading `text`; `None` unless its first line is `schema`.
+    pub fn open(text: &'a str, schema: &str) -> Option<Self> {
+        let mut r = CacheTextReader { rest: text };
+        (r.line()? == schema).then_some(r)
+    }
+
+    /// The next line without its `\n`; `None` if no `\n` closes it.
+    pub fn line(&mut self) -> Option<&'a str> {
+        let (line, rest) = self.rest.split_once('\n')?;
+        self.rest = rest;
+        Some(line)
+    }
+
+    /// The value of the next line, which must carry exactly `key`.
+    pub fn text(&mut self, key: &str) -> Option<&'a str> {
+        let value = self.rest.strip_prefix(key)?.strip_prefix(' ')?;
+        let (value, rest) = value.split_once('\n')?;
+        self.rest = rest;
+        Some(value)
+    }
+
+    /// The next line's `u64` value, parsed in the same scan that finds
+    /// the line's end.
+    pub fn number(&mut self, key: &str) -> Option<u64> {
+        let value = self.rest.strip_prefix(key)?.strip_prefix(' ')?;
+        let digits = value.bytes().take_while(u8::is_ascii_digit);
+        let (mut n, mut len) = (0u64, 0);
+        for b in digits {
+            n = n.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+            len += 1;
+        }
+        let leading_zero = len > 1 && value.starts_with('0');
+        if len == 0 || leading_zero || value.as_bytes().get(len) != Some(&b'\n') {
+            return None;
+        }
+        self.rest = &value[len + 1..];
+        Some(n)
+    }
+
+    /// The next line's `0`/`1` flag.
+    pub fn flag(&mut self, key: &str) -> Option<bool> {
+        match self.number(key)? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+
+    /// The value of the next line if it carries `key`; otherwise `None`,
+    /// leaving that line for the next read.
+    pub fn optional(&mut self, key: &str) -> Option<&'a str> {
+        let mut ahead = *self;
+        let value = ahead.text(key)?;
+        *self = ahead;
+        Some(value)
+    }
 }
 
 #[cfg(test)]
@@ -208,6 +274,32 @@ mod tests {
     }
 
     #[test]
+    fn reader_takes_canonical_decimal_only() {
+        let read = |value: &str| {
+            let text = format!("s\nn {value}\n");
+            CacheTextReader::open(&text, "s")?.number("n")
+        };
+        assert_eq!(read("0"), Some(0));
+        assert_eq!(read("42"), Some(42));
+        assert_eq!(read("18446744073709551615"), Some(u64::MAX));
+        for bad in [
+            "",
+            "+5",
+            "007",
+            "00",
+            "-1",
+            "18446744073709551616",
+            "99999999999999999999",
+            "\u{663}",
+            "\u{ff17}",
+            "7\r",
+            "7 ",
+        ] {
+            assert_eq!(read(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
     fn truncation_and_corruption_miss() {
         let text = sample().to_cache_text();
         let truncated = &text[..text.len() - 10];
@@ -218,6 +310,8 @@ mod tests {
         assert_eq!(CellReport::from_cache_text(&missing_field), None);
         let garbage_value = text.replacen("999", "99x", 1);
         assert_eq!(CellReport::from_cache_text(&garbage_value), None);
+        let unterminated = text.strip_suffix('\n').unwrap();
+        assert_eq!(CellReport::from_cache_text(unterminated), None);
         assert_eq!(CellReport::from_cache_text(""), None);
     }
 }

@@ -517,7 +517,7 @@ impl SimConfig {
         d.field_u64("size_bytes", c.size_bytes);
         d.field_u64("associativity", c.associativity as u64);
         d.field_u64("hit_latency", c.hit_latency);
-        d.field_str("replacement", &c.replacement.to_string());
+        d.field_str("replacement", c.replacement.tag());
     }
 
     fn digest_into(&self, d: &mut Digest) {
@@ -537,11 +537,11 @@ impl SimConfig {
         d.field_bool("prefetcher", self.hierarchy.l1d_next_line_prefetcher);
         d.field_u64("llc_slices", self.hierarchy.llc_slices as u64);
         d.field_u64("llc_ls_hash_bit", self.hierarchy.llc_ls_hash_bit as u64);
-        d.field_str("inclusion", &self.hierarchy.inclusion.to_string());
+        d.field_str("inclusion", self.hierarchy.inclusion.tag());
         d.field_u64("bia.entries", self.bia.entries as u64);
         d.field_u64("bia.associativity", self.bia.associativity as u64);
         d.field_u64("bia.latency", self.bia.latency);
-        d.field_str("bia.replacement", &self.bia.replacement.to_string());
+        d.field_str("bia.replacement", self.bia.replacement.tag());
         d.field_u64("bia.granularity_log2", self.bia.granularity_log2 as u64);
         d.field_u64("cost.cycles_per_inst", self.cost.cycles_per_inst);
         d.field_u64("cost.l1_hit_overlap", self.cost.l1_hit_overlap);

@@ -3,10 +3,12 @@
 //! digest, so a stale cache entry can never be returned for a modified
 //! experiment. Plus literal pins: the keys of representative cells may
 //! never move, or every `results/cache/` entry, `results/verdicts/` file
-//! and served memo key written under them is silently orphaned.
+//! and served memo key written under them is silently orphaned. And a
+//! reference twin: the digest over generated configs equals the one the
+//! `to_string()`-based encoding of the policy names gave.
 
 use ctbia_analyze::analyze_grid;
-use ctbia_harness::{CellSpec, CryptoKernel, SimConfig, StrategySpec, WorkloadSpec};
+use ctbia_harness::{CellSpec, CryptoKernel, Digest, SimConfig, StrategySpec, WorkloadSpec};
 use ctbia_machine::BiaPlacement;
 use ctbia_sim::config::InclusionPolicy;
 use ctbia_sim::replacement::ReplacementKind;
@@ -241,4 +243,164 @@ fn crypto_verify_verdict_key_is_pinned() {
         format!("{:032x}", aes.digest()),
         "2872fb8db8530e0f8043e12dedae1e10"
     );
+}
+
+const REPLACEMENTS: [ReplacementKind; 3] = [
+    ReplacementKind::Lru,
+    ReplacementKind::Fifo,
+    ReplacementKind::Random,
+];
+const INCLUSIONS: [InclusionPolicy; 3] = [
+    InclusionPolicy::MostlyInclusive,
+    InclusionPolicy::Inclusive,
+    InclusionPolicy::Exclusive,
+];
+const STRATEGIES: [StrategySpec; 5] = [
+    StrategySpec::Insecure,
+    StrategySpec::Ct,
+    StrategySpec::CtAvx2,
+    StrategySpec::Bia,
+    StrategySpec::BiaLoads,
+];
+const PLACEMENTS: [BiaPlacement; 3] = [BiaPlacement::L1d, BiaPlacement::L2, BiaPlacement::Llc];
+
+/// The reference twin of `CellSpec::digest` for histogram cells: the
+/// encoding as written when the replacement and inclusion policies were
+/// hashed through `to_string()`.
+fn reference_digest(cell: &CellSpec) -> u128 {
+    let WorkloadSpec::Histogram { size, seed } = cell.workload else {
+        panic!("the reference covers histogram cells");
+    };
+    let mut d = Digest::new();
+    d.field_str("workload", "histogram");
+    d.field_u64("size", size as u64);
+    d.field_u64("seed", seed);
+    let strategy = match cell.strategy {
+        StrategySpec::Insecure => "insecure",
+        StrategySpec::Ct => "ct",
+        StrategySpec::CtAvx2 => "ct-avx2",
+        StrategySpec::Bia => "bia",
+        StrategySpec::BiaLoads => "bia-loads",
+    };
+    d.field_str("strategy", strategy);
+    let placement = match (cell.strategy.needs_bia(), cell.placement) {
+        (false, _) => "-",
+        (true, BiaPlacement::L1d) => "l1d",
+        (true, BiaPlacement::L2) => "l2",
+        (true, BiaPlacement::Llc) => "llc",
+    };
+    d.field_str("placement", placement);
+    let c = &cell.config;
+    let h = &c.hierarchy;
+    for (prefix, cache) in [
+        ("l1i", &h.l1i),
+        ("l1d", &h.l1d),
+        ("l2", &h.l2),
+        ("llc", &h.llc),
+    ] {
+        d.field_str(prefix, &cache.name);
+        d.field_u64("size_bytes", cache.size_bytes);
+        d.field_u64("associativity", cache.associativity as u64);
+        d.field_u64("hit_latency", cache.hit_latency);
+        d.field_str("replacement", &cache.replacement.to_string());
+    }
+    d.field_u64("dram.latency", h.dram.latency);
+    d.field_bool("dram.row_buffer", h.dram.row_buffer);
+    d.field_u64("dram.row_hit_latency", h.dram.row_hit_latency);
+    d.field_u64("dram.row_bytes", h.dram.row_bytes);
+    d.field_u64("dram.banks", h.dram.banks as u64);
+    d.field_bool("prefetcher", h.l1d_next_line_prefetcher);
+    d.field_u64("llc_slices", h.llc_slices as u64);
+    d.field_u64("llc_ls_hash_bit", h.llc_ls_hash_bit as u64);
+    d.field_str("inclusion", &h.inclusion.to_string());
+    d.field_u64("bia.entries", c.bia.entries as u64);
+    d.field_u64("bia.associativity", c.bia.associativity as u64);
+    d.field_u64("bia.latency", c.bia.latency);
+    d.field_str("bia.replacement", &c.bia.replacement.to_string());
+    d.field_u64("bia.granularity_log2", c.bia.granularity_log2 as u64);
+    d.field_u64("cost.cycles_per_inst", c.cost.cycles_per_inst);
+    d.field_u64("cost.l1_hit_overlap", c.cost.l1_hit_overlap);
+    d.field_bool("cost.ds_hit", c.cost.ds_hit_cycles.is_some());
+    d.field_u64("cost.ds_hit_cycles", c.cost.ds_hit_cycles.unwrap_or(0));
+    d.field_u64("cost.ct_overlap", c.cost.ct_overlap);
+    d.field_u64("ram_bytes", c.ram_bytes);
+    d.field_bool("silent_stores", c.silent_stores);
+    d.field_u64("spec_window", u64::from(c.spec_window));
+    d.field_u64("spec_seed", c.spec_seed);
+    d.field_bool("audit", false);
+    d.field_str("faults", "-");
+    d.finish()
+}
+
+#[test]
+fn policy_names_are_the_hashed_strings() {
+    // The reference hashes `to_string()`: pin what it produced.
+    let names: Vec<String> = REPLACEMENTS.iter().map(|r| r.to_string()).collect();
+    assert_eq!(names, ["LRU", "FIFO", "random"]);
+    let names: Vec<String> = INCLUSIONS.iter().map(|i| i.to_string()).collect();
+    assert_eq!(names, ["mostly-inclusive", "inclusive", "exclusive"]);
+}
+
+#[test]
+fn pinned_cells_match_the_reference() {
+    for (key, cell) in pinned_cells() {
+        if let WorkloadSpec::Histogram { .. } = cell.workload {
+            assert_eq!(format!("{:032x}", reference_digest(&cell)), key);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn digest_equals_the_to_string_reference(
+        policies in proptest::collection::vec(0usize..3, 6),
+        strategy in 0usize..5,
+        placement in 0usize..3,
+        size in 1usize..5_000,
+        eval in any::<bool>(),
+        field in 0usize..MUTATIONS,
+        bump in 1u64..1_000_000,
+    ) {
+        let hist = WorkloadSpec::named("hist", size).unwrap();
+        let mut cell = CellSpec::new(hist, STRATEGIES[strategy], PLACEMENTS[placement]);
+        if eval {
+            cell = cell.with_eval_config();
+        }
+        mutate(&mut cell.config, field, bump);
+        let h = &mut cell.config.hierarchy;
+        h.l1i.replacement = REPLACEMENTS[policies[0]];
+        h.l1d.replacement = REPLACEMENTS[policies[1]];
+        h.l2.replacement = REPLACEMENTS[policies[2]];
+        h.llc.replacement = REPLACEMENTS[policies[3]];
+        h.inclusion = INCLUSIONS[policies[4]];
+        cell.config.bia.replacement = REPLACEMENTS[policies[5]];
+        prop_assert_eq!(cell.digest(), reference_digest(&cell));
+    }
+}
+
+#[test]
+fn every_policy_at_every_level_matches_the_reference() {
+    // Exhaustive over each slot on its own, so no generated draw can
+    // miss a (level, policy) pair.
+    for slot in 0..6 {
+        for k in 0..3 {
+            let mut cell = base_cell();
+            let h = &mut cell.config.hierarchy;
+            match slot {
+                0 => h.l1i.replacement = REPLACEMENTS[k],
+                1 => h.l1d.replacement = REPLACEMENTS[k],
+                2 => h.l2.replacement = REPLACEMENTS[k],
+                3 => h.llc.replacement = REPLACEMENTS[k],
+                4 => h.inclusion = INCLUSIONS[k],
+                _ => cell.config.bia.replacement = REPLACEMENTS[k],
+            }
+            assert_eq!(
+                cell.digest(),
+                reference_digest(&cell),
+                "slot {slot}, kind {k}"
+            );
+        }
+    }
 }

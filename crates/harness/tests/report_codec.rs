@@ -138,23 +138,33 @@ fn reference_decode(text: &str) -> Option<CellReport> {
 }
 
 /// Characters a label may hold: cell-label punctuation, spaces, digits
-/// and multi-byte UTF-8. No line breaks: a label is one line of the text.
+/// and multi-byte UTF-8, including characters whose continuation bytes
+/// end in the bits of `\n` or a space (`Ċ` is `C4 8A`, `Ġ` is `C4 A0`),
+/// Unicode line breaks `str::lines` does not split on, and a non-ASCII
+/// digit. No `\n`: a label is one line of the text.
 const LABEL_CHARS: &[char] = &[
-    'h', 'i', 's', 't', '_', '2', 'k', '/', '@', ' ', '\t', 'é', '€', '😀',
+    'h', 'i', 's', 't', '_', '2', 'k', '/', '@', ' ', '\t', 'é', '€', '😀', 'Ċ', 'Ġ', '\u{85}',
+    '\u{2028}', '\u{663}',
 ];
+
+/// Whole labels a mutation may write: multi-byte UTF-8 only.
+const MULTIBYTE_LABELS: &[&str] = &["é€😀", "ĊĠ", "\u{2028}\u{85}", "\u{663}\u{ff17}", "😀 end"];
 
 fn label() -> impl Strategy<Value = String> {
     vec(0..LABEL_CHARS.len(), 0..24).prop_map(|ix| ix.into_iter().map(|i| LABEL_CHARS[i]).collect())
 }
 
 /// A report whose every counter is drawn from `seed`, at every magnitude
-/// from one digit to twenty.
+/// from one digit to twenty, `u64::MAX` included.
 fn report(label: String, digest: u64, seed: u64) -> CellReport {
     let mut x = seed;
     let counters = counters_from(|_| {
         x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let z = (x ^ (x >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        Some(z >> (z % 64))
+        Some(match z % 65 {
+            64 => u64::MAX,
+            shift => z >> shift,
+        })
     })
     .expect("the generator never runs out");
     CellReport {
@@ -164,9 +174,10 @@ fn report(label: String, digest: u64, seed: u64) -> CellReport {
     }
 }
 
-/// Values no counter line may carry, plus two the reference's `u64`
-/// parser does accept (`+5`, a leading zero).
-const BAD_VALUES: &[&str] = &[
+/// Values no counter line may carry (among them `u64::MAX + 1` and
+/// non-ASCII digits), plus edge cases the reference's `u64` parser
+/// accepts: a leading `+`, leading zeros and `u64::MAX`.
+const EDGE_VALUES: &[&str] = &[
     "",
     "x",
     "-1",
@@ -175,8 +186,13 @@ const BAD_VALUES: &[&str] = &[
     "7 ",
     "0x10",
     "18446744073709551616",
+    "99999999999999999999",
+    "\u{663}",
+    "\u{ff17}",
     "+5",
     "007",
+    "00",
+    "18446744073709551615",
 ];
 
 /// Lines a mutation may insert: foreign keys, a repeated real key, a
@@ -208,12 +224,23 @@ fn mutate(text: &str, op: u8, a: u64, b: u64) -> String {
         }
         3 => {
             let key = lines[i].split(' ').next().unwrap_or_default().to_string();
-            lines[i] = format!("{key} {}", BAD_VALUES[(b as usize) % BAD_VALUES.len()]);
+            lines[i] = format!("{key} {}", EDGE_VALUES[(b as usize) % EDGE_VALUES.len()]);
         }
         4 => lines[0] = ["ctbia-cell-v2", "", "ctbia-cell-v3 "][(a % 3) as usize].into(),
         5 => lines.push(JUNK_LINES[(a as usize) % JUNK_LINES.len()].into()),
         6 => lines.insert(j, JUNK_LINES[(a as usize) % JUNK_LINES.len()].into()),
-        _ => lines[i] = lines[i].replacen(' ', "  ", 1),
+        7 => lines[i] = lines[i].replacen(' ', "  ", 1),
+        // `\r\n` line endings throughout, which the reference reads as
+        // `\n`.
+        8 => return lines.iter().map(|l| format!("{l}\r\n")).collect(),
+        // A `\r` before one number line's `\n`.
+        9 => lines[2 + (a % (n - 3)) as usize].push('\r'),
+        _ => {
+            lines[1] = format!(
+                "label {}",
+                MULTIBYTE_LABELS[(a as usize) % MULTIBYTE_LABELS.len()]
+            )
+        }
     }
     let mut out = lines.join("\n");
     out.push('\n');
@@ -241,6 +268,25 @@ fn canonical_text_is_what_both_decoders_read() {
     assert_eq!(CellReport::from_cache_text(&text), Some(r));
 }
 
+#[test]
+fn twenty_digit_counters_round_trip_and_one_past_misses() {
+    let r = CellReport {
+        label: "é€😀/ĊĠ".into(),
+        digest: u64::MAX,
+        counters: counters_from(|_| Some(u64::MAX)).unwrap(),
+    };
+    let text = r.to_cache_text();
+    assert_eq!(reference_decode(&text), Some(r.clone()));
+    assert_eq!(CellReport::from_cache_text(&text), Some(r));
+    let past = text.replacen(
+        "cycles 18446744073709551615",
+        "cycles 18446744073709551616",
+        1,
+    );
+    assert_ne!(past, text);
+    assert_eq!(CellReport::from_cache_text(&past), None);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -257,7 +303,7 @@ proptest! {
         label in label(),
         digest in any::<u64>(),
         seed in any::<u64>(),
-        op in 0u8..8,
+        op in 0u8..11,
         a in any::<u64>(),
         b in any::<u64>(),
     ) {

@@ -761,16 +761,6 @@ impl Machine {
         self.peek(addr, Width::U64)
     }
 
-    /// Debug write of an `i32` bit pattern.
-    pub fn poke_i32(&mut self, addr: PhysAddr, v: i32) {
-        self.poke(addr, Width::U32, v as u32 as u64);
-    }
-
-    /// Debug read of an `i32` bit pattern.
-    pub fn peek_i32(&self, addr: PhysAddr) -> i32 {
-        self.peek(addr, Width::U32) as u32 as i32
-    }
-
     /// Attaches a structured trace sink. From now on every demand access,
     /// CT micro-operation, linearization pass, wrong-path access and
     /// squash is delivered to the sink as a cycle-stamped
@@ -784,12 +774,6 @@ impl Machine {
     /// [`TraceSink::into_any`] to recover the concrete sink type.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         self.sink.take()
-    }
-
-    /// The per-phase cycle attribution so far. Always sums exactly to
-    /// [`Machine::cycles`], sink or no sink.
-    pub fn phase_cycles(&self) -> PhaseCycles {
-        self.phases
     }
 
     /// Emits `kind` to the sink, stamped with the current cycle count.

@@ -162,15 +162,6 @@ impl SecureArray {
         m.load(self.addr_of(index), self.width)
     }
 
-    /// A direct store at a **public** index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn set_public(&self, m: &mut Machine, index: u64, value: u64) {
-        m.store(self.addr_of(index), self.width, value);
-    }
-
     /// Reads the whole array out of simulated RAM, free of charge (for
     /// checking results).
     pub fn snapshot(&self, m: &Machine) -> Vec<u64> {

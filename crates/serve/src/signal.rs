@@ -47,8 +47,3 @@ pub fn install_termination_handler() {
 pub fn termination_requested() -> bool {
     TERMINATED.load(Ordering::Acquire)
 }
-
-/// Test/ops hook: latch a termination as if a signal had arrived.
-pub fn request_termination() {
-    TERMINATED.store(true, Ordering::Release);
-}

@@ -387,18 +387,14 @@ impl Cache {
     /// when a dirty victim from an upper level is written back into a line
     /// already resident here.
     ///
-    /// Returns `true` if the bit changed from clean to dirty, `false` if the
-    /// line was absent or already dirty.
-    pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        match self.find(line) {
-            Some((set, w)) => {
-                let bit = 1u64 << w;
-                let changed = self.dirty[set] & bit == 0;
-                self.dirty[set] |= bit;
-                changed
-            }
-            None => false,
-        }
+    /// Returns `None` if the line is absent (nothing changes), otherwise
+    /// whether the bit changed from clean to dirty.
+    pub fn mark_dirty(&mut self, line: LineAddr) -> Option<bool> {
+        let (set, w) = self.find(line)?;
+        let bit = 1u64 << w;
+        let changed = self.dirty[set] & bit == 0;
+        self.dirty[set] |= bit;
+        Some(changed)
     }
 
     /// Removes `line` if present, returning its dirty state.

@@ -41,13 +41,20 @@ pub enum InclusionPolicy {
     Exclusive,
 }
 
+impl InclusionPolicy {
+    /// The policy's name, as displayed and as hashed into cell digests.
+    pub fn tag(self) -> &'static str {
+        match self {
+            InclusionPolicy::MostlyInclusive => "mostly-inclusive",
+            InclusionPolicy::Inclusive => "inclusive",
+            InclusionPolicy::Exclusive => "exclusive",
+        }
+    }
+}
+
 impl fmt::Display for InclusionPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InclusionPolicy::MostlyInclusive => f.write_str("mostly-inclusive"),
-            InclusionPolicy::Inclusive => f.write_str("inclusive"),
-            InclusionPolicy::Exclusive => f.write_str("exclusive"),
-        }
+        f.write_str(self.tag())
     }
 }
 

@@ -432,17 +432,15 @@ impl Hierarchy {
             }
             Level::Dram => unreachable!(),
         };
-        if self.cache(below).is_resident(line) {
-            if self.cache_mut(below).mark_dirty(line) {
-                self.emit(
-                    mon,
-                    below,
-                    line,
-                    CacheEventKind::DirtyChange { dirty: true },
-                );
-            }
-        } else {
-            self.fill_at(mon, below, line, true);
+        match self.cache_mut(below).mark_dirty(line) {
+            Some(true) => self.emit(
+                mon,
+                below,
+                line,
+                CacheEventKind::DirtyChange { dirty: true },
+            ),
+            Some(false) => {}
+            None => self.fill_at(mon, below, line, true),
         }
     }
 

@@ -45,13 +45,20 @@ pub enum ReplacementKind {
     Random,
 }
 
+impl ReplacementKind {
+    /// The policy's name, as displayed and as hashed into cell digests.
+    pub fn tag(self) -> &'static str {
+        match self {
+            ReplacementKind::Lru => "LRU",
+            ReplacementKind::Fifo => "FIFO",
+            ReplacementKind::Random => "random",
+        }
+    }
+}
+
 impl std::fmt::Display for ReplacementKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplacementKind::Lru => f.write_str("LRU"),
-            ReplacementKind::Fifo => f.write_str("FIFO"),
-            ReplacementKind::Random => f.write_str("random"),
-        }
+        f.write_str(self.tag())
     }
 }
 

@@ -15,11 +15,9 @@
 use crate::mem::taint_check;
 use crate::oracle::trace_equivalence;
 use ctbia_core::taint::{LeakKind, LeakViolation};
-use ctbia_harness::{CellSpec, Digest, WorkloadSpec};
+use ctbia_harness::{CacheTextReader, CellSpec, Digest, WorkloadSpec};
 use ctbia_machine::Machine;
 use std::fmt::{self, Write};
-use std::iter::Peekable;
-use std::str::Lines;
 
 /// Version tag of the verification-report cache encoding. Bump whenever
 /// the verifier's semantics change so stale verdicts miss.
@@ -167,7 +165,7 @@ impl VerifyReport {
             traces_equal: r.flag("traces_equal")?,
             obs_digest: r.number("obs_digest")?,
             first_divergence: r.optional("divergence").map(str::to_string),
-            violations: r.violations_then_end()?,
+            violations: read_violations_then_end(r)?,
         })
     }
 }
@@ -221,82 +219,33 @@ pub fn write_violations(out: &mut String, violations: &[LeakViolation]) {
     }
 }
 
-/// A one-pass reader over a verify or analyze report's cache text, in
-/// the order its encoder writes it: the schema line, the fixed
-/// `key value` lines, optional lines, the [`write_violations`] evidence
-/// section, and the `end` trailer. Every read returns `None` on a line
-/// that is not the one expected there.
-#[derive(Debug)]
-pub struct CacheTextReader<'a> {
-    lines: Peekable<Lines<'a>>,
-}
-
-impl<'a> CacheTextReader<'a> {
-    /// Starts reading `text`; `None` unless its first line is `schema`.
-    pub fn open(text: &'a str, schema: &str) -> Option<Self> {
-        let mut lines = text.lines().peekable();
-        (lines.next()? == schema).then_some(CacheTextReader { lines })
-    }
-
-    /// The value of the next line, which must carry exactly `key`.
-    pub fn text(&mut self, key: &str) -> Option<&'a str> {
-        value_of(self.lines.next()?, key)
-    }
-
-    /// The next line's `u64` value.
-    pub fn number(&mut self, key: &str) -> Option<u64> {
-        self.text(key)?.parse().ok()
-    }
-
-    /// The next line's `0`/`1` flag.
-    pub fn flag(&mut self, key: &str) -> Option<bool> {
-        match self.text(key)? {
-            "0" => Some(false),
-            "1" => Some(true),
-            _ => None,
+/// Reads the [`write_violations`] evidence section through the `end`
+/// trailer, on the shared [`CacheTextReader`]. Text after `end` is
+/// ignored; any other line is a miss.
+pub fn read_violations_then_end(mut r: CacheTextReader<'_>) -> Option<Vec<LeakViolation>> {
+    let mut violations: Vec<LeakViolation> = Vec::new();
+    loop {
+        let line = r.line()?;
+        if line == "end" {
+            return Some(violations);
         }
-    }
-
-    /// The value of the next line if it carries `key`; otherwise `None`,
-    /// leaving that line for the next read.
-    pub fn optional(&mut self, key: &str) -> Option<&'a str> {
-        let value = value_of(self.lines.peek()?, key)?;
-        self.lines.next();
-        Some(value)
-    }
-
-    /// Reads the [`write_violations`] evidence section through the `end`
-    /// trailer. Text after `end` is ignored.
-    pub fn violations_then_end(mut self) -> Option<Vec<LeakViolation>> {
-        let mut violations: Vec<LeakViolation> = Vec::new();
-        loop {
-            let line = self.lines.next()?;
-            if line == "end" {
-                return Some(violations);
-            }
-            if let Some(step) = value_of(line, "prov") {
-                violations.last_mut()?.provenance.push(step.to_string());
-                continue;
-            }
-            let (kind, rest) = value_of(line, "viol")?.split_once(' ')?;
-            let (addr, context) = rest.split_once(' ')?;
-            let addr = match addr {
-                "-" => None,
-                hex => Some(u64::from_str_radix(hex.strip_prefix("0x")?, 16).ok()?),
-            };
-            violations.push(LeakViolation {
-                kind: parse_leak_kind(kind)?,
-                context: context.to_string(),
-                addr,
-                provenance: Vec::new(),
-            });
+        if let Some(step) = line.strip_prefix("prov ") {
+            violations.last_mut()?.provenance.push(step.to_string());
+            continue;
         }
+        let (kind, rest) = line.strip_prefix("viol ")?.split_once(' ')?;
+        let (addr, context) = rest.split_once(' ')?;
+        let addr = match addr {
+            "-" => None,
+            hex => Some(u64::from_str_radix(hex.strip_prefix("0x")?, 16).ok()?),
+        };
+        violations.push(LeakViolation {
+            kind: parse_leak_kind(kind)?,
+            context: context.to_string(),
+            addr,
+            provenance: Vec::new(),
+        });
     }
-}
-
-/// The value of a `key value` line, if the line carries exactly `key`.
-fn value_of<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    line.strip_prefix(key)?.strip_prefix(' ')
 }
 
 impl fmt::Display for VerifyReport {

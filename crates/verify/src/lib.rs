@@ -51,8 +51,8 @@ pub mod oracle;
 pub mod table;
 
 pub use cell::{
-    execute_verify_cell, leak_kind_tag, parse_leak_kind, write_violations, CacheTextReader,
-    VerifyCell, VerifyReport, STORED_VIOLATIONS, VERIFY_SCHEMA_VERSION,
+    execute_verify_cell, leak_kind_tag, parse_leak_kind, read_violations_then_end,
+    write_violations, VerifyCell, VerifyReport, STORED_VIOLATIONS, VERIFY_SCHEMA_VERSION,
 };
 pub use engine::{ghostrider_workloads, verify_grid, verify_seeds, VerifyEngine};
 pub use mem::{taint_check, TaintMem, TaintOutcome};

@@ -41,7 +41,10 @@
 #                                quick and full, write exactly the
 #                                committed reference entries under
 #                                results/verdicts/, byte for byte, with
-#                                none missing on either side
+#                                none missing on either side; a second,
+#                                warm run of all four grids there
+#                                executes 0 cells, so every committed
+#                                entry decodes as a cache hit
 #  12. serve suites + smoke    -- the e2e/protocol/stress/chaos/tenants/
 #                                hits suites and the schedule determinism
 #                                test for the batch-simulation
@@ -211,8 +214,18 @@ for REF in results/verdicts/*; do
     fi
 done
 VERDICTS=$(find "$VERDICT_DIR/results/cache" -type f | wc -l)
-rm -rf "$VERDICT_DIR"
 echo "==> $VERDICTS cold verdicts match results/verdicts byte for byte"
+# The entries just matched must also read back: rerunning every grid in
+# the same directory serves each cell from its cache entry.
+(
+    cd "$VERDICT_DIR"
+    warm_grid_is_memoized verified "$BIN_DIR/ctbia" verify --quick
+    warm_grid_is_memoized analyzed "$BIN_DIR/ctbia" analyze --quick
+    warm_grid_is_memoized verified "$BIN_DIR/ctbia" verify
+    warm_grid_is_memoized analyzed "$BIN_DIR/ctbia" analyze
+)
+rm -rf "$VERDICT_DIR"
+echo "==> every committed verdict decodes as a warm hit"
 
 run cargo test -q -p ctbia-serve --test serve_e2e --test serve_protocol --test serve_stress \
     --test serve_chaos --test serve_tenants --test serve_hits --test loadgen_determinism

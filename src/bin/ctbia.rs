@@ -26,8 +26,8 @@ use ctbia::harness::{
 };
 use ctbia::machine::{BiaPlacement, Machine};
 use ctbia::serve::{
-    self, submit_with_retry_to, ChaosSpec, Response, RetryPolicy, ServeTarget, ServerConfig,
-    SubmitRequest, TenantSpec,
+    self, submit_with_retry_to, ChaosSpec, Client, Response, RetryPolicy, ServeTarget,
+    ServerConfig, SubmitRequest, TenantSpec,
 };
 use ctbia::sim::hierarchy::Level;
 use ctbia::trace::{JsonlSink, MetricsDoc, MetricsSink, Phase, TeeSink};
@@ -114,6 +114,9 @@ restarts, deadline kills, shed submits, quarantined cache entries).
 /// Where `ctbia serve` listens unless `--socket` overrides it.
 const DEFAULT_SOCKET: &str = "results/ctbia.sock";
 
+const POSITIVE: &str = "expects a positive integer";
+const MILLISECONDS: &str = "expects an integer (milliseconds)";
+
 fn make_workload(name: &str, size: usize) -> Result<Box<dyn Workload>, String> {
     Ok(match name {
         "dijkstra" | "dij" => Box::new(Dijkstra::new(size.min(256))),
@@ -156,6 +159,61 @@ fn parse_size(s: &str) -> Result<usize, String> {
     Ok(n)
 }
 
+/// Parses the value after flag `args[*i]`, advancing `*i` to it; a value
+/// that does not parse is reported as "FLAG `expects`".
+fn flag_value<T: std::str::FromStr>(
+    args: &[String],
+    i: &mut usize,
+    expects: &str,
+) -> Result<T, String> {
+    let flag = &args[*i];
+    *i += 1;
+    let value = args
+        .get(*i)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map_err(|_| format!("{flag} {expects}"))
+}
+
+/// Where the daemon listens, or where a client finds it: `--socket PATH`
+/// (default [`DEFAULT_SOCKET`]) and `--tcp ADDR`.
+#[derive(Default)]
+struct TargetArgs {
+    socket: Option<PathBuf>,
+    tcp: Option<String>,
+}
+
+impl TargetArgs {
+    /// Consumes `args[*i]` and its value if it is `--socket` or `--tcp`.
+    fn take(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
+        match args[*i].as_str() {
+            "--socket" => {
+                *i += 1;
+                self.socket = Some(args.get(*i).ok_or("--socket needs a value")?.into());
+            }
+            "--tcp" => {
+                *i += 1;
+                self.tcp = Some(args.get(*i).ok_or("--tcp needs an ADDR:PORT")?.clone());
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn target(self) -> ServeTarget {
+        match self.tcp {
+            Some(addr) => ServeTarget::Tcp(addr),
+            None => ServeTarget::Unix(self.socket.unwrap_or_else(|| DEFAULT_SOCKET.into())),
+        }
+    }
+}
+
+/// One connection to `target`, or an error that says what to check.
+fn connect(target: &ServeTarget) -> Result<Client, String> {
+    target
+        .connect()
+        .map_err(|e| format!("cannot connect to {target}: {e} (is `ctbia serve` running?)"))
+}
+
 /// Attaches the default `results/cache/` memo cache; if the directory
 /// cannot be created (read-only checkout, say) the engine simply runs
 /// uncached.
@@ -176,6 +234,60 @@ fn grid_engine<C: GridCell>(threads: Option<usize>) -> GridEngine<C> {
     })
 }
 
+/// The options that describe one cell, shared by `run`, `trace`,
+/// `verify` and `analyze`: `[SIZE] [--strategy S] [--placement P]
+/// [--spec-window N]`.
+struct CellArgs {
+    size: Option<usize>,
+    strategy: StrategySpec,
+    placement: BiaPlacement,
+    spec_window: Option<u32>,
+}
+
+impl CellArgs {
+    fn new(strategy: StrategySpec) -> Self {
+        CellArgs {
+            size: None,
+            strategy,
+            placement: BiaPlacement::L1d,
+            spec_window: None,
+        }
+    }
+
+    /// Consumes `args[*i]`, and the value after it, if it is one of the
+    /// shared options; `false` leaves it to the caller.
+    fn take(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
+        let flag = args[*i].as_str();
+        let mut value = || {
+            *i += 1;
+            args.get(*i).ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
+            "--strategy" => self.strategy = StrategySpec::parse(value()?)?,
+            "--placement" => self.placement = parse_placement(value()?)?,
+            "--spec-window" => self.spec_window = Some(parse_spec_window(value()?)?),
+            v if self.size.is_none() && !v.starts_with('-') => self.size = Some(parse_size(v)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The cell running workload `name`, at `default_size` unless a size
+    /// was given.
+    fn cell(&self, name: &str, default_size: usize) -> Result<CellSpec, String> {
+        let size = self.size.unwrap_or(default_size);
+        let mut spec = CellSpec::new(
+            WorkloadSpec::named(name, size)?,
+            self.strategy,
+            self.placement,
+        );
+        if let Some(w) = self.spec_window {
+            spec.config.spec_window = w;
+        }
+        Ok(spec)
+    }
+}
+
 /// The arguments `ctbia verify` and `ctbia analyze` share.
 struct VerdictArgs {
     quick: bool,
@@ -191,10 +303,7 @@ fn parse_verdict_args(args: &[String], spec_window_ok: bool) -> Result<VerdictAr
     let mut quick = false;
     let mut threads = None;
     let mut name = None;
-    let mut size = None;
-    let mut strategy = StrategySpec::Ct;
-    let mut placement = BiaPlacement::L1d;
-    let mut spec_window = None;
+    let mut opts = CellArgs::new(StrategySpec::Ct);
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -209,40 +318,21 @@ fn parse_verdict_args(args: &[String], spec_window_ok: bool) -> Result<VerdictAr
                         .ok_or_else(|| format!("invalid thread count '{s}'"))?,
                 );
             }
-            "--strategy" => {
-                i += 1;
-                strategy = StrategySpec::parse(args.get(i).ok_or("--strategy needs a value")?)?;
-            }
-            "--placement" => {
-                i += 1;
-                placement = parse_placement(args.get(i).ok_or("--placement needs a value")?)?;
-            }
-            "--spec-window" if spec_window_ok => {
-                i += 1;
-                spec_window = Some(parse_spec_window(
-                    args.get(i).ok_or("--spec-window needs a value")?,
-                )?);
+            "--spec-window" if !spec_window_ok => {
+                return Err("unexpected argument '--spec-window'".into())
             }
             v if name.is_none() && !v.starts_with('-') => name = Some(v.to_string()),
-            v if size.is_none() && !v.starts_with('-') => size = Some(parse_size(v)?),
+            _ if opts.take(args, &mut i)? => {}
             other => return Err(format!("unexpected argument '{other}'")),
         }
         i += 1;
     }
-    if spec_window.is_some() && name.is_none() {
+    if opts.spec_window.is_some() && name.is_none() {
         return Err("--spec-window needs a workload (the grid fixes its own windows)".into());
     }
-    let cell = match name {
-        Some(name) => {
-            let size = size.unwrap_or_else(|| default_size(&name).min(500));
-            let mut spec = CellSpec::new(WorkloadSpec::named(&name, size)?, strategy, placement);
-            if let Some(w) = spec_window {
-                spec.config.spec_window = w;
-            }
-            Some(spec)
-        }
-        None => None,
-    };
+    let cell = name
+        .map(|name| opts.cell(&name, default_size(&name).min(500)))
+        .transpose()?;
     Ok(VerdictArgs {
         quick,
         threads,
@@ -282,41 +372,21 @@ fn write_metrics_doc(path: &str, doc: &MetricsDoc) -> Result<(), String> {
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("run: missing workload name")?;
-    let mut size = None;
-    let mut strategy = StrategySpec::Bia;
-    let mut placement = BiaPlacement::L1d;
+    let mut opts = CellArgs::new(StrategySpec::Bia);
     let mut stats = false;
     let mut metrics = false;
-    let mut spec_window = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--stats" => stats = true,
             "--metrics" => metrics = true,
-            "--strategy" => {
-                i += 1;
-                strategy = StrategySpec::parse(args.get(i).ok_or("--strategy needs a value")?)?;
-            }
-            "--placement" => {
-                i += 1;
-                placement = parse_placement(args.get(i).ok_or("--placement needs a value")?)?;
-            }
-            "--spec-window" => {
-                i += 1;
-                spec_window = Some(parse_spec_window(
-                    args.get(i).ok_or("--spec-window needs a value")?,
-                )?);
-            }
-            v if size.is_none() && !v.starts_with('-') => size = Some(parse_size(v)?),
+            _ if opts.take(args, &mut i)? => {}
             other => return Err(format!("unexpected argument '{other}'")),
         }
         i += 1;
     }
-    let size = size.unwrap_or_else(|| default_size(name));
-    let mut spec = CellSpec::new(WorkloadSpec::named(name, size)?, strategy, placement);
-    if let Some(w) = spec_window {
-        spec.config.spec_window = w;
-    }
+    let spec = opts.cell(name, default_size(name))?;
+    let (strategy, placement) = (spec.strategy, spec.placement);
     let engine = attach_default_cache(SweepEngine::serial());
     let report = engine.run_cell(&spec)?;
     println!(
@@ -346,29 +416,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// then print the cycle-attribution profile and hottest cache lines.
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("trace: missing workload name")?;
-    let mut size = None;
-    let mut strategy = StrategySpec::Bia;
-    let mut placement = BiaPlacement::L1d;
+    let mut opts = CellArgs::new(StrategySpec::Bia);
     let mut jsonl_path: Option<String> = None;
     let mut top = 5usize;
-    let mut spec_window = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--strategy" => {
-                i += 1;
-                strategy = StrategySpec::parse(args.get(i).ok_or("--strategy needs a value")?)?;
-            }
-            "--placement" => {
-                i += 1;
-                placement = parse_placement(args.get(i).ok_or("--placement needs a value")?)?;
-            }
-            "--spec-window" => {
-                i += 1;
-                spec_window = Some(parse_spec_window(
-                    args.get(i).ok_or("--spec-window needs a value")?,
-                )?);
-            }
             "--jsonl" => {
                 i += 1;
                 jsonl_path = Some(args.get(i).ok_or("--jsonl needs a path")?.clone());
@@ -381,16 +434,12 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                         format!("invalid --top '{s}' (expected a positive integer)")
                     })?;
             }
-            v if size.is_none() && !v.starts_with('-') => size = Some(parse_size(v)?),
+            _ if opts.take(args, &mut i)? => {}
             other => return Err(format!("unexpected argument '{other}'")),
         }
         i += 1;
     }
-    let size = size.unwrap_or_else(|| default_size(name));
-    let mut spec = CellSpec::new(WorkloadSpec::named(name, size)?, strategy, placement);
-    if let Some(w) = spec_window {
-        spec.config.spec_window = w;
-    }
+    let spec = opts.cell(name, default_size(name))?;
     let sink = TeeSink::new(JsonlSink::new(), MetricsSink::new());
     let (report, sink) = execute_cell_traced(&spec, sink)?;
     let (jsonl, agg) = (sink.a, sink.b);
@@ -746,66 +795,31 @@ fn make_seeded(name: &str, size: usize, seed: u64) -> Box<dyn Workload> {
 /// in-flight jobs and print the final counter snapshot.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut config = ServerConfig::new(DEFAULT_SOCKET);
+    let mut listen = TargetArgs::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--socket" => {
-                i += 1;
-                config.socket = args.get(i).ok_or("--socket needs a value")?.into();
-            }
-            "--tcp" => {
-                i += 1;
-                config.tcp = Some(args.get(i).ok_or("--tcp needs an ADDR:PORT")?.to_string());
-            }
+            _ if listen.take(args, &mut i)? => {}
             "--tenant" => {
                 i += 1;
                 let spec = args.get(i).ok_or("--tenant needs NAME:TOKEN[:...]")?;
                 config.tenants.push(TenantSpec::parse(spec)?);
             }
             "--shards" => {
-                i += 1;
-                config.shards = args
-                    .get(i)
-                    .ok_or("--shards needs a value")?
-                    .parse::<usize>()
-                    .map_err(|_| "--shards expects an integer (0 disables the memo index)")?;
+                config.shards = flag_value(
+                    args,
+                    &mut i,
+                    "expects an integer (0 disables the memo index)",
+                )?;
             }
-            "--threads" => {
-                i += 1;
-                config.threads = args
-                    .get(i)
-                    .ok_or("--threads needs a value")?
-                    .parse::<usize>()
-                    .map_err(|_| "--threads expects a positive integer")?
-                    .max(1);
-            }
+            "--threads" => config.threads = flag_value::<usize>(args, &mut i, POSITIVE)?.max(1),
             "--max-inflight" => {
-                i += 1;
-                config.max_inflight = args
-                    .get(i)
-                    .ok_or("--max-inflight needs a value")?
-                    .parse::<usize>()
-                    .map_err(|_| "--max-inflight expects a positive integer")?
-                    .max(1);
+                config.max_inflight = flag_value::<usize>(args, &mut i, POSITIVE)?.max(1);
             }
             "--queue-limit" => {
-                i += 1;
-                config.queue_limit = args
-                    .get(i)
-                    .ok_or("--queue-limit needs a value")?
-                    .parse::<usize>()
-                    .map_err(|_| "--queue-limit expects a positive integer")?
-                    .max(1);
+                config.queue_limit = flag_value::<usize>(args, &mut i, POSITIVE)?.max(1)
             }
-            "--deadline-ms" => {
-                i += 1;
-                config.deadline_ms = Some(
-                    args.get(i)
-                        .ok_or("--deadline-ms needs a value")?
-                        .parse::<u64>()
-                        .map_err(|_| "--deadline-ms expects an integer (milliseconds)")?,
-                );
-            }
+            "--deadline-ms" => config.deadline_ms = Some(flag_value(args, &mut i, MILLISECONDS)?),
             "--chaos" => {
                 i += 1;
                 let spec = args.get(i).ok_or("--chaos needs a spec")?;
@@ -816,6 +830,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         i += 1;
     }
+    config.socket = listen.socket.unwrap_or(config.socket);
+    config.tcp = listen.tcp;
     if let Some(parent) = config.socket.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)
@@ -905,8 +921,7 @@ fn parse_submit_spec(spec: &str, eval: bool) -> Result<SubmitRequest, String> {
 /// own connection so transient rejections (backpressure, overloaded,
 /// shutting-down, a daemon mid-restart) retry with exponential backoff.
 fn cmd_submit(args: &[String]) -> Result<(), String> {
-    let mut socket = PathBuf::from(DEFAULT_SOCKET);
-    let mut tcp: Option<String> = None;
+    let mut target = TargetArgs::default();
     let mut token: Option<String> = None;
     let mut eval = false;
     let mut policy = RetryPolicy::default();
@@ -915,45 +930,17 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--socket" => {
-                i += 1;
-                socket = args.get(i).ok_or("--socket needs a value")?.into();
-            }
-            "--tcp" => {
-                i += 1;
-                tcp = Some(args.get(i).ok_or("--tcp needs an ADDR:PORT")?.to_string());
-            }
+            _ if target.take(args, &mut i)? => {}
             "--token" => {
                 i += 1;
                 token = Some(args.get(i).ok_or("--token needs a value")?.to_string());
             }
             "--eval" => eval = true,
-            "--retries" => {
-                i += 1;
-                policy.retries = args
-                    .get(i)
-                    .ok_or("--retries needs a value")?
-                    .parse::<u32>()
-                    .map_err(|_| "--retries expects an integer")?;
-            }
+            "--retries" => policy.retries = flag_value(args, &mut i, "expects an integer")?,
             "--backoff-ms" => {
-                i += 1;
-                policy.backoff_ms = args
-                    .get(i)
-                    .ok_or("--backoff-ms needs a value")?
-                    .parse::<u64>()
-                    .map_err(|_| "--backoff-ms expects an integer (milliseconds)")?
-                    .max(1);
+                policy.backoff_ms = flag_value::<u64>(args, &mut i, MILLISECONDS)?.max(1);
             }
-            "--deadline-ms" => {
-                i += 1;
-                deadline_ms = Some(
-                    args.get(i)
-                        .ok_or("--deadline-ms needs a value")?
-                        .parse::<u64>()
-                        .map_err(|_| "--deadline-ms expects an integer (milliseconds)")?,
-                );
-            }
+            "--deadline-ms" => deadline_ms = Some(flag_value(args, &mut i, MILLISECONDS)?),
             flag if flag.starts_with('-') => return Err(format!("unexpected argument '{flag}'")),
             spec => specs.push(spec.to_string()),
         }
@@ -974,16 +961,11 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
             })
         })
         .collect::<Result<_, _>>()?;
-    let target = match tcp {
-        Some(addr) => ServeTarget::Tcp(addr),
-        None => ServeTarget::Unix(socket),
-    };
+    let target = target.target();
     if policy.retries > 0 {
         return submit_sequential_with_retry(&target, &specs, &requests, &policy);
     }
-    let mut client = target
-        .connect()
-        .map_err(|e| format!("cannot connect to {target}: {e} (is `ctbia serve` running?)"))?;
+    let mut client = connect(&target)?;
     // Pipeline all submits before reading anything; responses complete in
     // whatever order the server finishes jobs, so match them up by id.
     let mut pending: HashMap<String, String> = HashMap::new();
@@ -1070,32 +1052,18 @@ fn submit_sequential_with_retry(
 /// counters; `--metrics` additionally writes the aggregated
 /// ctbia-metrics-v1 document to SERVE_metrics.json.
 fn cmd_status(args: &[String]) -> Result<(), String> {
-    let mut socket = PathBuf::from(DEFAULT_SOCKET);
-    let mut tcp: Option<String> = None;
+    let mut target = TargetArgs::default();
     let mut metrics = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--socket" => {
-                i += 1;
-                socket = args.get(i).ok_or("--socket needs a value")?.into();
-            }
-            "--tcp" => {
-                i += 1;
-                tcp = Some(args.get(i).ok_or("--tcp needs an ADDR:PORT")?.to_string());
-            }
+            _ if target.take(args, &mut i)? => {}
             "--metrics" => metrics = true,
             other => return Err(format!("unexpected argument '{other}'")),
         }
         i += 1;
     }
-    let target = match tcp {
-        Some(addr) => ServeTarget::Tcp(addr),
-        None => ServeTarget::Unix(socket),
-    };
-    let mut client = target
-        .connect()
-        .map_err(|e| format!("cannot connect to {target}: {e} (is `ctbia serve` running?)"))?;
+    let mut client = connect(&target.target())?;
     match client.status(metrics)? {
         Response::Status {
             snapshot,
@@ -1124,30 +1092,15 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
 /// snapshot: queue depth vs limit, workers alive, restarts, deadline
 /// kills, shed submits, quarantined cache entries, drain state.
 fn cmd_health(args: &[String]) -> Result<(), String> {
-    let mut socket = PathBuf::from(DEFAULT_SOCKET);
-    let mut tcp: Option<String> = None;
+    let mut target = TargetArgs::default();
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => {
-                i += 1;
-                socket = args.get(i).ok_or("--socket needs a value")?.into();
-            }
-            "--tcp" => {
-                i += 1;
-                tcp = Some(args.get(i).ok_or("--tcp needs an ADDR:PORT")?.to_string());
-            }
-            other => return Err(format!("unexpected argument '{other}'")),
+        if !target.take(args, &mut i)? {
+            return Err(format!("unexpected argument '{}'", args[i]));
         }
         i += 1;
     }
-    let target = match tcp {
-        Some(addr) => ServeTarget::Tcp(addr),
-        None => ServeTarget::Unix(socket),
-    };
-    let mut client = target
-        .connect()
-        .map_err(|e| format!("cannot connect to {target}: {e} (is `ctbia serve` running?)"))?;
+    let mut client = connect(&target.target())?;
     match client.health()? {
         Response::Health { health, .. } => {
             for (key, value) in health.fields() {
@@ -1227,9 +1180,32 @@ fn pin_malloc_mmap_threshold() {
     }
 }
 
+/// The `USAGE` lines of subcommand `cmd`, or `None` if no line names it.
+fn usage_of(cmd: &str) -> Option<String> {
+    let own = |l: &&str| {
+        l.strip_prefix("    ctbia ")
+            .and_then(|r| r.split(' ').next())
+            == Some(cmd)
+    };
+    let lines: String = USAGE
+        .lines()
+        .filter(own)
+        .map(|l| format!("{l}\n"))
+        .collect();
+    (!lines.is_empty()).then(|| format!("USAGE:\n{lines}"))
+}
+
 fn main() -> ExitCode {
     pin_malloc_mmap_threshold();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some((cmd, rest)) = args.split_first() {
+        if rest.iter().any(|a| a == "--help" || a == "-h") {
+            if let Some(usage) = usage_of(cmd) {
+                print!("{usage}");
+                return ExitCode::SUCCESS;
+            }
+        }
+    }
     let result = match args.first().map(String::as_str) {
         Some("config") => {
             cmd_config();

@@ -1,5 +1,6 @@
 //! The README may only show `ctbia` subcommands the binary's own usage
-//! text lists, and removed subcommands must fail as unknown. Runs the
+//! text lists, removed subcommands must fail as unknown, and every listed
+//! subcommand answers `--help`/`-h` with its own usage lines. Runs the
 //! built `ctbia` binary; starts no daemon.
 
 use std::collections::BTreeSet;
@@ -83,5 +84,43 @@ fn removed_subcommands_are_unknown() {
             stderr.contains(&format!("unknown command '{cmd}'")),
             "`ctbia {cmd}` stderr: {stderr}"
         );
+    }
+}
+
+#[test]
+fn every_subcommand_prints_its_usage_lines_on_help() {
+    let out = ctbia(&["--help"]);
+    let text = String::from_utf8(out.stdout).expect("usage is UTF-8");
+    for cmd in usage_commands() {
+        let own: Vec<&str> = text
+            .lines()
+            .filter(|l| {
+                l.strip_prefix("    ctbia ")
+                    .is_some_and(|rest| first_word(rest) == cmd)
+            })
+            .collect();
+        assert!(!own.is_empty(), "`{cmd}` has usage lines");
+        // After the subcommand, and after its other arguments too.
+        for args in [
+            vec![cmd.as_str(), "--help"],
+            vec![cmd.as_str(), "hist", "-h"],
+        ] {
+            let out = ctbia(&args);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                out.status.success(),
+                "`ctbia {}` exits 0: {stderr}",
+                args.join(" ")
+            );
+            let printed: Vec<&str> = stdout.lines().collect();
+            assert_eq!(printed[0], "USAGE:", "`ctbia {}`: {stdout}", args.join(" "));
+            assert_eq!(
+                printed[1..],
+                own[..],
+                "`ctbia {}` prints the usage lines of `{cmd}`",
+                args.join(" ")
+            );
+        }
     }
 }
