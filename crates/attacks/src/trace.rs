@@ -7,7 +7,7 @@
 //! one actually needs when a constant-time transformation is *not* quite
 //! constant and the equality assertion alone says only "they differ".
 
-use ctbia_machine::{TraceEvent, TraceOp};
+use ctbia_machine::{MemOp, TraceEvent};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -57,11 +57,11 @@ pub fn summarize(trace: &[TraceEvent]) -> TraceSummary {
     let mut lines = BTreeSet::new();
     for ev in trace {
         match ev.op {
-            TraceOp::Load => s.loads += 1,
-            TraceOp::Store => s.stores += 1,
-            TraceOp::DsLoad => s.ds_loads += 1,
-            TraceOp::DsStore => s.ds_stores += 1,
-            TraceOp::DramLoad | TraceOp::DramStore => s.dram_ops += 1,
+            MemOp::Load => s.loads += 1,
+            MemOp::Store => s.stores += 1,
+            MemOp::DsLoad => s.ds_loads += 1,
+            MemOp::DsStore => s.ds_stores += 1,
+            MemOp::DramLoad | MemOp::DramStore => s.dram_ops += 1,
         }
         lines.insert(ev.line);
     }
@@ -114,7 +114,7 @@ mod tests {
     use super::*;
     use ctbia_sim::addr::LineAddr;
 
-    fn ev(op: TraceOp, line: u64) -> TraceEvent {
+    fn ev(op: MemOp, line: u64) -> TraceEvent {
         TraceEvent {
             op,
             line: LineAddr::new(line),
@@ -124,12 +124,12 @@ mod tests {
     #[test]
     fn summary_counts_by_kind_and_line() {
         let t = vec![
-            ev(TraceOp::Load, 1),
-            ev(TraceOp::Load, 1),
-            ev(TraceOp::Store, 2),
-            ev(TraceOp::DsLoad, 3),
-            ev(TraceOp::DsStore, 3),
-            ev(TraceOp::DramLoad, 4),
+            ev(MemOp::Load, 1),
+            ev(MemOp::Load, 1),
+            ev(MemOp::Store, 2),
+            ev(MemOp::DsLoad, 3),
+            ev(MemOp::DsStore, 3),
+            ev(MemOp::DramLoad, 4),
         ];
         let s = summarize(&t);
         assert_eq!(s.loads, 2);
@@ -144,28 +144,20 @@ mod tests {
 
     #[test]
     fn divergence_detection() {
-        let a = vec![ev(TraceOp::Load, 1), ev(TraceOp::Load, 2)];
-        let b = vec![ev(TraceOp::Load, 1), ev(TraceOp::Load, 3)];
+        let a = vec![ev(MemOp::Load, 1), ev(MemOp::Load, 2)];
+        let b = vec![ev(MemOp::Load, 1), ev(MemOp::Load, 3)];
         assert_eq!(first_divergence(&a, &b), Some(1));
         assert_eq!(first_divergence(&a, &a), None);
         // Prefix relation: diverges at the shorter length.
-        let c = vec![ev(TraceOp::Load, 1)];
+        let c = vec![ev(MemOp::Load, 1)];
         assert_eq!(first_divergence(&a, &c), Some(1));
         assert_eq!(first_divergence(&[], &[]), None);
     }
 
     #[test]
     fn report_marks_the_divergent_event() {
-        let a = vec![
-            ev(TraceOp::Load, 1),
-            ev(TraceOp::Load, 2),
-            ev(TraceOp::Load, 5),
-        ];
-        let b = vec![
-            ev(TraceOp::Load, 1),
-            ev(TraceOp::Load, 9),
-            ev(TraceOp::Load, 5),
-        ];
+        let a = vec![ev(MemOp::Load, 1), ev(MemOp::Load, 2), ev(MemOp::Load, 5)];
+        let b = vec![ev(MemOp::Load, 1), ev(MemOp::Load, 9), ev(MemOp::Load, 5)];
         let r = divergence_report(&a, &b, 1).unwrap();
         assert!(r.contains(">> [    1]"), "{r}");
         assert!(r.contains("line 0x2") && r.contains("line 0x9"), "{r}");
@@ -174,8 +166,8 @@ mod tests {
 
     #[test]
     fn report_handles_length_mismatch() {
-        let a = vec![ev(TraceOp::Load, 1)];
-        let b = vec![ev(TraceOp::Load, 1), ev(TraceOp::Store, 2)];
+        let a = vec![ev(MemOp::Load, 1)];
+        let b = vec![ev(MemOp::Load, 1), ev(MemOp::Store, 2)];
         let r = divergence_report(&a, &b, 0).unwrap();
         assert!(r.contains("lengths 1 vs 2"), "{r}");
         assert!(r.contains("—"), "missing side shown as dash: {r}");

@@ -53,7 +53,7 @@ pub use cost::CostModel;
 pub use counters::{Counters, RobustnessStats, SpecStats, TaintStats};
 pub use machine::{
     BiaPlacement, CoRunnerOp, CtResponse, Interference, Machine, MachineConfig, MachineError,
-    ObsTrace, TraceEvent, TraceOp,
+    ObsTrace, TraceEvent,
 };
 pub use memory::{OutOfSimRam, SimRam};
 pub use report::format_report;
@@ -62,6 +62,8 @@ pub use secure::SecureArray;
 // Re-export the trace vocabulary the machine speaks, so downstream crates
 // can attach sinks without naming `ctbia-trace` directly.
 pub use ctbia_trace::{
-    EventKind, JsonlSink, LinearizeStats, MemOp, MetricsSink, Phase, PhaseCycles, RingBufferSink,
-    TeeSink, TraceRecord, TraceSink,
+    EventKind, JsonlSink, LinearizeStats, MemOp, MetricsSink, Phase, PhaseCycles, TeeSink,
+    TraceRecord, TraceSink,
 };
+// `TraceEvent::op`'s older name.
+pub use ctbia_trace::MemOp as TraceOp;

@@ -10,7 +10,7 @@
 use crate::cost::CostModel;
 use crate::counters::{Counters, RobustnessStats, SpecStats, TaintStats};
 use crate::memory::{OutOfSimRam, SimRam};
-use ctbia_core::bia::{Bia, BiaConfig, BiaConfigError};
+use ctbia_core::bia::{Bia, BiaConfig, BiaConfigError, BiaView};
 use ctbia_core::ctmem::{CtLoad, CtMemory, CtStore, LinearizeInfo, Width};
 use ctbia_core::predicate::{ct_eq, select};
 use ctbia_core::taint::{LeakViolation, TaintLabel};
@@ -20,6 +20,7 @@ use ctbia_sim::config::{CacheConfig, ConfigError, HierarchyConfig};
 use ctbia_sim::hierarchy::{
     AccessFlags, AccessResult, Hierarchy, Level, MonitorLevel, NullMonitor,
 };
+use ctbia_sim::HierarchyStats;
 use ctbia_trace::{EventKind, LinearizeStats, MemOp, Phase, PhaseCycles, TraceRecord, TraceSink};
 use std::collections::HashMap;
 use std::fmt;
@@ -221,38 +222,20 @@ pub enum CoRunnerOp {
 
 /// One attacker-visible demand access, at cache-line granularity (the
 /// threat model's observation granularity, §2.4).
+///
+/// `CTLoad`/`CTStore` lookups are *not* demand accesses: they change no
+/// cache state and are invisible to an access-driven attacker (§5.3). The
+/// conditional write of a `CTStore` changes only the *data* of an
+/// already-dirty line ("they do not change anything except data"), so it
+/// is likewise invisible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// What kind of operation.
-    pub op: TraceOp,
+    pub op: MemOp,
     /// The touched line.
     pub line: LineAddr,
 }
 
-/// Demand-operation kinds recorded in the trace.
-///
-/// `CTLoad`/`CTStore` lookups are *not* traced: they change no cache state
-/// and are invisible to an access-driven attacker (§5.3). The conditional
-/// write of a `CTStore` changes only the *data* of an already-dirty line
-/// ("they do not change anything except data"), so it is likewise
-/// invisible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceOp {
-    /// Regular demand load.
-    Load,
-    /// Regular demand store.
-    Store,
-    /// Dataflow-set load.
-    DsLoad,
-    /// Dataflow-set store.
-    DsStore,
-    /// Cache-bypassing DRAM load.
-    DramLoad,
-    /// Cache-bypassing DRAM store.
-    DramStore,
-}
-
-/// The structured-trace opcode corresponding to a demand-trace opcode.
 /// SplitMix64 finalizer: seeds the per-site branch predictor counters
 /// deterministically from `spec_seed ^ site`.
 fn splitmix64(mut x: u64) -> u64 {
@@ -262,27 +245,16 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn memop_of(op: TraceOp) -> MemOp {
-    match op {
-        TraceOp::Load => MemOp::Load,
-        TraceOp::Store => MemOp::Store,
-        TraceOp::DsLoad => MemOp::DsLoad,
-        TraceOp::DsStore => MemOp::DsStore,
-        TraceOp::DramLoad => MemOp::DramLoad,
-        TraceOp::DramStore => MemOp::DramStore,
-    }
-}
-
-impl TraceOp {
-    fn code(self) -> u64 {
-        match self {
-            TraceOp::Load => 0,
-            TraceOp::Store => 1,
-            TraceOp::DsLoad => 2,
-            TraceOp::DsStore => 3,
-            TraceOp::DramLoad => 4,
-            TraceOp::DramStore => 5,
-        }
+/// Whether an access routed by `flags` hit the nearest level it may use.
+fn nearest_hit(flags: AccessFlags, hit_level: Level) -> bool {
+    if flags.dram_direct {
+        false
+    } else if flags.bypass_l2 {
+        hit_level == Level::Llc
+    } else if flags.bypass_l1 {
+        hit_level == Level::L2
+    } else {
+        hit_level == Level::L1d
     }
 }
 
@@ -307,6 +279,10 @@ pub struct CtResponse {
 /// slice sequence of CT-op probes. Two runs of a constant-time program
 /// on different secrets must produce **equal** observation traces
 /// (DESIGN.md §10; the paper's Fig. 10 property, generalized).
+///
+/// It is a projection of the machine's one event stream, the stream a
+/// [`TraceSink`] receives: each `Access`, `SpecAccess` and `CtOp` event
+/// adds its attacker-visible part here, and nothing else does.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ObsTrace {
     /// Demand accesses, in program order, at line granularity.
@@ -323,119 +299,117 @@ pub struct ObsTrace {
 }
 
 impl ObsTrace {
-    /// Total recorded events.
-    pub fn len(&self) -> usize {
-        self.demand.len() + self.ct.len() + self.slices.len() + self.spec.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// An order-sensitive FNV-1a digest of the whole trace.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(self.demand.len() as u64);
-        for e in &self.demand {
-            mix(e.op.code());
-            mix(e.line.raw());
+        use std::iter::once;
+        fn events(es: &[TraceEvent]) -> impl Iterator<Item = u64> + '_ {
+            let words = es.iter().flat_map(|e| [e.op.index() as u64, e.line.raw()]);
+            once(es.len() as u64).chain(words)
         }
-        mix(self.ct.len() as u64);
-        for r in &self.ct {
-            mix(r.store as u64);
-            mix(r.bitmap);
-        }
-        mix(self.slices.len() as u64);
-        for s in &self.slices {
-            mix(*s as u64);
-        }
+        let ct = self.ct.iter().flat_map(|r| [r.store as u64, r.bitmap]);
+        let slices = self.slices.iter().map(|&s| s as u64);
         // Mixed only when present so speculation-free digests are stable
         // across the channel's introduction.
-        if !self.spec.is_empty() {
-            mix(self.spec.len() as u64);
-            for e in &self.spec {
-                mix(e.op.code());
-                mix(e.line.raw());
-            }
-        }
-        h
+        let spec = (!self.spec.is_empty()).then(|| events(&self.spec));
+        events(&self.demand)
+            .chain(once(self.ct.len() as u64).chain(ct))
+            .chain(once(self.slices.len() as u64).chain(slices))
+            .chain(spec.into_iter().flatten())
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+            })
     }
 
     /// Describes the first point where `self` and `other` differ, or
     /// `None` when the traces are equal. Used for diagnostics when the
     /// oracle finds a divergence.
     pub fn first_divergence(&self, other: &ObsTrace) -> Option<String> {
-        for (i, (a, b)) in self.demand.iter().zip(&other.demand).enumerate() {
-            if a != b {
-                return Some(format!(
-                    "demand[{i}]: {:?}@{:#x} vs {:?}@{:#x}",
-                    a.op,
-                    a.line.raw(),
-                    b.op,
-                    b.line.raw()
-                ));
+        fn first<T: PartialEq>(
+            (index, length): (&str, &str),
+            a: &[T],
+            b: &[T],
+            show: impl Fn(&T) -> String,
+        ) -> Option<String> {
+            match a.iter().zip(b).position(|(x, y)| x != y) {
+                Some(i) => Some(format!("{index}[{i}]: {} vs {}", show(&a[i]), show(&b[i]))),
+                None => {
+                    (a.len() != b.len()).then(|| format!("{length} {} vs {}", a.len(), b.len()))
+                }
             }
         }
-        if self.demand.len() != other.demand.len() {
-            return Some(format!(
-                "demand length {} vs {}",
-                self.demand.len(),
-                other.demand.len()
-            ));
-        }
-        for (i, (a, b)) in self.ct.iter().zip(&other.ct).enumerate() {
-            if a != b {
-                return Some(format!(
-                    "ct[{i}]: {}:{:#x} vs {}:{:#x}",
-                    if a.store { "dirt" } else { "exist" },
-                    a.bitmap,
-                    if b.store { "dirt" } else { "exist" },
-                    b.bitmap
-                ));
-            }
-        }
-        if self.ct.len() != other.ct.len() {
-            return Some(format!("ct length {} vs {}", self.ct.len(), other.ct.len()));
-        }
-        for (i, (a, b)) in self.slices.iter().zip(&other.slices).enumerate() {
-            if a != b {
-                return Some(format!("slice[{i}]: {a} vs {b}"));
-            }
-        }
-        if self.slices.len() != other.slices.len() {
-            return Some(format!(
-                "slice length {} vs {}",
-                self.slices.len(),
-                other.slices.len()
-            ));
-        }
-        for (i, (a, b)) in self.spec.iter().zip(&other.spec).enumerate() {
-            if a != b {
-                return Some(format!(
-                    "wrong-path fill spec[{i}]: {:?}@{:#x} vs {:?}@{:#x}",
-                    a.op,
-                    a.line.raw(),
-                    b.op,
-                    b.line.raw()
-                ));
-            }
-        }
-        if self.spec.len() != other.spec.len() {
-            return Some(format!(
-                "wrong-path fill count {} vs {}",
-                self.spec.len(),
-                other.spec.len()
-            ));
-        }
-        None
+        let access = |e: &TraceEvent| format!("{:?}@{:#x}", e.op, e.line.raw());
+        let response = |r: &CtResponse| {
+            let kind = if r.store { "dirt" } else { "exist" };
+            format!("{kind}:{:#x}", r.bitmap)
+        };
+        let (demand, ct) = (("demand", "demand length"), ("ct", "ct length"));
+        let slice = ("slice", "slice length");
+        let spec = ("wrong-path fill spec", "wrong-path fill count");
+        first(demand, &self.demand, &other.demand, access)
+            .or_else(|| first(ct, &self.ct, &other.ct, response))
+            .or_else(|| first(slice, &self.slices, &other.slices, |s| s.to_string()))
+            .or_else(|| first(spec, &self.spec, &other.spec, access))
     }
+}
+
+/// One event of the machine's observation stream, as its emission site
+/// knows it: everything but the hierarchy-statistics delta, which only a
+/// sink needs (see [`Machine::emit`]).
+#[derive(Debug, Clone, Copy)]
+enum Event<'a> {
+    /// A demand access; `spec` marks a wrong-path one.
+    Access {
+        spec: bool,
+        op: MemOp,
+        line: LineAddr,
+        result: AccessResult,
+        cycles: u64,
+    },
+    /// An inline L1d hit of a batched sweep: a `DsLoad` or `DsStore`
+    /// `Access` with the L1d hit's constants ([`Machine::l1d_hit_kind`]).
+    L1dHit {
+        op: MemOp,
+        line: LineAddr,
+    },
+    /// A sweep-memo replay: every line hit the L1d, a `DsLoad` (and, for a
+    /// `store` sweep, a `DsStore`) each, with `extra_insts` after each line.
+    Replay {
+        lines: &'a [LineAddr],
+        store: bool,
+        extra_insts: u64,
+    },
+    /// A `CTLoad` (`store: false`) or `CTStore` and its bitmap response.
+    Ct {
+        store: bool,
+        line: LineAddr,
+        bitmap: u64,
+        cycles: u64,
+    },
+    Linearize(LinearizeInfo),
+    Squash {
+        site: u64,
+        accesses: u64,
+    },
+}
+
+/// The operations a software-CT sweep makes on each line, in order.
+fn swept_ops(store: bool) -> &'static [MemOp] {
+    if store {
+        &[MemOp::DsLoad, MemOp::DsStore]
+    } else {
+        &[MemOp::DsLoad]
+    }
+}
+
+/// The charges a batched sweep has not yet put on the clock: its inline
+/// or replayed L1d hits (one instruction and one flat DS-hit service
+/// each) and the lines whose `extra_insts` are due.
+#[derive(Debug, Clone, Copy)]
+struct Due {
+    hits: u64,
+    lines: u64,
+    extra_insts: u64,
 }
 
 /// Shadow-taint state: a byte-granularity map holding only the bytes
@@ -520,13 +494,17 @@ pub struct Machine {
     ct_stores: u64,
     phases: PhaseCycles,
     linearize: LinearizeStats,
-    /// Structured trace sink. Every emission site is gated on
-    /// `self.sink.is_some()`, so a machine without a sink takes no stats
-    /// snapshots, formats nothing, and allocates nothing for tracing.
+    /// Structured trace sink. Every event reaches it through
+    /// [`Machine::emit`], which builds the event's sink form and takes its
+    /// stats snapshot only while a sink is attached: a machine without one
+    /// formats nothing and allocates nothing for tracing.
     sink: Option<Box<dyn TraceSink>>,
-    trace: Option<Vec<TraceEvent>>,
-    probe_slices: Option<Vec<u32>>,
-    ct_obs: Option<Vec<CtResponse>>,
+    /// The observation trace being recorded, the projection of the same
+    /// events (see [`ObsTrace`]).
+    obs: Option<ObsTrace>,
+    /// The L1d-hit fast paths may run: the machine has no BIA (so no
+    /// monitored level) and [`Machine::disable_fast_paths`] was not called.
+    fast_paths: bool,
     taint: Option<Box<TaintState>>,
     silent_stores: bool,
     interference: Option<Interference>,
@@ -546,9 +524,6 @@ pub struct Machine {
     /// Wrong-path accesses issued in the current window.
     spec_used: u32,
     spec: SpecStats,
-    /// Wrong-path access channel of the observation trace (recorded only
-    /// under [`Machine::enable_observation`]).
-    spec_trace: Option<Vec<TraceEvent>>,
     sweep_memo: SweepMemo,
 }
 
@@ -615,9 +590,8 @@ impl Machine {
             phases: PhaseCycles::default(),
             linearize: LinearizeStats::default(),
             sink: None,
-            trace: None,
-            probe_slices: None,
-            ct_obs: None,
+            obs: None,
+            fast_paths: placement.is_none(),
             taint: None,
             silent_stores: config.silent_stores,
             interference: None,
@@ -629,7 +603,6 @@ impl Machine {
             spec_active: false,
             spec_used: 0,
             spec: SpecStats::default(),
-            spec_trace: None,
             sweep_memo: SweepMemo::default(),
         })
     }
@@ -655,8 +628,9 @@ impl Machine {
     /// paying construction and teardown per cell.
     ///
     /// Everything attachable after construction — trace sinks,
-    /// observation recording, taint, interference — is dropped, exactly as
-    /// a fresh machine would lack them.
+    /// observation recording, taint, interference, the reference mode of
+    /// [`Machine::disable_fast_paths`] — is dropped, exactly as a fresh
+    /// machine would lack them.
     pub fn reset(&mut self) {
         self.hier.reset();
         if let Some(bia) = &mut self.bia {
@@ -670,9 +644,8 @@ impl Machine {
         self.phases = PhaseCycles::default();
         self.linearize = LinearizeStats::default();
         self.sink = None;
-        self.trace = None;
-        self.probe_slices = None;
-        self.ct_obs = None;
+        self.obs = None;
+        self.fast_paths = self.bia.is_none();
         self.taint = None;
         self.interference = None;
         self.interference_clock = 0;
@@ -683,7 +656,6 @@ impl Machine {
         self.spec_active = false;
         self.spec_used = 0;
         self.spec = SpecStats::default();
-        self.spec_trace = None;
         self.sweep_memo.clear();
     }
 
@@ -776,43 +748,179 @@ impl Machine {
         self.sink.take()
     }
 
-    /// Emits `kind` to the sink, stamped with the current cycle count.
+    /// The one emission site of every event, stamped with the current
+    /// cycle count (a replay's hits with the cycles the per-line loop
+    /// reaches). While observation is on, the event's attacker-visible
+    /// part goes into the [`ObsTrace`]; while a sink is attached, the event
+    /// goes to the sink with its statistics delta since `before`
+    /// ([`Machine::snapshot`]; `None` for an event that moved no statistic
+    /// or whose delta is a constant). Without either it does nothing, and
+    /// observation alone takes no stats snapshot and makes no dynamic call.
+    #[inline(always)]
+    fn emit(&mut self, ev: Event<'_>, before: Option<&HierarchyStats>) {
+        if let Some(obs) = &mut self.obs {
+            match ev {
+                Event::Access { spec, op, line, .. } => {
+                    let seen = if spec { &mut obs.spec } else { &mut obs.demand };
+                    seen.push(TraceEvent { op, line });
+                }
+                Event::L1dHit { op, line } => obs.demand.push(TraceEvent { op, line }),
+                Event::Replay { lines, store, .. } => {
+                    let ops = swept_ops(store);
+                    let events = lines
+                        .iter()
+                        .flat_map(|&line| ops.iter().map(move |&op| TraceEvent { op, line }));
+                    obs.demand.extend(events);
+                }
+                Event::Ct {
+                    store,
+                    line,
+                    bitmap,
+                    ..
+                } => {
+                    obs.ct.push(CtResponse { store, bitmap });
+                    // With a sliced LLC a CT operation travels over the
+                    // interconnect to the slice holding its line, which a
+                    // ring/mesh attacker observes at slice granularity
+                    // (§6.4).
+                    if self.placement == Some(BiaPlacement::Llc) {
+                        obs.slices.push(self.hier.llc_slice_of(line));
+                    }
+                }
+                Event::Linearize(_) | Event::Squash { .. } => {}
+            }
+        }
+        if self.sink.is_some() {
+            let delta = before.map_or_else(HierarchyStats::default, |b| self.hier.stats() - *b);
+            self.record(ev, delta);
+        }
+    }
+
+    /// Hands `ev` and its `delta` to the sink, out of the untraced path.
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, ev: Event<'_>, delta: HierarchyStats) {
+        let Some(mut sink) = self.sink.take() else {
+            return;
+        };
+        let kind = match ev {
+            Event::Access {
+                spec: false,
+                op,
+                line,
+                result,
+                cycles,
+            } => EventKind::Access {
+                op,
+                line: line.raw(),
+                hit_level: result.hit_level,
+                latency: result.latency,
+                cycles,
+                delta,
+            },
+            Event::Access {
+                spec: true,
+                op,
+                line,
+                result,
+                cycles,
+            } => EventKind::SpecAccess {
+                op,
+                line: line.raw(),
+                hit_level: result.hit_level,
+                latency: result.latency,
+                cycles,
+                delta,
+            },
+            Event::L1dHit { op, line } => self.l1d_hit_kind(op, line),
+            // Each hit is stamped as the per-line loop stamps it: after its
+            // own charges and those of every access before it.
+            Event::Replay {
+                lines,
+                store,
+                extra_insts,
+            } => {
+                let hit = self.cost.cycles_per_inst + self.ds_hit_sweep_cycles();
+                let mut cycle = self.cycles;
+                for &line in lines {
+                    for &op in swept_ops(store) {
+                        cycle += hit;
+                        let kind = self.l1d_hit_kind(op, line);
+                        sink.record(&TraceRecord { cycle, kind });
+                    }
+                    cycle += extra_insts * self.cost.cycles_per_inst;
+                }
+                self.sink = Some(sink);
+                return;
+            }
+            Event::Ct {
+                store,
+                line,
+                bitmap,
+                cycles,
+            } => EventKind::CtOp {
+                store,
+                line: line.raw(),
+                bitmap,
+                cycles,
+                delta,
+            },
+            Event::Linearize(info) => EventKind::LinearizePass {
+                store: info.store,
+                software: info.software,
+                group: info.group,
+                ds_lines: info.ds_lines,
+                skipped: info.skipped,
+                fetched: info.fetched,
+            },
+            Event::Squash { site, accesses } => EventKind::Squash { site, accesses },
+        };
+        let cycle = self.cycles;
+        sink.record(&TraceRecord { cycle, kind });
+        self.sink = Some(sink);
+    }
+
+    /// The sink's form of a batched sweep's L1d hit. Its level, latency,
+    /// cycles and statistics delta (one `l1d.reads` or `l1d.writes`, one
+    /// `l1d.hits`) are the L1d hit's constants.
+    fn l1d_hit_kind(&self, op: MemOp, line: LineAddr) -> EventKind {
+        let mut delta = HierarchyStats::default();
+        match op {
+            MemOp::DsStore => delta.l1d.writes = 1,
+            _ => delta.l1d.reads = 1,
+        }
+        delta.l1d.hits = 1;
+        EventKind::Access {
+            op,
+            line: line.raw(),
+            hit_level: Level::L1d,
+            latency: self.hier.cache(Level::L1d).hit_latency(),
+            cycles: self.ds_hit_sweep_cycles(),
+            delta,
+        }
+    }
+
+    /// The hierarchy statistics before an event, for [`Machine::emit`]:
+    /// taken only while a sink is attached.
     #[inline]
-    fn emit(&mut self, kind: EventKind) {
-        if let Some(sink) = &mut self.sink {
-            sink.record(&TraceRecord {
-                cycle: self.cycles,
-                kind,
-            });
-        }
+    fn snapshot(&self) -> Option<HierarchyStats> {
+        self.sink.as_ref().map(|_| self.hier.stats())
     }
 
-    /// Starts recording the attacker-granularity demand trace. Under an
-    /// LLC-resident BIA this also records the slice sequence of CT-op
-    /// probes — with a sliced LLC, a CT operation travels over the
-    /// interconnect to the slice holding its line, which a ring/mesh
-    /// attacker can observe at slice granularity (§6.4).
+    /// Starts recording the observation trace; [`Machine::take_trace`]
+    /// returns its demand accesses.
     pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-        if self.placement == Some(BiaPlacement::Llc) {
-            self.probe_slices = Some(Vec::new());
-        }
+        self.enable_observation();
     }
 
-    /// Stops recording and returns the trace (empty if tracing was off).
+    /// Stops recording and returns the demand accesses of the observation
+    /// trace (empty if recording was off).
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.take().unwrap_or_default()
-    }
-
-    /// The slice sequence of CT-op probes recorded since `enable_trace`
-    /// (LLC-resident BIA only; empty otherwise).
-    pub fn take_probe_slices(&mut self) -> Vec<u32> {
-        self.probe_slices.take().unwrap_or_default()
+        self.take_observation().demand
     }
 
     /// Starts recording the full [`ObsTrace`] the trace-equivalence
-    /// oracle compares: the demand trace (see [`Machine::enable_trace`])
-    /// plus every CT-op bitmap response.
+    /// oracle compares.
     pub fn enable_observation(&mut self) {
         self.enable_observation_into(ObsTrace::default());
     }
@@ -826,21 +934,22 @@ impl Machine {
         buf.ct.clear();
         buf.slices.clear();
         buf.spec.clear();
-        self.trace = Some(buf.demand);
-        self.probe_slices = (self.placement == Some(BiaPlacement::Llc)).then_some(buf.slices);
-        self.ct_obs = Some(buf.ct);
-        self.spec_trace = Some(buf.spec);
+        self.obs = Some(buf);
     }
 
-    /// Stops observation recording and returns the trace (empty for any
-    /// channel that was not being recorded).
+    /// Stops observation recording and returns the trace (empty if
+    /// recording was off).
     pub fn take_observation(&mut self) -> ObsTrace {
-        ObsTrace {
-            demand: self.take_trace(),
-            ct: self.ct_obs.take().unwrap_or_default(),
-            slices: self.take_probe_slices(),
-            spec: self.spec_trace.take().unwrap_or_default(),
-        }
+        self.obs.take().unwrap_or_default()
+    }
+
+    /// Turns every fast path off: the batched dataflow-set sweep, its
+    /// sweep-memo replay and the demand L1d-hit shortcut. The machine then
+    /// runs the plain per-access reference path, which differential tests
+    /// compare the fast paths against. Nothing configures it;
+    /// [`Machine::reset`] turns it off again.
+    pub fn disable_fast_paths(&mut self) {
+        self.fast_paths = false;
     }
 
     /// Turns on the shadow taint layer. Until this is called every
@@ -952,7 +1061,7 @@ impl Machine {
         self.spec_active = false;
         let accesses = u64::from(self.spec_used);
         self.spec.squashes += 1;
-        self.emit(EventKind::Squash { site, accesses });
+        self.emit(Event::Squash { site, accesses }, None);
         self.spec_used = 0;
     }
 
@@ -968,7 +1077,7 @@ impl Machine {
     /// Prime+Probe attacker.
     pub fn timed_load(&mut self, addr: PhysAddr, width: Width) -> (u64, u64) {
         let before = self.cycles;
-        let v = self.demand(addr, width, AccessFlags::read(), TraceOp::Load, None);
+        let v = self.demand(addr, width, AccessFlags::read(), MemOp::Load, None);
         (v, self.cycles - before)
     }
 
@@ -1062,7 +1171,7 @@ impl Machine {
         addr: PhysAddr,
         width: Width,
         flags: AccessFlags,
-        op: TraceOp,
+        op: MemOp,
         store: Option<u64>,
     ) -> u64 {
         debug_assert!(
@@ -1084,47 +1193,26 @@ impl Machine {
         // its line like a read but never reaches RAM or dirties the line
         // (the squash drains the store buffer before writeback).
         let mut flags = flags;
-        flags.kind = ctbia_sim::cache::AccessKind::Read;
-        let snap = if self.sink.is_some() {
-            Some(self.hier.stats())
-        } else {
-            None
-        };
+        flags.kind = AccessKind::Read;
+        let before = self.snapshot();
         let result = self.hier_access(addr.line(), flags);
-        let nearest = if flags.dram_direct {
-            false
-        } else if flags.bypass_l2 {
-            result.hit_level == Level::Llc
-        } else if flags.bypass_l1 {
-            result.hit_level == Level::L2
-        } else {
-            result.hit_level == Level::L1d
-        };
+        let nearest = nearest_hit(flags, result.hit_level);
         if !nearest {
             self.spec.wrong_path_fills += 1;
         }
-        let ds_stream = matches!(op, TraceOp::DsLoad | TraceOp::DsStore);
+        let ds_stream = op.is_ds();
         let mem_cycles = self.cost.memory_cycles(result.latency, nearest, ds_stream);
         // The whole charge (DRAM stall included) lands on the speculative
         // phase: transient time is transient time.
         self.charge(Phase::Speculative, mem_cycles);
-        if let Some(snap) = snap {
-            let delta = self.hier.stats() - snap;
-            self.emit(EventKind::SpecAccess {
-                op: memop_of(op),
-                line: addr.line().raw(),
-                hit_level: result.hit_level,
-                latency: result.latency,
-                cycles: mem_cycles,
-                delta,
-            });
-        }
-        if let Some(t) = &mut self.spec_trace {
-            t.push(TraceEvent {
-                op,
-                line: addr.line(),
-            });
-        }
+        let ev = Event::Access {
+            spec: true,
+            op,
+            line: addr.line(),
+            result,
+            cycles: mem_cycles,
+        };
+        self.emit(ev, before.as_ref());
         match store {
             Some(_) => 0,
             None => self.ram.read(addr, width.bytes()),
@@ -1136,14 +1224,14 @@ impl Machine {
         addr: PhysAddr,
         width: Width,
         flags: AccessFlags,
-        op: TraceOp,
+        op: MemOp,
         store: Option<u64>,
     ) -> u64 {
         if self.spec_active {
             return self.spec_demand(addr, width, flags, op, store);
         }
         self.tick_interference();
-        let ds_stream = matches!(op, TraceOp::DsLoad | TraceOp::DsStore);
+        let ds_stream = op.is_ds();
         // Silent-store squashing: a store of the value already in memory
         // behaves like a read (no dirty-bit update) when enabled.
         let mut flags = flags;
@@ -1159,24 +1247,14 @@ impl Machine {
             "misaligned access at {addr}"
         );
         self.charge_inst(1);
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent {
-                op,
-                line: addr.line(),
-            });
-        }
-        let snap = if self.sink.is_some() {
-            Some(self.hier.stats())
-        } else {
-            None
-        };
+        let before = self.snapshot();
         // Machines without a BIA take an L1d-hit fast path: the hit performs
         // the cache's exact demand bookkeeping and nothing else in the walk —
         // deeper probes, fills, prefetch, events — can run, so the full
         // `access_with` is only needed when the hit-only attempt misses.
         let plain = !flags.dram_direct && !flags.bypass_l1 && !flags.bypass_l2;
         let result = if plain
-            && self.bia.is_none()
+            && self.fast_paths
             && self
                 .hier
                 .l1d_access_if_hit(addr.line(), flags.kind, flags.update_replacement)
@@ -1190,15 +1268,7 @@ impl Machine {
         } else {
             self.hier_access(addr.line(), flags)
         };
-        let nearest = if flags.dram_direct {
-            false
-        } else if flags.bypass_l2 {
-            result.hit_level == Level::Llc
-        } else if flags.bypass_l1 {
-            result.hit_level == Level::L2
-        } else {
-            result.hit_level == Level::L1d
-        };
+        let nearest = nearest_hit(flags, result.hit_level);
         let mem_cycles = self.cost.memory_cycles(result.latency, nearest, ds_stream);
         // Split the charge into the DRAM-stall portion and the
         // cache-service remainder, which belongs to the linearization
@@ -1214,17 +1284,14 @@ impl Machine {
             Phase::DemandAccess
         };
         self.charge(service_phase, mem_cycles - dram_part);
-        if let Some(snap) = snap {
-            let delta = self.hier.stats() - snap;
-            self.emit(EventKind::Access {
-                op: memop_of(op),
-                line: addr.line().raw(),
-                hit_level: result.hit_level,
-                latency: result.latency,
-                cycles: mem_cycles,
-                delta,
-            });
-        }
+        let ev = Event::Access {
+            spec: false,
+            op,
+            line: addr.line(),
+            result,
+            cycles: mem_cycles,
+        };
+        self.emit(ev, before.as_ref());
         match store {
             Some(v) => {
                 self.ram.write(addr, width.bytes(), v);
@@ -1253,26 +1320,50 @@ impl Machine {
         flags
     }
 
+    /// The BIA's view of `addr`'s page for a CT micro-op.
+    fn bia_view(&mut self, addr: PhysAddr) -> BiaView {
+        let bia = self
+            .bia
+            .as_mut()
+            .expect("BIA present when placement is set");
+        bia.access_for(addr)
+    }
+
+    /// Charges a `CTLoad` (`store: false`) or `CTStore` on `line` whose
+    /// cache probe took `probe_latency` (it overlaps the BIA lookup), and
+    /// emits it with its `bitmap` response.
+    #[inline(always)]
+    fn ct_op(
+        &mut self,
+        store: bool,
+        line: LineAddr,
+        bitmap: u64,
+        probe_latency: u64,
+        before: Option<HierarchyStats>,
+    ) {
+        let bia_latency = self.bia.as_ref().map_or(0, Bia::latency);
+        let cycles = self.cost.ct_cycles(probe_latency, bia_latency);
+        self.charge(Phase::BiaMaintenance, cycles);
+        let ev = Event::Ct {
+            store,
+            line,
+            bitmap,
+            cycles,
+        };
+        self.emit(ev, before.as_ref());
+    }
+
     /// Whether a software DS sweep may take the batched fast path
-    /// ([`Machine::sweep_lines`]): nothing may observe the per-access
-    /// interleaving of charges and cache state (no sink or co-runner),
-    /// the machine must have no BIA (and so no monitored level and no
-    /// placement routing), and neither speculation nor silent-store
-    /// squashing may be active. Under these conditions every per-line
-    /// charge is a plain accumulation and an L1d hit has no side effects
-    /// beyond the cache's own bookkeeping, so the batched sweep — and its
-    /// replay of a fully resident sweep from the sweep memo — is
-    /// state-for-state identical to the loop. Demand-trace recording does
-    /// not refuse the batch: the line-granular trace needs only the
-    /// `(op, line)` events in order, and the batch pushes one for each
-    /// inline or replayed hit.
+    /// ([`Machine::sweep_lines`]): no co-runner, no BIA (so no monitored
+    /// level and no placement routing), no speculation window, no
+    /// silent-store squashing and no [`Machine::disable_fast_paths`]. Then
+    /// every per-line charge is a plain sum and an L1d hit has no effect
+    /// beyond the cache's own bookkeeping, so the batched sweep and its
+    /// memo replay are state-for-state the loop. Observation and a sink
+    /// do not refuse the batch: it emits each of its hits itself.
     #[inline]
     fn sweep_fast_path(&self) -> bool {
-        !self.spec_active
-            && self.sink.is_none()
-            && self.interference.is_none()
-            && self.bia.is_none()
-            && !self.silent_stores
+        !self.spec_active && self.fast_paths && self.interference.is_none() && !self.silent_stores
     }
 
     /// The flat cycle charge of one L1d-hit DS access (the sweep's
@@ -1284,17 +1375,43 @@ impl Machine {
             .memory_cycles(self.hier.cache(Level::L1d).hit_latency(), true, true)
     }
 
+    /// Puts `due` on the clock and clears it.
+    fn settle(&mut self, due: &mut Due) {
+        let insts = due.hits + due.lines * due.extra_insts;
+        self.insts += insts;
+        self.charge(Phase::Compute, insts * self.cost.cycles_per_inst);
+        self.charge(Phase::LinearizeSweep, due.hits * self.ds_hit_sweep_cycles());
+        due.hits = 0;
+        due.lines = 0;
+    }
+
+    /// Counts an inline L1d hit of a batched sweep in `due`, and emits it
+    /// when the sweep is `observed`. For a sink it settles `due` first, so
+    /// the event carries the cycle stamp the per-line loop gives it; the
+    /// observation trace has no stamps.
+    #[inline(always)]
+    fn batched_hit(&mut self, due: &mut Due, observed: bool, op: MemOp, line: LineAddr) {
+        due.hits += 1;
+        if observed {
+            if self.sink.is_some() {
+                self.settle(due);
+            }
+            self.emit(Event::L1dHit { op, line }, None);
+        }
+    }
+
     /// The cache side of a batched software-CT sweep (only under
     /// [`Machine::sweep_fast_path`]): one replacement-neutral load per
-    /// line, plus one store per line when `store` is set, with their trace
+    /// line, plus one store per line when `store` is set, with their
     /// events in loop order. RAM is the caller's: an inline hit reads and
     /// writes none, and a miss falls back to the self-charging
     /// `ds_load`/`ds_store`, which rewrites the word it read.
     ///
     /// An inline L1d hit performs the cache's exact demand-hit bookkeeping;
     /// its charges — one instruction plus the flat DS-hit service — are
-    /// pure sums, so they are accumulated and applied once at the end. A
-    /// sweep in which every access hit is remembered in the sweep memo
+    /// pure sums, held as [`Due`] and put on the clock at the end (under a
+    /// sink also before each miss and each hit, for the events' stamps).
+    /// A sweep in which every access hit is remembered in the sweep memo
     /// with its slots. A later sweep of equal lines at an unchanged L1d
     /// epoch replays those slots instead of searching the tags: no line
     /// has been filled or invalidated since, so each one still sits in its
@@ -1308,101 +1425,92 @@ impl Machine {
         extra_insts: u64,
     ) {
         let per_line = 1 + store as u64;
+        let traced = self.sink.is_some();
+        let observed = traced || self.obs.is_some();
+        let mut due = Due {
+            hits: 0,
+            lines: 0,
+            extra_insts,
+        };
         let epoch = self.hier.l1d_epoch();
-        let hits = if let Some(slots) = self.sweep_memo.find(epoch, lines) {
+        if let Some(slots) = self.sweep_memo.find(epoch, lines) {
             self.hier.l1d_replay_hits(slots, AccessKind::Read);
             if store {
                 self.hier.l1d_replay_hits(slots, AccessKind::Write);
             }
-            if self.trace.is_some() {
-                for &line in lines {
-                    self.record_ds_hit(TraceOp::DsLoad, line);
-                    if store {
-                        self.record_ds_hit(TraceOp::DsStore, line);
-                    }
-                }
-            }
-            per_line * lines.len() as u64
+            let ev = Event::Replay {
+                lines,
+                store,
+                extra_insts,
+            };
+            self.emit(ev, None);
+            due.hits = per_line * lines.len() as u64;
+            due.lines = lines.len() as u64;
         } else {
             let mut slots = std::mem::take(&mut self.sweep_memo.scratch);
             slots.clear();
-            let mut hits = 0u64;
+            let mut missed = false;
             for &line in lines {
                 let addr = line.with_offset(offset);
                 match self.hier.l1d_access_if_hit(line, AccessKind::Read, false) {
                     Some(slot) => {
-                        hits += 1;
                         slots.push(slot);
-                        self.record_ds_hit(TraceOp::DsLoad, line);
+                        self.batched_hit(&mut due, observed, MemOp::DsLoad, line);
                     }
                     None => {
+                        missed = true;
+                        if traced {
+                            self.settle(&mut due);
+                        }
                         self.ds_load(addr, width);
                     }
                 }
-                if !store {
-                    continue;
+                if store {
+                    if self
+                        .hier
+                        .l1d_access_if_hit(line, AccessKind::Write, false)
+                        .is_some()
+                    {
+                        self.batched_hit(&mut due, observed, MemOp::DsStore, line);
+                    } else {
+                        missed = true;
+                        if traced {
+                            self.settle(&mut due);
+                        }
+                        let old = self.ram.read(addr, width.bytes());
+                        self.ds_store(addr, width, old);
+                    }
                 }
-                if self
-                    .hier
-                    .l1d_access_if_hit(line, AccessKind::Write, false)
-                    .is_some()
-                {
-                    hits += 1;
-                    self.record_ds_hit(TraceOp::DsStore, line);
-                } else {
-                    let old = self.ram.read(addr, width.bytes());
-                    self.ds_store(addr, width, old);
-                }
+                due.lines += 1;
             }
-            if hits == per_line * lines.len() as u64 {
+            if !missed {
                 debug_assert_eq!(epoch, self.hier.l1d_epoch(), "an all-hit sweep filled");
                 self.sweep_memo.record(epoch, lines, slots);
             } else {
                 self.sweep_memo.scratch = slots;
             }
-            hits
-        };
-        let insts = hits + lines.len() as u64 * extra_insts;
-        self.insts += insts;
-        let compute = insts * self.cost.cycles_per_inst;
-        let sweep = hits * self.ds_hit_sweep_cycles();
-        self.cycles += compute + sweep;
-        self.phases.add(Phase::Compute, compute);
-        self.phases.add(Phase::LinearizeSweep, sweep);
-    }
-
-    /// Pushes the demand-trace event of an inline or replayed DS hit.
-    #[inline]
-    fn record_ds_hit(&mut self, op: TraceOp, line: LineAddr) {
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent { op, line });
         }
+        self.settle(&mut due);
     }
 }
 
 impl CtMemory for Machine {
     fn load(&mut self, addr: PhysAddr, width: Width) -> u64 {
-        self.demand(addr, width, AccessFlags::read(), TraceOp::Load, None)
+        self.demand(addr, width, AccessFlags::read(), MemOp::Load, None)
     }
 
     fn store(&mut self, addr: PhysAddr, width: Width, value: u64) {
-        self.demand(
-            addr,
-            width,
-            AccessFlags::write(),
-            TraceOp::Store,
-            Some(value),
-        );
+        self.demand(addr, width, AccessFlags::write(), MemOp::Store, Some(value));
     }
 
     fn ds_load(&mut self, addr: PhysAddr, width: Width) -> u64 {
         let flags = self.ds_flags(ctbia_sim::cache::AccessKind::Read);
-        self.demand(addr, width, flags, TraceOp::DsLoad, None)
+        self.demand(addr, width, flags, MemOp::DsLoad, None)
     }
 
     fn ds_store(&mut self, addr: PhysAddr, width: Width, value: u64) {
         let flags = self.ds_flags(ctbia_sim::cache::AccessKind::Write);
-        self.demand(addr, width, flags, TraceOp::DsStore, Some(value));
+        self.demand(addr, width, flags, MemOp::DsStore, Some(value));
     }
 
     fn ds_sweep_load(
@@ -1463,7 +1571,7 @@ impl CtMemory for Machine {
             addr,
             width,
             AccessFlags::read().dram_direct(),
-            TraceOp::DramLoad,
+            MemOp::DramLoad,
             None,
         )
     }
@@ -1473,7 +1581,7 @@ impl CtMemory for Machine {
             addr,
             width,
             AccessFlags::write().dram_direct(),
-            TraceOp::DramStore,
+            MemOp::DramStore,
             Some(value),
         );
     }
@@ -1501,43 +1609,15 @@ impl CtMemory for Machine {
         self.ct_loads += 1;
         self.charge_inst(1);
         let aligned = addr.align_down_u64();
-        if let Some(slices) = &mut self.probe_slices {
-            slices.push(self.hier.llc_slice_of(aligned.line()));
-        }
-        let snap = if self.sink.is_some() {
-            Some(self.hier.stats())
-        } else {
-            None
-        };
+        let before = self.snapshot();
         let (probe, probe_latency) = self.hier.ct_probe(aligned.line(), placement.monitor());
-        let bia = self
-            .bia
-            .as_mut()
-            .expect("BIA present when placement is set");
-        let view = bia.access_for(addr);
-        let ct_cycles = self.cost.ct_cycles(probe_latency, bia.latency());
-        self.charge(Phase::BiaMaintenance, ct_cycles);
-        if let Some(snap) = snap {
-            let delta = self.hier.stats() - snap;
-            self.emit(EventKind::CtOp {
-                store: false,
-                line: aligned.line().raw(),
-                bitmap: view.existence,
-                cycles: ct_cycles,
-                delta,
-            });
-        }
+        let view = self.bia_view(addr);
+        self.ct_op(false, aligned.line(), view.existence, probe_latency, before);
         let data = if probe.resident {
             self.ram.read(aligned, 8)
         } else {
             0
         };
-        if let Some(obs) = &mut self.ct_obs {
-            obs.push(CtResponse {
-                store: false,
-                bitmap: view.existence,
-            });
-        }
         CtLoad {
             data,
             existence: view.existence,
@@ -1555,45 +1635,16 @@ impl CtMemory for Machine {
         self.ct_stores += 1;
         self.charge_inst(1);
         let aligned = addr.align_down_u64();
-        if let Some(slices) = &mut self.probe_slices {
-            slices.push(self.hier.llc_slice_of(aligned.line()));
-        }
-        let snap = if self.sink.is_some() {
-            Some(self.hier.stats())
-        } else {
-            None
-        };
-        let bia = self
-            .bia
-            .as_mut()
-            .expect("BIA present when placement is set");
-        let view = bia.access_for(addr);
-        let bia_latency = bia.latency();
+        let before = self.snapshot();
+        let view = self.bia_view(addr);
         // The conditional write emits no cache event: it changes only the
         // data of a line that is already dirty.
         let (wrote, probe_latency) = self
             .hier
             .ct_write_if_dirty(aligned.line(), placement.monitor());
-        let ct_cycles = self.cost.ct_cycles(probe_latency, bia_latency);
-        self.charge(Phase::BiaMaintenance, ct_cycles);
-        if let Some(snap) = snap {
-            let delta = self.hier.stats() - snap;
-            self.emit(EventKind::CtOp {
-                store: true,
-                line: aligned.line().raw(),
-                bitmap: view.dirtiness,
-                cycles: ct_cycles,
-                delta,
-            });
-        }
+        self.ct_op(true, aligned.line(), view.dirtiness, probe_latency, before);
         if wrote {
             self.ram.write(aligned, 8, data);
-        }
-        if let Some(obs) = &mut self.ct_obs {
-            obs.push(CtResponse {
-                store: true,
-                bitmap: view.dirtiness,
-            });
         }
         CtStore {
             dirtiness: view.dirtiness,
@@ -1608,14 +1659,7 @@ impl CtMemory for Machine {
         self.linearize.passes += 1;
         self.linearize.lines_skipped += u64::from(info.skipped);
         self.linearize.lines_fetched += u64::from(info.fetched);
-        self.emit(EventKind::LinearizePass {
-            store: info.store,
-            software: info.software,
-            group: info.group,
-            ds_lines: info.ds_lines,
-            skipped: info.skipped,
-            fetched: info.fetched,
-        });
+        self.emit(Event::Linearize(info), None);
     }
 
     fn bia_granularity_log2(&self) -> u32 {
@@ -1933,7 +1977,7 @@ mod tests {
             }
             let mut stale = reused.take_observation();
             let junk_event = TraceEvent {
-                op: TraceOp::Store,
+                op: MemOp::Store,
                 line: junk.line(),
             };
             stale.demand.push(junk_event);
@@ -1965,11 +2009,11 @@ mod tests {
             trace,
             vec![
                 TraceEvent {
-                    op: TraceOp::Load,
+                    op: MemOp::Load,
                     line: a.line()
                 },
                 TraceEvent {
-                    op: TraceOp::DsStore,
+                    op: MemOp::DsStore,
                     line: a.line()
                 },
             ]
@@ -2008,7 +2052,7 @@ mod tests {
         let s = m.ct_store(a, 9);
         let obs = m.take_observation();
         assert_eq!(obs.demand.len(), 1);
-        assert_eq!(obs.demand[0].op, TraceOp::Store);
+        assert_eq!(obs.demand[0].op, MemOp::Store);
         assert_eq!(
             obs.ct,
             vec![
@@ -2023,7 +2067,7 @@ mod tests {
             ]
         );
         assert!(obs.slices.is_empty(), "no sliced LLC in this config");
-        assert!(!obs.is_empty());
+        assert_ne!(obs, ObsTrace::default());
         // A second identical machine produces an equal trace and digest.
         let mut m2 = Machine::with_bia(BiaPlacement::L1d);
         let a2 = m2.alloc(128, 64).unwrap();

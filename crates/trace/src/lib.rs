@@ -11,9 +11,9 @@
 //!   is stamped with the deterministic cycle clock — never wall-clock — so
 //!   traces are byte-reproducible across machines and across serial vs
 //!   parallel sweep execution.
-//! - **Sinks** ([`TraceSink`]): a bounded [`RingBufferSink`], a
-//!   byte-deterministic [`JsonlSink`], and an aggregating [`MetricsSink`]
-//!   whose totals reconcile exactly against the machine's counters. The
+//! - **Sinks** ([`TraceSink`]): a byte-deterministic [`JsonlSink`], an
+//!   aggregating [`MetricsSink`] whose totals reconcile exactly against
+//!   the machine's counters, and a [`TeeSink`] feeding two at once. The
 //!   emitting side pays nothing when no sink is attached.
 //! - **Cycle attribution** ([`Phase`]/[`PhaseCycles`]): every simulated
 //!   cycle lands in exactly one named bucket (compute, demand access,
@@ -39,4 +39,4 @@ pub mod sink;
 pub use event::{EventKind, MemOp, TraceRecord};
 pub use metrics::{MetricsDoc, METRICS_SCHEMA};
 pub use phase::{LinearizeStats, Phase, PhaseCycles};
-pub use sink::{JsonlSink, MetricsSink, RingBufferSink, TeeSink, TraceSink};
+pub use sink::{JsonlSink, MetricsSink, TeeSink, TraceSink};

@@ -7,7 +7,6 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::collections::VecDeque;
 
 use ctbia_sim::HierarchyStats;
 
@@ -26,59 +25,6 @@ pub trait TraceSink: std::fmt::Debug + Send {
     /// Recover the concrete sink type after the machine hands the boxed
     /// sink back (see `Machine::take_trace_sink`).
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
-}
-
-/// Keeps the most recent `capacity` events; counts everything it saw.
-#[derive(Debug)]
-pub struct RingBufferSink {
-    capacity: usize,
-    buf: VecDeque<TraceRecord>,
-    total: u64,
-}
-
-impl RingBufferSink {
-    /// A ring buffer holding at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        RingBufferSink {
-            capacity: capacity.max(1),
-            buf: VecDeque::new(),
-            total: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.buf.iter()
-    }
-
-    /// Total number of events observed (including evicted ones).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no event has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, ev: &TraceRecord) {
-        self.total += 1;
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(ev.clone());
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 /// Buffers the canonical JSONL form of every event, one line per event.
@@ -275,18 +221,6 @@ mod tests {
                 delta,
             },
         }
-    }
-
-    #[test]
-    fn ring_buffer_keeps_last_n() {
-        let mut s = RingBufferSink::new(2);
-        for i in 0..5 {
-            s.record(&access(i, i));
-        }
-        assert_eq!(s.total(), 5);
-        assert_eq!(s.len(), 2);
-        let cycles: Vec<u64> = s.events().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![3, 4]);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 #                                0 with `"correct": true` and
 #                                `"failed": 0`
 #   8. ctbia trace smoke      -- cycle attribution reconciles (the command
-#                                exits non-zero if phases don't sum)
+#                                exits non-zero if phases don't sum), for
+#                                a BIA cell and for a software-CT cell,
+#                                whose batched sweep emits its hits
 #   9. ctbia verify --quick   -- leakage-verifier smoke run: the CT grid
 #                                verifies clean, the intentionally leaky
 #                                control is caught (non-zero exit), and
@@ -139,6 +141,7 @@ done
 echo "==> perfbench smoke: every workload correct, 0 failed"
 
 run ./target/release/ctbia trace histogram 400 --top 5
+run ./target/release/ctbia trace histogram 400 --strategy ct --top 5
 echo "==> trace cycle attribution reconciles"
 
 run ./target/release/ctbia verify --quick

@@ -120,13 +120,12 @@ fn slice_traffic_is_secret_independent_when_m_is_within_ls_hash() {
             let mut m = llc_machine(slices, ls_hash, m_log2).unwrap();
             let base = m.alloc(64 * 1024, 4096).unwrap(); // 16 pages
             let ds = DataflowSet::contiguous(base, 64 * 1024);
-            m.enable_trace();
+            m.enable_observation();
             let _ = Strategy::bia().load(&mut m, &ds, base.offset(secret * 4), Width::U32);
             Strategy::bia().store(&mut m, &ds, base.offset(secret * 4), Width::U32, 9);
-            let probes = m.take_probe_slices();
+            let obs = m.take_observation();
             let counts = m.hierarchy().llc_slice_counts().to_vec();
-            let trace = m.take_trace();
-            (probes, counts, trace)
+            (obs.slices, counts, obs.demand)
         };
         let a = observe(3);
         let b = observe(16_000);

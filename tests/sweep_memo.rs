@@ -1,28 +1,35 @@
-//! Reference twin for the sweep memo: a software constant-time sweep
-//! whose lines all hit the L1d is remembered with its cache slots, and a
-//! later sweep of the same lines at an unchanged L1d residency epoch
-//! replays those slots instead of searching the tags. Attaching a trace
-//! sink forces the plain per-line loop, so every generated program is run
-//! twice — as is, and with a sink — and the two machines must agree on
-//! every loaded value, the counters, every level's statistics and per-set
-//! access counts, the L1d's resident lines and dirty bits, the
-//! observation trace, and the RAM words of every dataflow-set line.
+//! Reference twin for the machine's fast paths: the batched software
+//! constant-time sweep, its sweep memo and the demand L1d-hit shortcut. A
+//! sweep whose lines all hit the L1d is remembered with its cache slots,
+//! and a later sweep of the same lines at an unchanged L1d residency epoch
+//! replays those slots instead of searching the tags.
+//! `Machine::disable_fast_paths` forces the plain per-access path, so
+//! every generated program is run twice — as is, and with the fast paths
+//! off — and the two machines must agree on every loaded value, the
+//! counters, every level's statistics and per-set access counts, the
+//! L1d's resident lines and dirty bits, the BIA's bitmaps, the
+//! observation trace, the JSONL stream of a trace sink (every event's
+//! cycle stamp and statistics delta), and the RAM words of every
+//! dataflow-set line.
 //!
-//! Programs interleave `ct_load_sw`/`ct_store_sw` over contiguous and
-//! strided sets of 1–300 lines (some larger than the L1d), evicting plain
-//! loads and stores, flushes of single set lines, repeated sweeps of one
-//! set, and `Machine::reset`, on three hierarchies, with and without
-//! observation.
+//! Programs interleave software and (on a BIA machine) BIA
+//! `ct_load`/`ct_store` over contiguous and strided sets of 1–300 lines
+//! (some larger than the L1d), evicting plain loads and stores, flushes
+//! of single set lines, repeated sweeps of one set, branches whose wrong
+//! path loads or sweeps a set, detaching the sink, and `Machine::reset`,
+//! on three hierarchies, with no BIA or a BIA at any placement, with
+//! speculation off or on, and with and without observation.
 
 use ctbia::core::ctmem::{CtMemory, Width};
 use ctbia::core::ds::DataflowSet;
-use ctbia::core::linearize::{ct_load_sw, ct_store_sw, SwProfile};
-use ctbia::machine::{Counters, Machine, MachineConfig, ObsTrace};
+use ctbia::core::linearize::{ct_load_bia, ct_load_sw, ct_store_bia, ct_store_sw};
+use ctbia::core::linearize::{BiaOptions, SwProfile};
+use ctbia::machine::{BiaPlacement, Counters, Machine, MachineConfig, ObsTrace};
 use ctbia::sim::addr::PhysAddr;
 use ctbia::sim::config::{CacheConfig, HierarchyConfig, InclusionPolicy};
 use ctbia::sim::hierarchy::Level;
 use ctbia::sim::{CacheStats, LineAddr};
-use ctbia::trace::RingBufferSink;
+use ctbia::trace::JsonlSink;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -39,15 +46,22 @@ struct Shape {
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Software-CT load of element `i` of set `ds` (`wide`: 8 bytes,
-    /// otherwise 4).
-    CtLoad { ds: usize, i: u32, wide: bool },
-    /// Software-CT store of `value` to element `i` of set `ds`.
+    /// CT load of element `i` of set `ds` (`wide`: 8 bytes, otherwise 4),
+    /// linearized by the BIA when `bia` is set and the machine has one,
+    /// in software otherwise.
+    CtLoad {
+        ds: usize,
+        i: u32,
+        wide: bool,
+        bia: bool,
+    },
+    /// CT store of `value` to element `i` of set `ds`.
     CtStore {
         ds: usize,
         i: u32,
         wide: bool,
         value: u64,
+        bia: bool,
     },
     /// The last CT operation, `n` more times.
     Repeat(u8),
@@ -57,13 +71,27 @@ enum Op {
     Store(u32, u64),
     /// `clflush` of line `i` of set `ds`: an L1d invalidation with no fill.
     Flush { ds: usize, i: u32 },
-    /// `Machine::reset`, then the same allocations again.
+    /// A branch at `site` whose outcome is `taken`; its wrong path, run
+    /// on a misprediction, software-CT loads element `i` of set `ds` when
+    /// `sweep` is set and plain-loads it otherwise.
+    Branch {
+        site: u8,
+        taken: bool,
+        ds: usize,
+        i: u32,
+        sweep: bool,
+    },
+    /// Detaches the trace sink, if one is attached, keeping its stream.
+    Untrace,
+    /// `Machine::reset`, then the same allocations and observers again.
     Reset,
 }
 
 #[derive(Debug, Clone)]
 struct Program {
     hierarchy: u8,
+    placement: Option<BiaPlacement>,
+    spec_window: u32,
     shapes: Vec<Shape>,
     ops: Vec<Op>,
     observe: bool,
@@ -76,13 +104,36 @@ fn shape() -> impl Strategy<Value = Shape> {
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    let ct_load = (0..4usize, any::<u32>(), any::<bool>()).prop_map(|(ds, i, wide)| Op::CtLoad {
-        ds,
-        i,
-        wide,
-    });
-    let ct_store = (0..4usize, any::<u32>(), any::<bool>(), any::<u64>())
-        .prop_map(|(ds, i, wide, value)| Op::CtStore { ds, i, wide, value });
+    let ct_load = (0..4usize, any::<u32>(), any::<bool>(), any::<bool>())
+        .prop_map(|(ds, i, wide, bia)| Op::CtLoad { ds, i, wide, bia });
+    let ct_store = (
+        0..4usize,
+        any::<u32>(),
+        any::<bool>(),
+        any::<u64>(),
+        any::<bool>(),
+    )
+        .prop_map(|(ds, i, wide, value, bia)| Op::CtStore {
+            ds,
+            i,
+            wide,
+            value,
+            bia,
+        });
+    let branch = (
+        0..4u8,
+        any::<bool>(),
+        0..4usize,
+        any::<u32>(),
+        any::<bool>(),
+    )
+        .prop_map(|(site, taken, ds, i, sweep)| Op::Branch {
+            site,
+            taken,
+            ds,
+            i,
+            sweep,
+        });
     prop_oneof![
         ct_load.clone(),
         ct_load,
@@ -93,36 +144,55 @@ fn op() -> impl Strategy<Value = Op> {
         any::<u32>().prop_map(Op::Load),
         (any::<u32>(), any::<u64>()).prop_map(|(w, v)| Op::Store(w, v)),
         (0..4usize, any::<u32>()).prop_map(|(ds, i)| Op::Flush { ds, i }),
-        (0..8u8).prop_map(|n| if n == 0 {
-            Op::Reset
-        } else {
-            Op::Load(n as u32)
+        branch.clone(),
+        branch,
+        (0..8u8).prop_map(|n| match n {
+            0 => Op::Reset,
+            1 => Op::Untrace,
+            _ => Op::Load(n as u32),
         }),
+    ]
+}
+
+fn placement() -> impl Strategy<Value = Option<BiaPlacement>> {
+    // Half the machines have no BIA: only they take the batched sweep.
+    prop_oneof![
+        Just(None),
+        Just(None),
+        Just(None),
+        Just(Some(BiaPlacement::L1d)),
+        Just(Some(BiaPlacement::L2)),
+        Just(Some(BiaPlacement::Llc)),
     ]
 }
 
 fn program() -> impl Strategy<Value = Program> {
     (
-        0..3u8,
+        (0..3u8, placement(), prop_oneof![Just(0u32), 1..33u32]),
         vec(shape(), 1..5),
         vec(op(), 1..60),
         any::<bool>(),
         any::<bool>(),
     )
-        .prop_map(|(hierarchy, shapes, ops, observe, avx2)| Program {
-            hierarchy,
-            shapes,
-            ops,
-            observe,
-            avx2,
-        })
+        .prop_map(
+            |((hierarchy, placement, spec_window), shapes, ops, observe, avx2)| Program {
+                hierarchy,
+                placement,
+                spec_window,
+                shapes,
+                ops,
+                observe,
+                avx2,
+            },
+        )
 }
 
 /// A 16-line L1d, a 128-line L1d under an inclusive hierarchy with the
 /// next-line prefetcher (back-invalidations and prefetch fills move the
-/// epoch too), or the paper's Table 1.
-fn config(hierarchy: u8) -> MachineConfig {
-    let hierarchy = match hierarchy {
+/// epoch too), or the paper's Table 1 (with an 8-slice LLC under an
+/// LLC-resident BIA, so CT operations have slices to observe).
+fn config(p: &Program) -> MachineConfig {
+    let hierarchy = match p.hierarchy {
         0 => HierarchyConfig::tiny(),
         1 => HierarchyConfig {
             l1d: CacheConfig::new("L1d", 8 * 1024, 4, 2),
@@ -131,11 +201,17 @@ fn config(hierarchy: u8) -> MachineConfig {
             inclusion: InclusionPolicy::Inclusive,
             ..HierarchyConfig::tiny()
         },
+        _ if p.placement == Some(BiaPlacement::Llc) => HierarchyConfig::sliced_llc(8, 12),
         _ => HierarchyConfig::paper_table1(),
+    };
+    let base = match p.placement {
+        Some(placement) => MachineConfig::with_bia(placement),
+        None => MachineConfig::insecure(),
     };
     MachineConfig {
         hierarchy,
-        ..MachineConfig::insecure()
+        spec_window: p.spec_window,
+        ..base
     }
 }
 
@@ -147,13 +223,14 @@ struct Layout {
 }
 
 /// Attaches the program's observers and allocates its data, on a fresh or
-/// freshly reset machine.
-fn start(m: &mut Machine, p: &Program, looped: bool) -> Layout {
+/// freshly reset machine; `reference` turns the fast paths off.
+fn start(m: &mut Machine, p: &Program, reference: bool) -> Layout {
     if p.observe {
         m.enable_observation();
     }
-    if looped {
-        m.set_trace_sink(Box::new(RingBufferSink::new(1)));
+    m.set_trace_sink(Box::new(JsonlSink::new()));
+    if reference {
+        m.disable_fast_paths();
     }
     let sets = p
         .shapes
@@ -172,16 +249,30 @@ fn start(m: &mut Machine, p: &Program, looped: bool) -> Layout {
 struct Outcome {
     values: Vec<u64>,
     traces: Vec<ObsTrace>,
+    streams: Vec<String>,
     counters: Counters,
     stats: Vec<CacheStats>,
     set_counts: Vec<Vec<u64>>,
     l1d: Vec<(LineAddr, bool)>,
+    bia: Vec<(u64, u64, u64)>,
     ram: Vec<u64>,
 }
 
-fn run(p: &Program, looped: bool) -> Outcome {
-    let mut m = Machine::new(config(p.hierarchy)).expect("valid config");
-    let layout = start(&mut m, p, looped);
+/// The JSONL stream of the machine's sink, detached; `None` if none is
+/// attached.
+fn untrace(m: &mut Machine) -> Option<String> {
+    let sink = m.take_trace_sink()?;
+    Some(
+        sink.into_any()
+            .downcast::<JsonlSink>()
+            .expect("a JSONL sink")
+            .into_string(),
+    )
+}
+
+fn run(p: &Program, reference: bool) -> Outcome {
+    let mut m = Machine::new(config(p)).expect("valid config");
+    let layout = start(&mut m, p, reference);
     let profile = if p.avx2 {
         SwProfile::avx2()
     } else {
@@ -189,12 +280,10 @@ fn run(p: &Program, looped: bool) -> Outcome {
     };
     let mut values = Vec::new();
     let mut traces = Vec::new();
+    let mut streams = Vec::new();
     let mut last: Option<Op> = None;
-    let ct = |m: &mut Machine, op: Op, values: &mut Vec<u64>| {
-        let (ds, i, wide) = match op {
-            Op::CtLoad { ds, i, wide } | Op::CtStore { ds, i, wide, .. } => (ds, i, wide),
-            _ => unreachable!("not a CT operation"),
-        };
+    // Element `i` of set `ds`, and the set.
+    let element = |ds: usize, i: u32, wide: bool| {
         let shape = p.shapes[ds % p.shapes.len()];
         let (base, set) = &layout.sets[ds % p.shapes.len()];
         let line = i as u64 % shape.lines;
@@ -205,8 +294,22 @@ fn run(p: &Program, looped: bool) -> Outcome {
             (Width::U32, 4 * (i as u64 >> 31))
         };
         let addr = base.offset(line * shape.stride * 64 + word * 8 + half);
+        (addr, width, set)
+    };
+    let ct = |m: &mut Machine, op: Op, values: &mut Vec<u64>| {
+        let (ds, i, wide, bia) = match op {
+            Op::CtLoad { ds, i, wide, bia }
+            | Op::CtStore {
+                ds, i, wide, bia, ..
+            } => (ds, i, wide, bia && m.bia().is_some()),
+            _ => unreachable!("not a CT operation"),
+        };
+        let (addr, width, set) = element(ds, i, wide);
+        let opts = BiaOptions::default();
         match op {
+            Op::CtStore { value, .. } if bia => ct_store_bia(m, set, addr, width, value, opts),
             Op::CtStore { value, .. } => ct_store_sw(m, set, addr, width, value, profile),
+            _ if bia => values.push(ct_load_bia(m, set, addr, width, opts)),
             _ => values.push(ct_load_sw(m, set, addr, width, profile)),
         }
     };
@@ -238,18 +341,41 @@ fn run(p: &Program, looped: bool) -> Outcome {
                         .with_offset(0),
                 );
             }
+            Op::Branch {
+                site,
+                taken,
+                ds,
+                i,
+                sweep,
+            } => {
+                let (addr, width, set) = element(ds, i, false);
+                m.spec_branch(site as u64, taken, &mut |w: &mut dyn CtMemory| {
+                    if sweep {
+                        let _ = ct_load_sw(w, set, addr, width, profile);
+                    } else {
+                        let _ = w.load(addr, width);
+                    }
+                });
+            }
+            Op::Untrace => streams.extend(untrace(&mut m)),
             Op::Reset => {
                 if p.observe {
                     traces.push(m.take_observation());
                 }
+                streams.extend(untrace(&mut m));
                 m.reset();
-                assert_eq!(start(&mut m, p, looped), layout, "reset replays the layout");
+                assert_eq!(
+                    start(&mut m, p, reference),
+                    layout,
+                    "reset replays the layout"
+                );
             }
         }
     }
     if p.observe {
         traces.push(m.take_observation());
     }
+    streams.extend(untrace(&mut m));
     let levels = [Level::L1d, Level::L2, Level::Llc];
     let h = m.hierarchy();
     let l1d = h.cache(Level::L1d);
@@ -262,9 +388,19 @@ fn run(p: &Program, looped: bool) -> Outcome {
         .flat_map(|line| (0..8).map(move |w| line.with_offset(w * 8)))
         .map(|addr| m.peek_u64(addr))
         .collect();
+    let bia = m.bia().map_or_else(Vec::new, |bia| {
+        bia.tracked_pages()
+            .into_iter()
+            .map(|page| {
+                let view = bia.peek(page).expect("a tracked page");
+                (page.raw(), view.existence, view.dirtiness)
+            })
+            .collect()
+    });
     Outcome {
         values,
         traces,
+        streams,
         counters: m.counters(),
         stats: levels.iter().map(|&l| *h.cache(l).stats()).collect(),
         set_counts: levels
@@ -272,15 +408,16 @@ fn run(p: &Program, looped: bool) -> Outcome {
             .map(|&l| h.cache(l).set_access_counts().to_vec())
             .collect(),
         l1d: resident.into_iter().map(|l| (l, l1d.is_dirty(l))).collect(),
+        bia,
         ram,
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The batched sweep and its memo replay are state-for-state the
-    /// per-line loop.
+    /// The batched sweep, its memo replay and the demand L1d-hit
+    /// shortcut are state-for-state, and event for event, the plain path.
     #[test]
     fn memo_replayed_sweeps_match_the_per_line_loop(p in program()) {
         let batched = run(&p, false);
