@@ -45,7 +45,6 @@ pub mod distinguish;
 pub mod evict_time;
 pub mod flush_reload;
 pub mod prime_probe;
-pub mod trace;
 
 pub use distinguish::{
     compare_profiles, demand_traces, empirical_leakage_bits, set_access_profiles,
@@ -54,4 +53,3 @@ pub use distinguish::{
 pub use evict_time::EvictTime;
 pub use flush_reload::FlushReload;
 pub use prime_probe::PrimeProbe;
-pub use trace::{divergence_report, first_divergence, summarize, TraceSummary};

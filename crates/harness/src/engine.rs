@@ -12,7 +12,7 @@
 //! verify and analyze crates alias it over their own cells.
 
 use crate::cache::DiskCache;
-use crate::memo::{MemoFill, MemoIndex, MemoProvenance};
+use crate::memo::MemoIndex;
 use crate::report::CellReport;
 use crate::spec::CellSpec;
 use ctbia_machine::Machine;
@@ -234,9 +234,10 @@ impl<C: GridCell> GridEngine<C> {
     }
 
     /// Attaches a sharded in-memory [`MemoIndex`]: warm lookups are served
-    /// from memory (sharded locks) before touching the disk cache, and the
-    /// index's per-digest claims make concurrent identical cells execute
-    /// exactly once even without a serving front end's coalescing map.
+    /// from memory (sharded locks) before touching the disk cache. The
+    /// index only remembers; it does not coalesce concurrent identical
+    /// cells — the serve daemon, its one user, does that in its in-flight
+    /// map.
     ///
     /// Only durable results (disk store succeeded, or no cache attached)
     /// are indexed, so a failed store still costs exactly one future
@@ -280,7 +281,7 @@ impl<C: GridCell> GridEngine<C> {
     }
 
     /// Answers a cell from the in-memory memo index alone, counting a
-    /// memo hit: no disk read, no execution, no per-digest claim. `None`
+    /// memo hit: no disk read, no execution. `None`
     /// when no index is attached or `digest` (the cell's
     /// [`GridCell::digest`]) is not indexed; resolve those through
     /// [`GridEngine::run_cell_outcome`].
@@ -305,35 +306,36 @@ impl<C: GridCell> GridEngine<C> {
     /// served from a memo layer — the provenance a serving front end
     /// forwards to its clients.
     ///
+    /// The memo index is consulted first; on a miss the cell is filled
+    /// from disk or executed, and indexed only when the result is durable.
+    /// The index admits no claims: two concurrent calls for one missing
+    /// digest both execute, so a caller that needs exactly-once execution
+    /// (the serve daemon's coalescing map) admits one call per digest.
+    ///
     /// # Errors
     ///
     /// Propagates [`GridCell::execute`] errors.
     pub fn run_cell_outcome(&self, cell: &C) -> Result<CellOutcome<C::Report>, String> {
         let digest = cell.digest();
-        let (report, provenance) = match &self.memo {
-            Some(memo) => memo.get_or_execute(digest, || self.fill(cell, digest))?,
-            None => {
-                let fill = self.fill(cell, digest)?;
-                let provenance = fill.provenance();
-                (fill.report, provenance)
-            }
-        };
-        match provenance {
-            MemoProvenance::Memory => self.memo_hits.fetch_add(1, Ordering::Relaxed),
-            MemoProvenance::Disk => self.cache_hits.fetch_add(1, Ordering::Relaxed),
-            MemoProvenance::Simulated => self.executed.fetch_add(1, Ordering::Relaxed),
-        };
-        Ok(CellOutcome {
-            report,
-            cached: provenance != MemoProvenance::Simulated,
-        })
+        if let Some(report) = self.memo_hit(digest) {
+            return Ok(CellOutcome {
+                report,
+                cached: true,
+            });
+        }
+        let (outcome, durable) = self.fill(cell, digest)?;
+        if let (Some(memo), true) = (&self.memo, durable) {
+            memo.insert(digest, outcome.report.clone());
+        }
+        Ok(outcome)
     }
 
     /// Resolves a cell below the memo index: disk lookup, then execution,
-    /// then a best-effort store whose outcome decides whether the result
-    /// is durable enough to index. `digest` is `cell.digest()`, hashed
-    /// once by the caller for both the index and the disk key.
-    fn fill(&self, cell: &C, digest: u128) -> Result<MemoFill<C::Report>, String> {
+    /// then a best-effort store. Returns the outcome and whether it is
+    /// durable (loaded from disk, stored to it, or no disk attached), which
+    /// decides whether the index may hold it. `digest` is `cell.digest()`,
+    /// hashed once by the caller for both the index and the disk key.
+    fn fill(&self, cell: &C, digest: u128) -> Result<(CellOutcome<C::Report>, bool), String> {
         let key = format!("{digest:032x}");
         if let Some(cache) = &self.cache {
             if let Some(hit) = cache
@@ -341,14 +343,16 @@ impl<C: GridCell> GridEngine<C> {
                 .as_deref()
                 .and_then(C::from_cache_text)
             {
-                return Ok(MemoFill {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                let outcome = CellOutcome {
                     report: hit,
-                    from_disk: true,
-                    durable: true,
-                });
+                    cached: true,
+                };
+                return Ok((outcome, true));
             }
         }
         let report = cell.execute()?;
+        self.executed.fetch_add(1, Ordering::Relaxed);
         let durable = match &self.cache {
             Some(cache) => {
                 let stored = cache.store_text(&key, &C::to_cache_text(&report)).is_ok();
@@ -360,11 +364,11 @@ impl<C: GridCell> GridEngine<C> {
             // No disk behind the index: memory is the only memo there is.
             None => true,
         };
-        Ok(MemoFill {
+        let outcome = CellOutcome {
             report,
-            from_disk: false,
-            durable,
-        })
+            cached: false,
+        };
+        Ok((outcome, durable))
     }
 
     /// Runs every cell of `cells`, returning reports **ordered by grid
@@ -607,19 +611,26 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_digests_execute_once_under_a_memo_index() {
-        let (cells, runs) = fakes(32, |i| (i % 4) as u128);
-        let memo = Arc::new(MemoIndex::new(4));
-        let engine = GridEngine::new()
-            .with_threads(4)
-            .with_memo_index(Arc::clone(&memo));
-        let reports = engine.run(&cells).unwrap();
-        let expected: Vec<u64> = (0..32).map(|i| i % 4 * 3 + 1).collect();
-        assert_eq!(reports, expected, "grid order survives coalescing");
-        assert_eq!(runs.load(Ordering::SeqCst), 4);
-        assert_eq!(engine.cells_executed(), 4);
-        assert_eq!(engine.memo_hits(), 28);
-        assert_eq!(memo.len(), 4);
+    fn a_failed_execution_is_not_indexed_and_a_retry_executes() {
+        let (mut cells, runs) = fakes(1, |_| 9);
+        cells[0].fails = true;
+        let memo = Arc::new(MemoIndex::new(1));
+        let engine = GridEngine::serial().with_memo_index(Arc::clone(&memo));
+        assert_eq!(engine.run_cell(&cells[0]).unwrap_err(), "fake 9 failed");
+        assert!(memo.is_empty(), "failures are not indexed");
+        assert_eq!(engine.cells_executed(), 0);
+
+        cells[0].fails = false;
+        let outcome = engine.run_cell_outcome(&cells[0]).unwrap();
+        assert_eq!((outcome.report, outcome.cached), (28, false));
+        assert_eq!(memo.lookup(9), Some(28), "the retry is indexed");
+        assert_eq!(engine.run_cell(&cells[0]).unwrap(), 28);
+        assert_eq!((engine.cells_executed(), engine.memo_hits()), (1, 1));
+        assert_eq!(
+            runs.load(Ordering::SeqCst),
+            2,
+            "the failure ran, then the retry"
+        );
     }
 
     #[test]

@@ -50,6 +50,6 @@ pub use digest::Digest;
 pub use engine::{
     execute_cell, execute_cell_traced, CellOutcome, GridCell, GridEngine, SweepEngine,
 };
-pub use memo::{MemoFill, MemoIndex, MemoProvenance};
+pub use memo::MemoIndex;
 pub use report::{counter_fields, CacheTextReader, CellReport};
 pub use spec::{CellSpec, CryptoKernel, SimConfig, StrategySpec, WorkloadSpec};

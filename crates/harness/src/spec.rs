@@ -53,7 +53,8 @@ impl CryptoKernel {
         CryptoKernel::Xor,
     ];
 
-    fn tag(self) -> &'static str {
+    /// The kernel's workload name, as the serve protocol spells it.
+    pub fn tag(self) -> &'static str {
         match self {
             CryptoKernel::Aes => "aes",
             CryptoKernel::Rc2 => "rc2",
@@ -254,6 +255,15 @@ impl WorkloadSpec {
             }
             other => return Err(format!("unknown workload '{other}' (try `ctbia list`)")),
         })
+    }
+
+    /// The size `ctbia run` and a size-less serve submit use for the
+    /// workload `name`.
+    pub fn default_size(name: &str) -> usize {
+        match name {
+            "dijkstra" | "dij" => 64,
+            _ => 2000,
+        }
     }
 
     /// Instantiates the runnable workload this spec describes.
@@ -632,11 +642,7 @@ impl CellSpec {
         self.workload.digest_into(&mut d);
         d.field_str("strategy", self.strategy.tag());
         let placement = if self.strategy.needs_bia() {
-            match self.placement {
-                BiaPlacement::L1d => "l1d",
-                BiaPlacement::L2 => "l2",
-                BiaPlacement::Llc => "llc",
-            }
+            self.placement.tag()
         } else {
             "-"
         };

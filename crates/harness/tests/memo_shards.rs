@@ -1,20 +1,17 @@
 //! Property tests: the digest-prefix-sharded [`MemoIndex`] is observably
-//! equivalent to the PR 5 global-map behaviour, whatever the shard count.
+//! one global map, whatever the shard count.
 //!
-//! * **Sequential equivalence** — an arbitrary interleaving of lookups,
-//!   inserts, successful fills, and failed fills produces, on every shard
-//!   count in {1, 4, 16}, exactly the hits/misses/provenances a single
-//!   global `HashMap` reference model predicts.
-//! * **Exactly-once under digest races** — racing `get_or_execute`
-//!   callers over colliding digests execute each distinct digest once;
-//!   every other caller is answered from memory. Totals are identical
-//!   across shard counts: sharding changes which lock is taken, never
-//!   how often the simulator runs.
+//! * **Sequential equivalence** — an arbitrary interleaving of lookups
+//!   and inserts produces, on every shard count in {1, 4, 16}, exactly the
+//!   hits and misses a single global `HashMap` reference model predicts.
+//! * **Racing inserts and lookups** — threads inserting and looking up
+//!   colliding digests concurrently never see a wrong report, and the
+//!   index ends holding exactly the distinct digests inserted. Sharding
+//!   changes which lock is taken, never what is stored.
 
-use ctbia_harness::{CellReport, MemoFill, MemoIndex, MemoProvenance};
+use ctbia_harness::{CellReport, MemoIndex};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
@@ -39,102 +36,51 @@ fn digest(choice: u8) -> u128 {
 #[derive(Debug, Clone)]
 enum Op {
     Lookup(u8),
-    Insert(u8),
-    FillOk(u8),
-    FillErr(u8),
-    FillVolatile(u8), // succeeds but is not durable: must not be indexed
+    /// Inserts digest `.0` with report tag `.1`, overwriting any entry.
+    Insert(u8, u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..4, any::<u8>().prop_map(|d| d % 24)).prop_map(|(kind, d)| match kind {
-        0 => Op::Lookup(d),
-        1 => Op::Insert(d),
-        2 => Op::FillOk(d),
-        3 => {
-            if d % 3 == 0 {
-                Op::FillErr(d)
-            } else {
-                Op::FillVolatile(d)
-            }
+    (any::<bool>(), any::<u8>().prop_map(|d| d % 24), 0u64..4).prop_map(|(lookup, d, tag)| {
+        if lookup {
+            Op::Lookup(d)
+        } else {
+            Op::Insert(d, tag)
         }
-        _ => unreachable!(),
     })
 }
 
-/// What the global-map reference model predicts for one operation.
+/// What one operation shows a caller: a lookup's answer, or nothing.
 #[derive(Debug, PartialEq, Eq)]
 enum Observed {
     Miss,
     Hit(u64),
-    Provenance(MemoProvenance, u64),
-    Error,
+    Stored,
 }
 
-/// Applies one op to the PR 5-style single global map and reports what a
-/// client would observe.
+/// Applies one op to the single global map reference model.
 fn apply_model(model: &mut HashMap<u128, u64>, op: &Op) -> Observed {
-    match op {
-        Op::Lookup(d) => match model.get(&digest(*d)) {
-            Some(tag) => Observed::Hit(*tag),
-            None => Observed::Miss,
-        },
-        Op::Insert(d) => {
-            model.insert(digest(*d), u64::from(*d));
-            Observed::Provenance(MemoProvenance::Simulated, u64::from(*d))
-        }
-        Op::FillOk(d) | Op::FillVolatile(d) => {
-            if let Some(tag) = model.get(&digest(*d)) {
-                return Observed::Provenance(MemoProvenance::Memory, *tag);
-            }
-            if matches!(op, Op::FillOk(_)) {
-                model.insert(digest(*d), u64::from(*d));
-            }
-            Observed::Provenance(MemoProvenance::Simulated, u64::from(*d))
-        }
-        Op::FillErr(d) => {
-            if let Some(tag) = model.get(&digest(*d)) {
-                return Observed::Provenance(MemoProvenance::Memory, *tag);
-            }
-            Observed::Error
+    match *op {
+        Op::Lookup(d) => model
+            .get(&digest(d))
+            .map_or(Observed::Miss, |tag| Observed::Hit(*tag)),
+        Op::Insert(d, tag) => {
+            model.insert(digest(d), tag);
+            Observed::Stored
         }
     }
 }
 
 /// Applies one op to the sharded index under test.
 fn apply_index(index: &MemoIndex, op: &Op) -> Observed {
-    match op {
-        Op::Lookup(d) => match index.lookup(digest(*d)) {
-            Some(r) => Observed::Hit(r.digest),
-            None => Observed::Miss,
-        },
-        Op::Insert(d) => {
-            index.insert(digest(*d), report(u64::from(*d)));
-            Observed::Provenance(MemoProvenance::Simulated, u64::from(*d))
+    match *op {
+        Op::Lookup(d) => index
+            .lookup(digest(d))
+            .map_or(Observed::Miss, |r| Observed::Hit(r.digest)),
+        Op::Insert(d, tag) => {
+            index.insert(digest(d), report(tag));
+            Observed::Stored
         }
-        Op::FillOk(d) => match index.get_or_execute(digest(*d), || {
-            Ok(MemoFill {
-                report: report(u64::from(*d)),
-                from_disk: false,
-                durable: true,
-            })
-        }) {
-            Ok((r, p)) => Observed::Provenance(p, r.digest),
-            Err(_) => Observed::Error,
-        },
-        Op::FillVolatile(d) => match index.get_or_execute(digest(*d), || {
-            Ok(MemoFill {
-                report: report(u64::from(*d)),
-                from_disk: false,
-                durable: false,
-            })
-        }) {
-            Ok((r, p)) => Observed::Provenance(p, r.digest),
-            Err(_) => Observed::Error,
-        },
-        Op::FillErr(d) => match index.get_or_execute(digest(*d), || Err("injected".into())) {
-            Ok((r, p)) => Observed::Provenance(p, r.digest),
-            Err(_) => Observed::Error,
-        },
     }
 }
 
@@ -166,42 +112,29 @@ proptest! {
         }
     }
 
-    /// Digest races: concurrent get_or_execute callers over colliding
-    /// digests run each distinct digest exactly once, on every shard
-    /// count, and the memory-hit total is exactly `calls - distinct`.
+    /// Four threads each look up and then insert every chosen digest
+    /// (with the report a digest always maps to), racing on colliding
+    /// digests: every hit is that report, and the index ends holding
+    /// exactly the distinct digests, on every shard count.
     #[test]
-    fn racing_fills_execute_exactly_once_on_every_shard_count(
+    fn racing_inserts_and_lookups_agree_on_every_shard_count(
         choices in proptest::collection::vec(any::<u8>().prop_map(|d| d % 6), 8..24),
     ) {
         for shards in SHARD_COUNTS {
-            let index = Arc::new(MemoIndex::new(shards));
-            let executions = Arc::new(AtomicU64::new(0));
-            let memory_hits = Arc::new(AtomicU64::new(0));
+            let index: Arc<MemoIndex> = Arc::new(MemoIndex::new(shards));
             let barrier = Arc::new(Barrier::new(4));
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let index = Arc::clone(&index);
-                    let executions = Arc::clone(&executions);
-                    let memory_hits = Arc::clone(&memory_hits);
                     let barrier = Arc::clone(&barrier);
                     let choices = choices.clone();
                     thread::spawn(move || {
                         barrier.wait();
                         for &d in &choices {
-                            let (r, p) = index
-                                .get_or_execute(digest(d), || {
-                                    executions.fetch_add(1, Ordering::SeqCst);
-                                    Ok(MemoFill {
-                                        report: report(u64::from(d)),
-                                        from_disk: false,
-                                        durable: true,
-                                    })
-                                })
-                                .unwrap();
-                            assert_eq!(r.digest, u64::from(d), "wrong report for digest");
-                            if p == MemoProvenance::Memory {
-                                memory_hits.fetch_add(1, Ordering::SeqCst);
+                            if let Some(hit) = index.lookup(digest(d)) {
+                                assert_eq!(hit.digest, u64::from(d), "wrong report for digest");
                             }
+                            index.insert(digest(d), report(u64::from(d)));
                         }
                     })
                 })
@@ -212,16 +145,10 @@ proptest! {
             let mut distinct: Vec<u8> = choices.clone();
             distinct.sort_unstable();
             distinct.dedup();
-            let calls = (choices.len() * 4) as u64;
-            prop_assert_eq!(
-                executions.load(Ordering::SeqCst), distinct.len() as u64,
-                "shards={} must execute each distinct digest exactly once", shards
-            );
-            prop_assert_eq!(
-                memory_hits.load(Ordering::SeqCst), calls - distinct.len() as u64,
-                "shards={} every non-executing call is a memory hit", shards
-            );
-            prop_assert_eq!(index.len(), distinct.len());
+            prop_assert_eq!(index.len(), distinct.len(), "shards={}", shards);
+            for d in distinct {
+                prop_assert_eq!(index.lookup(digest(d)).map(|r| r.digest), Some(u64::from(d)));
+            }
         }
     }
 }

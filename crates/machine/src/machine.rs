@@ -43,6 +43,31 @@ pub enum BiaPlacement {
 }
 
 impl BiaPlacement {
+    /// Parses a placement's lower-case name (`l1d`, `l2` or `llc`), the
+    /// spelling the CLI and the serve protocol share.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the unknown placement.
+    pub fn parse(s: &str) -> Result<BiaPlacement, String> {
+        Ok(match s {
+            "l1d" => BiaPlacement::L1d,
+            "l2" => BiaPlacement::L2,
+            "llc" => BiaPlacement::Llc,
+            other => return Err(format!("unknown placement '{other}' (l1d, l2 or llc)")),
+        })
+    }
+
+    /// The lower-case name [`BiaPlacement::parse`] accepts; cell digests
+    /// hash it too.
+    pub fn tag(self) -> &'static str {
+        match self {
+            BiaPlacement::L1d => "l1d",
+            BiaPlacement::L2 => "l2",
+            BiaPlacement::Llc => "llc",
+        }
+    }
+
     fn monitor(self) -> MonitorLevel {
         match self {
             BiaPlacement::L1d => MonitorLevel::L1d,

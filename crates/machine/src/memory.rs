@@ -119,11 +119,6 @@ impl SimRam {
         Ok(PhysAddr::new(start))
     }
 
-    /// Resets the allocator to the base (contents are kept).
-    pub fn reset_allocator(&mut self) {
-        self.next = self.base;
-    }
-
     /// Restores the exactly-as-built state while keeping the backing
     /// capacity. Truncating the backed prefix to zero *is* the fresh-RAM
     /// semantics: every address reads as zero again, and rewrites re-extend
@@ -234,20 +229,6 @@ impl SimRam {
         }
         self.bytes[i..i + data.len()].copy_from_slice(data);
     }
-
-    /// Reads `len` bytes out of RAM.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range address.
-    pub fn read_bytes(&mut self, addr: PhysAddr, len: u64) -> &[u8] {
-        self.check(addr, len);
-        let i = addr.raw() as usize;
-        if i + len as usize > self.bytes.len() {
-            self.grow_to(i + len as usize);
-        }
-        &self.bytes[i..(i + len as usize)]
-    }
 }
 
 #[cfg(test)]
@@ -271,8 +252,6 @@ mod tests {
         let err = ram.alloc(128, 1).unwrap_err();
         assert_eq!(err.remaining, 64);
         assert!(err.to_string().contains("out of simulated RAM"));
-        ram.reset_allocator();
-        assert!(ram.alloc(128, 1).is_ok());
     }
 
     #[test]
@@ -293,7 +272,7 @@ mod tests {
         let mut ram = SimRam::new(1 << 20);
         let a = PhysAddr::new(0x3_0000);
         ram.write_bytes(a, &[1, 2, 3, 4]);
-        assert_eq!(ram.read_bytes(a, 4), &[1, 2, 3, 4]);
+        assert_eq!(ram.read(a, 4), 0x0403_0201);
     }
 
     #[test]

@@ -201,12 +201,7 @@ impl SubmitRequest {
     /// strategy, or placement; zero size).
     pub fn to_spec(&self) -> Result<CellSpec, String> {
         let strategy = StrategySpec::parse(self.strategy.as_deref().unwrap_or("bia"))?;
-        let placement = match self.placement.as_deref().unwrap_or("l1d") {
-            "l1d" => BiaPlacement::L1d,
-            "l2" => BiaPlacement::L2,
-            "llc" => BiaPlacement::Llc,
-            other => return Err(format!("unknown placement '{other}' (l1d, l2 or llc)")),
-        };
+        let placement = BiaPlacement::parse(self.placement.as_deref().unwrap_or("l1d"))?;
         let workload = self.workload_spec()?;
         let mut spec = CellSpec::new(workload, strategy, placement);
         if self.eval {
@@ -218,38 +213,16 @@ impl SubmitRequest {
     fn workload_spec(&self) -> Result<WorkloadSpec, String> {
         // Crypto kernels are named by tag and take no size parameter.
         for kernel in CryptoKernel::ALL {
-            if kernel_tag(kernel) == self.workload {
+            if kernel.tag() == self.workload {
                 return Ok(WorkloadSpec::Crypto(kernel));
             }
         }
         let size = match self.size {
             Some(0) => return Err("size must be at least 1".into()),
             Some(n) => usize::try_from(n).map_err(|_| "size does not fit usize".to_string())?,
-            None => default_size(&self.workload),
+            None => WorkloadSpec::default_size(&self.workload),
         };
         WorkloadSpec::named(&self.workload, size)
-    }
-}
-
-/// The workload sizes `ctbia run` uses when none is given; the server
-/// mirrors them so a size-less submit simulates the same cell.
-pub fn default_size(name: &str) -> usize {
-    match name {
-        "dijkstra" | "dij" => 64,
-        _ => 2000,
-    }
-}
-
-fn kernel_tag(k: CryptoKernel) -> &'static str {
-    match k {
-        CryptoKernel::Aes => "aes",
-        CryptoKernel::Rc2 => "rc2",
-        CryptoKernel::Rc4 => "rc4",
-        CryptoKernel::Blowfish => "blowfish",
-        CryptoKernel::Cast => "cast",
-        CryptoKernel::Des => "des",
-        CryptoKernel::Des3 => "des3",
-        CryptoKernel::Xor => "xor",
     }
 }
 

@@ -40,16 +40,21 @@
 //!   to the existing job instead of enqueueing a duplicate; both clients
 //!   get their own response from the single execution. Coalescers are
 //!   always admitted — they cost no new execution — and never count
-//!   against their tenant's quota.
-//! * **Sharded memo index.** When [`ServerConfig::shards`] > 0 the engine
-//!   carries a digest-prefix-sharded in-memory index over the disk cache
-//!   ([`MemoIndex`]). A submit whose digest is indexed is answered on the
-//!   connection's reader thread under one shard lock: no job, no
-//!   coalescing map, no scheduler, no worker, no channel. Like
+//!   against their tenant's quota. This in-flight map is the daemon's
+//!   one exactly-once mechanism: nothing below it claims digests.
+//! * **Sharded memo index.** The engine carries a digest-prefix-sharded
+//!   in-memory index over the disk cache ([`MemoIndex`], always
+//!   [`DEFAULT_MEMO_SHARDS`] shards). A submit whose digest is indexed is
+//!   answered on the connection's reader thread under one shard lock: no
+//!   job, no coalescing map, no scheduler, no worker, no channel. Like
 //!   coalescers, such hits are always admitted — they cost no execution
 //!   and no queue slot — and they count in the job and metrics counters
 //!   exactly as a queued hit would. Disk hits and misses take the job
-//!   queue, where concurrent identical digests execute exactly once.
+//!   queue. A job the deadline watchdog expired while it was executing
+//!   has left the in-flight map, so a later submit of its digest that
+//!   arrives before the first execution stores starts a second
+//!   execution; both write identical bytes through the cache's atomic
+//!   rename.
 //! * **Supervision.** Jobs execute under `catch_unwind`; a panicking cell
 //!   answers its waiters with `cell_failed` and the supervisor respawns
 //!   the poisoned worker (see [`crate::supervisor`]). The same thread is
@@ -93,7 +98,8 @@ use std::time::{Duration, Instant};
 /// the shutdown flag and the deadline watchdog sweeps for overdue jobs.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// Default shard count of the in-memory memo index.
+/// Shard count of the daemon's in-memory memo index (reported as the
+/// `memo_shards` status field).
 pub const DEFAULT_MEMO_SHARDS: usize = 16;
 
 /// Configuration of one server instance.
@@ -123,13 +129,9 @@ pub struct ServerConfig {
     /// Default per-job deadline in milliseconds (`None`: no deadline).
     /// A submit's own `deadline_ms` field overrides it per job.
     pub deadline_ms: Option<u64>,
-    /// Memo-cache directory; `None` serves uncached.
+    /// Memo-cache directory; `None` serves uncached (the in-memory memo
+    /// index still remembers completed cells).
     pub cache_dir: Option<PathBuf>,
-    /// Shard count of the in-memory memo index layered over the disk
-    /// cache; 0 disables the index (every lookup goes to disk, as in
-    /// PR 5 — used by tests that corrupt cache files behind the
-    /// daemon's back).
-    pub shards: usize,
     /// Artificial per-job delay, for stress tests and load drills (0 in
     /// production use).
     pub worker_delay_ms: u64,
@@ -140,8 +142,8 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// A config on `socket` with defaults: UDS only, open tenancy, all
     /// cores, a 32-deep per-connection window, a 1024-job global queue,
-    /// no deadline, the default `results/cache/` memo directory, a
-    /// 16-shard memo index, no chaos.
+    /// no deadline, the default `results/cache/` memo directory, no
+    /// chaos.
     pub fn new(socket: impl Into<PathBuf>) -> ServerConfig {
         ServerConfig {
             socket: socket.into(),
@@ -152,7 +154,6 @@ impl ServerConfig {
             queue_limit: 1024,
             deadline_ms: None,
             cache_dir: Some(PathBuf::from(ctbia_harness::cache::DEFAULT_DIR)),
-            shards: DEFAULT_MEMO_SHARDS,
             worker_delay_ms: 0,
             chaos: None,
         }
@@ -290,7 +291,6 @@ pub(crate) struct Core {
     threads: usize,
     max_inflight: usize,
     queue_limit: usize,
-    memo_shards: usize,
     default_deadline: Option<Duration>,
     worker_delay_ms: u64,
     chaos: Option<ChaosState>,
@@ -314,7 +314,7 @@ impl Core {
             threads: self.threads as u64,
             max_inflight: self.max_inflight as u64,
             tenants: self.token_index.len() as u64,
-            memo_shards: self.memo_shards as u64,
+            memo_shards: DEFAULT_MEMO_SHARDS as u64,
             workers_alive: self.stats.workers_alive.load(Ordering::Relaxed),
             worker_restarts: self.stats.worker_restarts.load(Ordering::Relaxed),
             deadline_kills: self.stats.deadline_kills.load(Ordering::Relaxed),
@@ -548,7 +548,7 @@ impl Core {
     /// wherever it physically is — queued (a worker will skip it) or
     /// executing (the worker's completion becomes a no-op) — so an overdue
     /// job never blocks the queue, and a later submit of the same digest
-    /// starts fresh.
+    /// starts fresh — a second execution if the first has not yet stored.
     pub(crate) fn expire_overdue(&self) {
         let now = Instant::now();
         let overdue: Vec<Arc<Job>> = self
@@ -697,16 +697,15 @@ impl Server {
             Some(l) => Some(l.local_addr()?),
             None => None,
         };
-        let mut engine = SweepEngine::new().with_threads(1);
+        let mut engine = SweepEngine::new()
+            .with_threads(1)
+            .with_memo_index(Arc::new(MemoIndex::new(DEFAULT_MEMO_SHARDS)));
         let mut quarantined = 0;
         if let Some(dir) = &config.cache_dir {
             let cache = DiskCache::open(dir)?;
             // Quarantine crash debris before the first lookup can see it.
             quarantined = cache.recover()?.quarantined;
             engine = engine.with_cache(cache);
-        }
-        if config.shards > 0 {
-            engine = engine.with_memo_index(Arc::new(MemoIndex::new(config.shards)));
         }
         let (tenants, token_index, weights): (Vec<TenantRt>, HashMap<String, usize>, Vec<u64>) =
             if config.tenants.is_empty() {
@@ -740,7 +739,6 @@ impl Server {
             threads: config.threads.max(1),
             max_inflight: config.max_inflight.max(1),
             queue_limit: config.queue_limit.max(1),
-            memo_shards: config.shards,
             default_deadline: config.deadline_ms.map(Duration::from_millis),
             worker_delay_ms: config.worker_delay_ms,
             chaos: config.chaos.map(ChaosState::new),

@@ -1,8 +1,9 @@
 //! Contention and resource-limit stress tests:
 //!
-//! * two clients racing **identical digests** share one execution — the
-//!   coalescing map catches the overlap in flight, the memo cache catches
-//!   anything slower, and either way the simulator runs once;
+//! * clients racing on **identical digests** share one execution per
+//!   digest — the coalescing map catches the overlap in flight, the memo
+//!   index catches anything slower, and either way each distinct cell
+//!   simulates once;
 //! * a cache entry **corrupted mid-run** silently re-simulates: both
 //!   clients asking for the poisoned digest get correct, byte-identical
 //!   reports and the entry is repaired on disk;
@@ -16,7 +17,7 @@
 //! Timing knobs (`worker_delay_ms`, single-thread pools) make the races
 //! deterministic rather than probabilistic.
 
-use ctbia_harness::{CellSpec, StrategySpec, WorkloadSpec};
+use ctbia_harness::{CellSpec, DiskCache, StrategySpec, SweepEngine, WorkloadSpec};
 use ctbia_machine::BiaPlacement;
 use ctbia_serve::{ChaosSpec, Client, ErrorCode, Response, Server, ServerConfig, SubmitRequest};
 use std::fs;
@@ -64,38 +65,53 @@ fn racing_identical_digests_share_one_execution() {
     let dir = tmp_dir("race");
     let socket = dir.join("ctbia.sock");
     let mut config = ServerConfig::new(&socket);
-    config.threads = 2;
+    // As many workers as racers per digest: were duplicates not
+    // coalesced, the first jobs popped would include two of one digest,
+    // executing side by side.
+    config.threads = 4;
     config.cache_dir = Some(dir.join("cache"));
-    // Hold each job long enough that the second submit lands while the
-    // first is still executing.
+    // Hold each job long enough that every racer's submit lands while
+    // the first job of its digest is still executing.
     config.worker_delay_ms = 100;
     let handle = Server::start(config).unwrap();
 
-    let barrier = Arc::new(Barrier::new(2));
-    let racers: Vec<_> = (0..2)
-        .map(|_| {
+    const DIGESTS: usize = 2;
+    const RACERS_PER_DIGEST: usize = 4;
+    let clients = DIGESTS * RACERS_PER_DIGEST;
+    let barrier = Arc::new(Barrier::new(clients));
+    let racers: Vec<_> = (0..clients)
+        .map(|i| {
             let socket = socket.clone();
             let barrier = Arc::clone(&barrier);
+            let mut request = contended_request();
+            request.size = Some(350 + (i % DIGESTS) as u64);
             thread::spawn(move || {
                 let mut client = Client::connect(&socket).unwrap();
                 barrier.wait();
-                expect_report(client.submit(&contended_request()).unwrap())
+                expect_report(client.submit(&request).unwrap())
             })
         })
         .collect();
     let texts: Vec<String> = racers.into_iter().map(|r| r.join().unwrap()).collect();
-    assert_eq!(texts[0], texts[1], "racers must see the same report bytes");
+    for (i, text) in texts.iter().enumerate() {
+        assert_eq!(
+            text,
+            &texts[i % DIGESTS],
+            "racers on one digest must see the same report bytes"
+        );
+    }
+    assert_ne!(texts[0], texts[1], "the digests are distinct cells");
 
     let snapshot = handle.join();
-    assert_eq!(snapshot.jobs_submitted, 2);
+    assert_eq!(snapshot.jobs_submitted, texts.len() as u64);
     assert_eq!(
-        snapshot.executed, 1,
-        "identical digests must share one execution"
+        snapshot.executed, DIGESTS as u64,
+        "each distinct digest must execute exactly once"
     );
     assert_eq!(
         snapshot.cache_hits + snapshot.memo_hits + snapshot.coalesced,
-        1,
-        "the loser must coalesce onto the winner or hit its memoized result"
+        (texts.len() - DIGESTS) as u64,
+        "every other racer must coalesce onto its digest's job or hit its memoized result"
     );
     let _ = fs::remove_dir_all(&dir);
 }
@@ -105,26 +121,28 @@ fn corrupted_cache_entry_mid_run_is_resimulated_for_both_clients() {
     let dir = tmp_dir("corrupt");
     let socket = dir.join("ctbia.sock");
     let cache_dir = dir.join("cache");
+    // Prime the cache with the genuine article before the daemon starts,
+    // so the entry is on disk but not in the daemon's memo index.
+    let pristine = SweepEngine::serial()
+        .with_cache(DiskCache::open(&cache_dir).unwrap())
+        .run_cell(&contended_spec())
+        .unwrap()
+        .to_cache_text();
+    let entry = cache_dir.join(contended_spec().digest_hex());
+    assert!(entry.is_file(), "expected a cache entry at {entry:?}");
+
     let mut config = ServerConfig::new(&socket);
     config.threads = 2;
     config.cache_dir = Some(cache_dir.clone());
-    // This test corrupts the on-disk entry *behind the daemon's back*;
-    // the in-memory memo index would (correctly) keep serving the pristine
-    // result and hide the disk path this test exists to exercise.
-    config.shards = 0;
     let handle = Server::start(config).unwrap();
-
-    // Prime the cache with the genuine article, then poison the entry the
-    // way a torn write or bit flip would.
-    let mut client = Client::connect(&socket).unwrap();
-    let pristine = expect_report(client.submit(&contended_request()).unwrap());
-    let entry = cache_dir.join(contended_spec().digest_hex());
-    assert!(entry.is_file(), "expected a cache entry at {entry:?}");
+    // Startup recovery has run; poison the entry the way a torn write or
+    // bit flip would, before any submit reads it.
     fs::write(&entry, "scrambled mid-run").unwrap();
 
     // Two clients ask for the poisoned digest concurrently. The load
-    // fails closed, the cell re-simulates (once, thanks to coalescing),
-    // and both get bytes identical to the pristine report.
+    // fails closed, the cell re-simulates (once: the second client
+    // coalesces onto the job or hits its memoized result), and both get
+    // bytes identical to the pristine report.
     let clients: Vec<_> = (0..2)
         .map(|_| {
             let socket = socket.clone();
@@ -145,8 +163,8 @@ fn corrupted_cache_entry_mid_run_is_resimulated_for_both_clients() {
     let snapshot = handle.join();
     assert_eq!(snapshot.jobs_failed, 0);
     assert_eq!(
-        snapshot.executed, 2,
-        "prime + one re-simulation after corruption; never a third"
+        snapshot.executed, 1,
+        "one re-simulation after corruption; never a second"
     );
     // The re-simulation repaired the on-disk entry.
     let repaired = fs::read_to_string(&entry).unwrap();

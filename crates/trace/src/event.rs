@@ -11,8 +11,10 @@ use ctbia_sim::{HierarchyStats, Level};
 
 /// The kind of demand memory operation an [`EventKind::Access`] records.
 ///
-/// Mirrors the machine's demand-trace opcode set: ordinary loads/stores,
-/// dataflow-set streaming accesses, and DRAM-direct accesses.
+/// This is the machine's one demand opcode set (its `TraceEvent::op` and
+/// the `ObsTrace` digest codes, `MemOp::ALL` order): ordinary
+/// loads/stores, dataflow-set streaming accesses, and DRAM-direct
+/// accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemOp {
     /// Ordinary demand load.

@@ -59,7 +59,8 @@
 #                                that must come back from the shared
 #                                memo cache with the digest the direct
 #                                run reported (over UDS and again over
-#                                TCP), query status --metrics, and exit
+#                                TCP, where the memo index must answer
+#                                it), query status --metrics, and exit
 #                                cleanly on SIGTERM; every live-daemon
 #                                client step runs under a hard `timeout`
 #                                so a wedged daemon fails the gate
@@ -288,11 +289,15 @@ grep -q '"serve.cache_hits": 1' SERVE_metrics.json
 echo "==> ctbia submit --tcp $TCP_ADDR hist:200:bia:l1d"
 timeout 60 ./target/release/ctbia submit --tcp "$TCP_ADDR" hist:200:bia:l1d \
     | grep -q "digest=$RUN_DIGEST "
+# The first submit's disk hit filled the always-on memo index, so the
+# re-submit was answered from memory.
+run timeout 60 ./target/release/ctbia status --socket "$SOCK" --metrics
+grep -q '"serve.memo_hits": 1' SERVE_metrics.json
 kill -TERM "$SERVE_PID"
 drain_or_die "$SERVE_PID"
 test ! -e "$SOCK"
 rm -rf "$SERVE_DIR"
-echo "==> serve cycle: cache-backed response over UDS and TCP, clean SIGTERM drain"
+echo "==> serve cycle: cache-backed response over UDS, memo-index hit over TCP, clean SIGTERM drain"
 
 # Chaos smoke: one injected worker panic. The poisoned submit must fail
 # with the typed cell-failed error (and a non-zero exit), the supervisor

@@ -55,7 +55,7 @@ USAGE:
     ctbia verify <WORKLOAD> [SIZE] [--strategy insecure|ct|bia|bia-loads] [--placement l1d|l2|llc] [--spec-window N]
     ctbia analyze [--quick] [--threads N]
     ctbia analyze <WORKLOAD> [SIZE] [--strategy insecure|ct|bia|bia-loads] [--placement l1d|l2|llc]
-    ctbia serve [--socket PATH] [--tcp ADDR] [--tenant NAME:TOKEN[:INFLIGHT[:SHARE[:WEIGHT]]]]... [--threads N] [--max-inflight M] [--queue-limit Q] [--shards S] [--deadline-ms D] [--chaos SPEC] [--no-cache]
+    ctbia serve [--socket PATH] [--tcp ADDR] [--tenant NAME:TOKEN[:INFLIGHT[:SHARE[:WEIGHT]]]]... [--threads N] [--max-inflight M] [--queue-limit Q] [--deadline-ms D] [--chaos SPEC] [--no-cache]
     ctbia submit [--socket PATH] [--tcp ADDR] [--token TOK] [--eval] [--retries N] [--backoff-ms B] [--deadline-ms D] <SPEC>...
     ctbia status [--socket PATH] [--tcp ADDR] [--metrics]
     ctbia health [--socket PATH] [--tcp ADDR]
@@ -99,9 +99,9 @@ seed:42) for crash drills. --tcp adds a TCP listener speaking the same
 envelopes (probe-then-reclaim binding: a dead daemon's TIME_WAIT port
 is reclaimed, a live daemon's refused); --tenant (repeatable) switches
 on auth — every submit then needs a matching token — with per-tenant
-in-flight quotas, queue shares, and deficit-round-robin weights;
---shards sizes the in-memory memo index layered over the disk cache
-(0 disables it). `ctbia submit` sends cells — SPEC is
+in-flight quotas, queue shares, and deficit-round-robin weights.
+Completed cells are also kept in an in-memory index, so a warm submit
+is answered without touching the disk. `ctbia submit` sends cells — SPEC is
 WORKLOAD[:SIZE[:STRATEGY[:PLACEMENT]]], e.g. hist:2000:bia:l1d or
 aes:-:insecure — retrying transient rejections when --retries is set
 (exponential backoff from --backoff-ms); --tcp targets a TCP daemon and
@@ -125,22 +125,6 @@ fn make_workload(name: &str, size: usize) -> Result<Box<dyn Workload>, String> {
         "binary-search" | "bin" => Box::new(BinarySearch::new(size)),
         "heappop" | "heap" => Box::new(HeapPop::new(size)),
         other => return Err(format!("unknown workload '{other}' (try `ctbia list`)")),
-    })
-}
-
-fn default_size(name: &str) -> usize {
-    match name {
-        "dijkstra" | "dij" => 64,
-        _ => 2000,
-    }
-}
-
-fn parse_placement(s: &str) -> Result<BiaPlacement, String> {
-    Ok(match s {
-        "l1d" => BiaPlacement::L1d,
-        "l2" => BiaPlacement::L2,
-        "llc" => BiaPlacement::Llc,
-        other => return Err(format!("unknown placement '{other}' (l1d, l2 or llc)")),
     })
 }
 
@@ -264,7 +248,7 @@ impl CellArgs {
         };
         match flag {
             "--strategy" => self.strategy = StrategySpec::parse(value()?)?,
-            "--placement" => self.placement = parse_placement(value()?)?,
+            "--placement" => self.placement = BiaPlacement::parse(value()?)?,
             "--spec-window" => self.spec_window = Some(parse_spec_window(value()?)?),
             v if self.size.is_none() && !v.starts_with('-') => self.size = Some(parse_size(v)?),
             _ => return Ok(false),
@@ -331,7 +315,7 @@ fn parse_verdict_args(args: &[String], spec_window_ok: bool) -> Result<VerdictAr
         return Err("--spec-window needs a workload (the grid fixes its own windows)".into());
     }
     let cell = name
-        .map(|name| opts.cell(&name, default_size(&name).min(500)))
+        .map(|name| opts.cell(&name, WorkloadSpec::default_size(&name).min(500)))
         .transpose()?;
     Ok(VerdictArgs {
         quick,
@@ -385,7 +369,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         i += 1;
     }
-    let spec = opts.cell(name, default_size(name))?;
+    let spec = opts.cell(name, WorkloadSpec::default_size(name))?;
     let (strategy, placement) = (spec.strategy, spec.placement);
     let engine = attach_default_cache(SweepEngine::serial());
     let report = engine.run_cell(&spec)?;
@@ -439,7 +423,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         }
         i += 1;
     }
-    let spec = opts.cell(name, default_size(name))?;
+    let spec = opts.cell(name, WorkloadSpec::default_size(name))?;
     let sink = TeeSink::new(JsonlSink::new(), MetricsSink::new());
     let (report, sink) = execute_cell_traced(&spec, sink)?;
     let (jsonl, agg) = (sink.a, sink.b);
@@ -494,7 +478,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("compare: missing workload name")?;
     let size = match args.get(1) {
         Some(s) => parse_size(s)?,
-        None => default_size(name),
+        None => WorkloadSpec::default_size(name),
     };
     let workload = WorkloadSpec::named(name, size)?;
     let lineup = [
@@ -804,13 +788,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 i += 1;
                 let spec = args.get(i).ok_or("--tenant needs NAME:TOKEN[:...]")?;
                 config.tenants.push(TenantSpec::parse(spec)?);
-            }
-            "--shards" => {
-                config.shards = flag_value(
-                    args,
-                    &mut i,
-                    "expects an integer (0 disables the memo index)",
-                )?;
             }
             "--threads" => config.threads = flag_value::<usize>(args, &mut i, POSITIVE)?.max(1),
             "--max-inflight" => {
