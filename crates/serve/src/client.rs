@@ -7,7 +7,7 @@
 //! [`ServeTarget`] names one of the two for callers that are generic
 //! over transport. The wire protocol is byte-identical on both.
 //!
-//! [`submit_with_retry`] adds the resilience layer `ctbia submit
+//! [`submit_with_retry_to`] adds the resilience layer `ctbia submit
 //! --retries` uses: transient failures — a connect refused while the
 //! daemon restarts, a typed `backpressure`/`overloaded`/`shutting-down`/
 //! `quota-exceeded` rejection — are retried under an exponential-backoff
@@ -213,16 +213,26 @@ impl Client {
         self.recv_response()
     }
 
+    /// Sends the request line built for a fresh id and waits for its
+    /// response; `doing` names the request in a send failure.
+    fn round_trip(
+        &mut self,
+        doing: &str,
+        line: impl FnOnce(&str) -> String,
+    ) -> Result<Response, String> {
+        let id = self.fresh_id();
+        self.send_line(&line(&id))
+            .map_err(|e| format!("cannot {doing}: {e}"))?;
+        self.recv_response()
+    }
+
     /// Queries server status.
     ///
     /// # Errors
     ///
     /// Returns a message on connection or envelope failure.
     pub fn status(&mut self, metrics: bool) -> Result<Response, String> {
-        let id = self.fresh_id();
-        self.send_line(&status_line(&id, metrics))
-            .map_err(|e| format!("cannot query status: {e}"))?;
-        self.recv_response()
+        self.round_trip("query status", |id| status_line(id, metrics))
     }
 
     /// Liveness probe.
@@ -231,10 +241,7 @@ impl Client {
     ///
     /// Returns a message on connection or envelope failure.
     pub fn ping(&mut self) -> Result<Response, String> {
-        let id = self.fresh_id();
-        self.send_line(&ping_line(&id))
-            .map_err(|e| format!("cannot ping: {e}"))?;
-        self.recv_response()
+        self.round_trip("ping", ping_line)
     }
 
     /// Queries the supervision snapshot (queue depth, workers, restarts).
@@ -243,14 +250,11 @@ impl Client {
     ///
     /// Returns a message on connection or envelope failure.
     pub fn health(&mut self) -> Result<Response, String> {
-        let id = self.fresh_id();
-        self.send_line(&health_line(&id))
-            .map_err(|e| format!("cannot query health: {e}"))?;
-        self.recv_response()
+        self.round_trip("query health", health_line)
     }
 }
 
-/// How [`submit_with_retry`] behaves across attempts.
+/// How [`submit_with_retry_to`] behaves across attempts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (0 = a single attempt, no retry).
@@ -306,24 +310,6 @@ impl RetryPolicy {
 /// present but unserved (`ECONNREFUSED` before the new bind).
 fn connect_error_is_transient(e: &io::Error) -> bool {
     matches!(e.kind(), ErrorKind::ConnectionRefused | ErrorKind::NotFound)
-}
-
-/// Submits one cell over the daemon's Unix socket, retrying transient
-/// failures per `policy`; see [`submit_with_retry_to`].
-///
-/// # Errors
-///
-/// Returns the final attempt's failure message once the budget is spent.
-pub fn submit_with_retry(
-    socket: impl AsRef<Path>,
-    req: &SubmitRequest,
-    policy: &RetryPolicy,
-) -> Result<Response, String> {
-    submit_with_retry_to(
-        &ServeTarget::Unix(socket.as_ref().to_path_buf()),
-        req,
-        policy,
-    )
 }
 
 /// Submits one cell to `target` (either transport), retrying transient
@@ -426,7 +412,7 @@ mod tests {
             deadline_ms: None,
             token: None,
         };
-        let err = submit_with_retry(&socket, &req, &policy).unwrap_err();
+        let err = submit_with_retry_to(&ServeTarget::Unix(socket), &req, &policy).unwrap_err();
         assert!(err.contains("cannot connect"), "final failure: {err}");
     }
 

@@ -45,7 +45,7 @@ mod supervisor;
 pub mod tenant;
 
 pub use chaos::{ChaosKind, ChaosSpec, ChaosSpecError, ChaosState};
-pub use client::{submit_with_retry, submit_with_retry_to, Client, RetryPolicy, ServeTarget};
+pub use client::{submit_with_retry_to, Client, RetryPolicy, ServeTarget};
 pub use net::bind_tcp;
 pub use proto::{
     ErrorCode, HealthSnapshot, ProtoError, Request, Response, StatusSnapshot, SubmitRequest,

@@ -21,10 +21,17 @@
 //! on-disk format) as an escaped string, so a served report carries exactly
 //! the bytes a direct sweep would have produced — byte-identity is a
 //! protocol property, not an approximation.
+//!
+//! Each wire field is declared once. `wire_snapshot!` generates
+//! [`StatusSnapshot`] and [`HealthSnapshot`] — the struct, `fields()`, the
+//! encoder and the parser — from one list of fields in wire order, each
+//! named by its wire key. `wire_enum!` pairs every [`ErrorCode`] with its
+//! wire string. `OPS` lists each request op's keys with their JSON types,
+//! and [`parse_request`] checks a line against it in one pass.
 
 use ctbia_harness::{CellReport, CellSpec, CryptoKernel, StrategySpec, WorkloadSpec};
 use ctbia_machine::BiaPlacement;
-use ctbia_trace::json::{parse_object, Object};
+use ctbia_trace::json::{parse_object, Object, Value};
 use std::fmt;
 
 /// Schema tag carried by every request and response envelope.
@@ -41,66 +48,76 @@ pub const MAX_ID_LEN: usize = 128;
 /// The `id` echoed when a request was too malformed to carry one.
 pub const UNKNOWN_ID: &str = "-";
 
-/// Typed protocol error codes. Every failure mode a client can provoke has
-/// a stable code, so tests (and clients) can dispatch on the *kind* of
-/// rejection rather than parsing prose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// The request line exceeded [`MAX_LINE`] bytes.
-    OversizedLine,
-    /// The line was not a flat JSON object.
-    BadJson,
-    /// The `schema` field was missing or not `ctbia-serve-v1`.
-    BadSchema,
-    /// A required field was missing, mistyped, or out of range.
-    BadRequest,
-    /// The `op` field named no known operation.
-    UnknownOp,
-    /// The submitted cell description was invalid (unknown workload,
-    /// strategy, or placement).
-    BadCell,
-    /// The client exceeded its `--max-inflight` budget; resubmit after a
-    /// response arrives.
-    Backpressure,
-    /// The global queue-depth high-water mark was hit; the server is
-    /// shedding load. Distinct from [`ErrorCode::Backpressure`]: that is
-    /// one connection over its window, this is the whole daemon saturated.
-    Overloaded,
-    /// The server is draining and accepts no new work.
-    ShuttingDown,
-    /// The cell was accepted but simulation failed (infeasible config, or
-    /// a worker panic isolated by the supervisor).
-    CellFailed,
-    /// The job did not complete within its deadline; the submit slot was
-    /// released and the cell may be resubmitted.
-    DeadlineExceeded,
-    /// The server runs in tenanted mode and the submit carried no token,
-    /// or one matching no configured tenant. The connection stays open —
-    /// only the submit is refused.
-    Unauthorized,
-    /// The tenant is over its configured max-in-flight quota; resubmit
-    /// after one of its jobs completes.
-    QuotaExceeded,
+/// Declares an enum of `Variant = "wire-form"` pairs and its `WIRE`
+/// table, so the variants and their wire forms are written once.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $($(#[$doc:meta])* $code:ident = $wire:literal,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$doc])* $code,)*
+        }
+
+        impl $name {
+            /// Every variant with its wire form, in declaration order.
+            const WIRE: &'static [($name, &'static str)] = &[$(($name::$code, $wire),)*];
+        }
+    };
+}
+
+wire_enum! {
+    /// Typed protocol error codes. Every failure mode a client can provoke has
+    /// a stable code, so tests (and clients) can dispatch on the *kind* of
+    /// rejection rather than parsing prose.
+    pub enum ErrorCode {
+        /// The request line exceeded [`MAX_LINE`] bytes.
+        OversizedLine = "oversized-line",
+        /// The line was not a flat JSON object.
+        BadJson = "bad-json",
+        /// The `schema` field was missing or not `ctbia-serve-v1`.
+        BadSchema = "bad-schema",
+        /// A required field was missing, mistyped, or out of range.
+        BadRequest = "bad-request",
+        /// The `op` field named no known operation.
+        UnknownOp = "unknown-op",
+        /// The submitted cell description was invalid (unknown workload,
+        /// strategy, or placement).
+        BadCell = "bad-cell",
+        /// The client exceeded its `--max-inflight` budget; resubmit after a
+        /// response arrives.
+        Backpressure = "backpressure",
+        /// The global queue-depth high-water mark was hit; the server is
+        /// shedding load. Distinct from [`ErrorCode::Backpressure`]: that is
+        /// one connection over its window, this is the whole daemon saturated.
+        Overloaded = "overloaded",
+        /// The server is draining and accepts no new work.
+        ShuttingDown = "shutting-down",
+        /// The cell was accepted but simulation failed (infeasible config, or
+        /// a worker panic isolated by the supervisor).
+        CellFailed = "cell-failed",
+        /// The job did not complete within its deadline; the submit slot was
+        /// released and the cell may be resubmitted.
+        DeadlineExceeded = "deadline-exceeded",
+        /// The server runs in tenanted mode and the submit carried no token,
+        /// or one matching no configured tenant. The connection stays open —
+        /// only the submit is refused.
+        Unauthorized = "unauthorized",
+        /// The tenant is over its configured max-in-flight quota; resubmit
+        /// after one of its jobs completes.
+        QuotaExceeded = "quota-exceeded",
+    }
 }
 
 impl ErrorCode {
     /// The stable wire form of the code.
     pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::OversizedLine => "oversized-line",
-            ErrorCode::BadJson => "bad-json",
-            ErrorCode::BadSchema => "bad-schema",
-            ErrorCode::BadRequest => "bad-request",
-            ErrorCode::UnknownOp => "unknown-op",
-            ErrorCode::BadCell => "bad-cell",
-            ErrorCode::Backpressure => "backpressure",
-            ErrorCode::Overloaded => "overloaded",
-            ErrorCode::ShuttingDown => "shutting-down",
-            ErrorCode::CellFailed => "cell-failed",
-            ErrorCode::DeadlineExceeded => "deadline-exceeded",
-            ErrorCode::Unauthorized => "unauthorized",
-            ErrorCode::QuotaExceeded => "quota-exceeded",
-        }
+        // `WIRE` lists the codes in declaration order.
+        ErrorCode::WIRE[self as usize].1
     }
 
     /// Whether a client may safely retry the same submit after seeing this
@@ -124,22 +141,10 @@ impl ErrorCode {
 
     /// Parses a wire code (the client side of [`ErrorCode::as_str`]).
     pub fn parse(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "oversized-line" => ErrorCode::OversizedLine,
-            "bad-json" => ErrorCode::BadJson,
-            "bad-schema" => ErrorCode::BadSchema,
-            "bad-request" => ErrorCode::BadRequest,
-            "unknown-op" => ErrorCode::UnknownOp,
-            "bad-cell" => ErrorCode::BadCell,
-            "backpressure" => ErrorCode::Backpressure,
-            "overloaded" => ErrorCode::Overloaded,
-            "shutting-down" => ErrorCode::ShuttingDown,
-            "cell-failed" => ErrorCode::CellFailed,
-            "deadline-exceeded" => ErrorCode::DeadlineExceeded,
-            "unauthorized" => ErrorCode::Unauthorized,
-            "quota-exceeded" => ErrorCode::QuotaExceeded,
-            _ => return None,
-        })
+        ErrorCode::WIRE
+            .iter()
+            .find(|(_, wire)| *wire == s)
+            .map(|&(code, _)| code)
     }
 }
 
@@ -244,23 +249,88 @@ pub enum Request {
     Health,
 }
 
-const SUBMIT_KEYS: &[&str] = &[
-    "schema",
-    "id",
-    "op",
-    "workload",
-    "size",
-    "strategy",
-    "placement",
-    "eval",
-    "deadline_ms",
-    "token",
+/// The JSON type a request field must have when present.
+#[derive(Debug, Clone, Copy)]
+enum FieldType {
+    Str,
+    Num,
+    Bool,
+    /// A string the op cannot do without.
+    RequiredStr,
+}
+
+impl FieldType {
+    fn admits(self, value: Option<&Value>) -> bool {
+        matches!(
+            (self, value),
+            (FieldType::Str | FieldType::Num | FieldType::Bool, None)
+                | (FieldType::Str | FieldType::RequiredStr, Some(Value::Str(_)))
+                | (FieldType::Num, Some(Value::Num(_)))
+                | (FieldType::Bool, Some(Value::Bool(_)))
+        )
+    }
+
+    fn fault(self, op: &str, key: &str) -> String {
+        match self {
+            FieldType::Str => format!("{key:?} must be a string"),
+            FieldType::Num => format!("{key:?} must be a non-negative integer"),
+            FieldType::Bool => format!("{key:?} must be a boolean"),
+            FieldType::RequiredStr => format!("{op} requires a string field {key:?}"),
+        }
+    }
+}
+
+/// One request op: its name, the keys it accepts besides the envelope's
+/// `schema`, `id` and `op` with their types, and how a validated object
+/// becomes its [`Request`].
+type OpSpec = (
+    &'static str,
+    &'static [(&'static str, FieldType)],
+    fn(&Object) -> Request,
+);
+
+/// Every op's field table. A line's first fault is an unknown key; failing
+/// that, the first mistyped or missing key in table order. `token` is
+/// accepted (and ignored) on every op so a tenanted client can attach it
+/// unconditionally; only submits are gated on it.
+const OPS: [OpSpec; 4] = [
+    (
+        "submit",
+        &[
+            ("token", FieldType::Str),
+            ("workload", FieldType::RequiredStr),
+            ("size", FieldType::Num),
+            ("strategy", FieldType::Str),
+            ("placement", FieldType::Str),
+            ("eval", FieldType::Bool),
+            ("deadline_ms", FieldType::Num),
+        ],
+        |obj| {
+            let string = |key| obj.get_str(key).map(str::to_string);
+            Request::Submit(SubmitRequest {
+                workload: string("workload").unwrap_or_default(),
+                size: obj.get_num("size"),
+                strategy: string("strategy"),
+                placement: string("placement"),
+                eval: obj.get_bool("eval").unwrap_or(false),
+                deadline_ms: obj.get_num("deadline_ms"),
+                token: string("token"),
+            })
+        },
+    ),
+    (
+        "status",
+        &[("token", FieldType::Str), ("metrics", FieldType::Bool)],
+        |obj| Request::Status {
+            metrics: obj.get_bool("metrics").unwrap_or(false),
+        },
+    ),
+    ("ping", &[("token", FieldType::Str)], |_| Request::Ping),
+    ("health", &[("token", FieldType::Str)], |_| Request::Health),
 ];
-// `token` is accepted (and ignored) on every op so a tenanted client can
-// attach it unconditionally; only submits are gated on it.
-const STATUS_KEYS: &[&str] = &["schema", "id", "op", "metrics", "token"];
-const PING_KEYS: &[&str] = &["schema", "id", "op", "token"];
-const HEALTH_KEYS: &[&str] = &["schema", "id", "op", "token"];
+
+/// The keys every request envelope carries.
+const ENVELOPE_KEYS: [&str; 3] = ["schema", "id", "op"];
 
 /// Parses and validates one request line into `(id, request)`.
 ///
@@ -312,108 +382,59 @@ pub fn parse_request(line: &str) -> Result<(String, Request), ProtoError> {
         Some(op) => op,
         None => return fail(ErrorCode::BadRequest, "missing string field \"op\"".into()),
     };
-    let allowed = match op {
-        "submit" => SUBMIT_KEYS,
-        "status" => STATUS_KEYS,
-        "ping" => PING_KEYS,
-        "health" => HEALTH_KEYS,
-        other => {
-            return fail(
-                ErrorCode::UnknownOp,
-                format!("unknown op {other:?} (submit, status, ping or health)"),
-            )
-        }
+    let Some(&(_, keys, build)) = OPS.iter().find(|(name, ..)| *name == op) else {
+        return fail(
+            ErrorCode::UnknownOp,
+            format!("unknown op {op:?} (submit, status, ping or health)"),
+        );
     };
-    for (key, _) in obj.fields() {
-        if !allowed.contains(&key.as_str()) {
-            return fail(
-                ErrorCode::BadRequest,
-                format!("unknown field {key:?} for op {op:?}"),
-            );
+    // One pass over the op's table counts its keys present and finds the
+    // first fault; more fields than counted means an unknown key.
+    let mut known = ENVELOPE_KEYS.len();
+    let mut fault = None;
+    for &(key, ty) in keys {
+        let value = obj.get(key);
+        known += usize::from(value.is_some());
+        if fault.is_none() && !ty.admits(value) {
+            fault = Some(ty.fault(op, key));
         }
     }
-    if obj.get("token").is_some() && obj.get_str("token").is_none() {
-        return fail(ErrorCode::BadRequest, "\"token\" must be a string".into());
+    if known < obj.fields().len() {
+        let unknown = obj
+            .fields()
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .find(|key| {
+                !ENVELOPE_KEYS.contains(key) && !keys.iter().any(|(known, _)| known == key)
+            });
+        return fail(
+            ErrorCode::BadRequest,
+            format!(
+                "unknown field {:?} for op {op:?}",
+                unknown.unwrap_or_default()
+            ),
+        );
     }
-    let request = match op {
-        "submit" => {
-            let workload = match obj.get_str("workload") {
-                Some(w) => w.to_string(),
-                None => {
-                    return fail(
-                        ErrorCode::BadRequest,
-                        "submit requires a string field \"workload\"".into(),
-                    )
-                }
-            };
-            let typed = |key: &str| -> Result<(), ProtoError> {
-                match key {
-                    "size" | "deadline_ms"
-                        if obj.get(key).is_some() && obj.get_num(key).is_none() =>
-                    {
-                        Err(ProtoError::new(
-                            Some(id.clone()),
-                            ErrorCode::BadRequest,
-                            format!("{key:?} must be a non-negative integer"),
-                        ))
-                    }
-                    "strategy" | "placement"
-                        if obj.get(key).is_some() && obj.get_str(key).is_none() =>
-                    {
-                        Err(ProtoError::new(
-                            Some(id.clone()),
-                            ErrorCode::BadRequest,
-                            format!("{key:?} must be a string"),
-                        ))
-                    }
-                    "eval" if obj.get("eval").is_some() && obj.get_bool("eval").is_none() => {
-                        Err(ProtoError::new(
-                            Some(id.clone()),
-                            ErrorCode::BadRequest,
-                            "\"eval\" must be a boolean".to_string(),
-                        ))
-                    }
-                    _ => Ok(()),
-                }
-            };
-            for key in ["size", "strategy", "placement", "eval", "deadline_ms"] {
-                typed(key)?;
-            }
-            Request::Submit(SubmitRequest {
-                workload,
-                size: obj.get_num("size"),
-                strategy: obj.get_str("strategy").map(str::to_string),
-                placement: obj.get_str("placement").map(str::to_string),
-                eval: obj.get_bool("eval").unwrap_or(false),
-                deadline_ms: obj.get_num("deadline_ms"),
-                token: obj.get_str("token").map(str::to_string),
-            })
-        }
-        "status" => {
-            if obj.get("metrics").is_some() && obj.get_bool("metrics").is_none() {
-                return fail(
-                    ErrorCode::BadRequest,
-                    "\"metrics\" must be a boolean".into(),
-                );
-            }
-            Request::Status {
-                metrics: obj.get_bool("metrics").unwrap_or(false),
-            }
-        }
-        "health" => Request::Health,
-        _ => Request::Ping,
-    };
-    Ok((id, request))
+    match fault {
+        Some(message) => fail(ErrorCode::BadRequest, message),
+        None => Ok((id, build(&obj))),
+    }
+}
+
+/// A request envelope for `op`, ready for its op-specific fields.
+fn request_envelope(id: &str, op: &str) -> Object {
+    let mut obj = Object::new();
+    obj.push_str("schema", SERVE_SCHEMA)
+        .push_str("id", id)
+        .push_str("op", op);
+    obj
 }
 
 /// Builds a submit request envelope (the client side of
 /// [`parse_request`]).
 pub fn submit_line(id: &str, req: &SubmitRequest) -> String {
-    let mut obj = Object::new();
-    obj.push_str("schema", SERVE_SCHEMA)
-        .push_str("id", id)
-        .push_str("op", "submit")
-        .push_str("workload", &req.workload);
+    let mut obj = request_envelope(id, "submit");
+    obj.push_str("workload", &req.workload);
     if let Some(size) = req.size {
         obj.push_num("size", size);
     }
@@ -437,10 +458,7 @@ pub fn submit_line(id: &str, req: &SubmitRequest) -> String {
 
 /// Builds a status request envelope.
 pub fn status_line(id: &str, metrics: bool) -> String {
-    let mut obj = Object::new();
-    obj.push_str("schema", SERVE_SCHEMA)
-        .push_str("id", id)
-        .push_str("op", "status");
+    let mut obj = request_envelope(id, "status");
     if metrics {
         obj.push_bool("metrics", true);
     }
@@ -449,222 +467,140 @@ pub fn status_line(id: &str, metrics: bool) -> String {
 
 /// Builds a ping request envelope.
 pub fn ping_line(id: &str) -> String {
-    let mut obj = Object::new();
-    obj.push_str("schema", SERVE_SCHEMA)
-        .push_str("id", id)
-        .push_str("op", "ping");
-    obj.to_line()
+    request_envelope(id, "ping").to_line()
 }
 
 /// Builds a health request envelope.
 pub fn health_line(id: &str) -> String {
-    let mut obj = Object::new();
-    obj.push_str("schema", SERVE_SCHEMA)
-        .push_str("id", id)
-        .push_str("op", "health");
-    obj.to_line()
+    request_envelope(id, "health").to_line()
 }
 
-/// The supervision view of a running server, as carried by a health
-/// response: is the daemon keeping up, and what has it survived so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HealthSnapshot {
-    /// Jobs currently queued or executing.
-    pub queue_depth: u64,
-    /// Global queue-depth high-water mark; submits past it are shed.
-    pub queue_limit: u64,
-    /// Worker threads currently alive.
-    pub workers_alive: u64,
-    /// Workers respawned by the supervisor after a panic.
-    pub worker_restarts: u64,
-    /// Jobs killed for exceeding their deadline.
-    pub deadline_kills: u64,
-    /// Submits shed by admission control (`overloaded`).
-    pub shed_submits: u64,
-    /// Torn cache entries quarantined by the startup recovery scan.
-    pub cache_quarantined: u64,
+/// Declares a snapshot struct from one list of its wire fields, in wire
+/// order: `u64` counters, then at most one boolean after the braces. Each
+/// field's name is its wire key; the struct, `fields`, the encoder and the
+/// parser are all generated from the list, so they cannot disagree.
+macro_rules! wire_snapshot {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident for $kind:literal {
+            $($(#[$doc:meta])* $field:ident: u64,)*
+        }
+        $($(#[$flag_doc:meta])* $flag:ident: bool)?
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$doc])* pub $field: u64,)*
+            $($(#[$flag_doc])* pub $flag: bool,)?
+        }
+
+        impl $name {
+            /// The snapshot's `u64` fields in canonical wire order.
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($field), self.$field),)*]
+            }
+
+            fn encode(&self, obj: &mut Object) {
+                $(obj.push_num(stringify!($field), self.$field);)*
+                $(obj.push_bool(stringify!($flag), self.$flag);)?
+            }
+
+            fn from_object(obj: &Object) -> Result<$name, String> {
+                let get = |key: &str| -> Result<u64, String> {
+                    obj.get_num(key).ok_or_else(|| {
+                        format!(concat!($kind, " response missing integer field {:?}"), key)
+                    })
+                };
+                Ok($name {
+                    $($field: get(stringify!($field))?,)*
+                    $($flag: obj.get_bool(stringify!($flag)).ok_or(concat!(
+                        $kind,
+                        " response missing boolean field \"",
+                        stringify!($flag),
+                        "\""
+                    ))?,)?
+                })
+            }
+        }
+    };
+}
+
+wire_snapshot! {
+    /// The supervision view of a running server, as carried by a health
+    /// response: is the daemon keeping up, and what has it survived so far.
+    pub struct HealthSnapshot for "health" {
+        /// Jobs currently queued or executing.
+        queue_depth: u64,
+        /// Global queue-depth high-water mark; submits past it are shed.
+        queue_limit: u64,
+        /// Worker threads currently alive.
+        workers_alive: u64,
+        /// Workers respawned by the supervisor after a panic.
+        worker_restarts: u64,
+        /// Jobs killed for exceeding their deadline.
+        deadline_kills: u64,
+        /// Submits shed by admission control (`overloaded`).
+        shed_submits: u64,
+        /// Torn cache entries quarantined by the startup recovery scan.
+        cache_quarantined: u64,
+    }
     /// Whether a graceful drain is in progress.
-    pub shutting_down: bool,
+    shutting_down: bool
 }
 
-impl HealthSnapshot {
-    /// The snapshot's numeric fields in canonical wire order (the boolean
-    /// `shutting_down` is encoded separately).
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("queue_depth", self.queue_depth),
-            ("queue_limit", self.queue_limit),
-            ("workers_alive", self.workers_alive),
-            ("worker_restarts", self.worker_restarts),
-            ("deadline_kills", self.deadline_kills),
-            ("shed_submits", self.shed_submits),
-            ("cache_quarantined", self.cache_quarantined),
-        ]
-    }
-
-    fn from_object(obj: &Object) -> Result<HealthSnapshot, String> {
-        let get = |key: &str| -> Result<u64, String> {
-            obj.get_num(key)
-                .ok_or_else(|| format!("health response missing integer field {key:?}"))
-        };
-        Ok(HealthSnapshot {
-            queue_depth: get("queue_depth")?,
-            queue_limit: get("queue_limit")?,
-            workers_alive: get("workers_alive")?,
-            worker_restarts: get("worker_restarts")?,
-            deadline_kills: get("deadline_kills")?,
-            shed_submits: get("shed_submits")?,
-            cache_quarantined: get("cache_quarantined")?,
-            shutting_down: obj
-                .get_bool("shutting_down")
-                .ok_or("health response missing boolean field \"shutting_down\"")?,
-        })
-    }
-}
-
-/// A point-in-time snapshot of the server's counters, as carried by a
-/// status response.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatusSnapshot {
-    /// Submit requests accepted (including coalesced attachments).
-    pub jobs_submitted: u64,
-    /// Jobs resolved (one per distinct digest, cached or simulated).
-    pub jobs_completed: u64,
-    /// Jobs that failed simulation.
-    pub jobs_failed: u64,
-    /// Jobs resolved by simulating the cell.
-    pub executed: u64,
-    /// Jobs resolved from the memo cache.
-    pub cache_hits: u64,
-    /// Jobs served from the sharded in-memory memo index without touching
-    /// disk.
-    pub memo_hits: u64,
-    /// Submits that attached to an already-in-flight duplicate digest.
-    pub coalesced: u64,
-    /// Submits rejected for exceeding the per-connection in-flight cap
-    /// or a tenant's queue share.
-    pub backpressure_rejections: u64,
-    /// Submits rejected for exceeding the tenant's max-in-flight quota.
-    pub quota_rejections: u64,
-    /// Submits rejected for a missing or unknown tenant token.
-    pub unauthorized_rejections: u64,
-    /// Request lines answered with a protocol error envelope.
-    pub protocol_errors: u64,
-    /// Jobs currently queued or executing.
-    pub inflight_jobs: u64,
-    /// Worker threads serving the job queue.
-    pub threads: u64,
-    /// Per-connection in-flight request cap.
-    pub max_inflight: u64,
-    /// Configured tenants (0 when the server runs open).
-    pub tenants: u64,
-    /// Shard count of the in-memory memo index (0 when disabled).
-    pub memo_shards: u64,
-    /// Worker threads currently alive (== `threads` unless one is being
-    /// respawned right now).
-    pub workers_alive: u64,
-    /// Workers respawned by the supervisor after a panic.
-    pub worker_restarts: u64,
-    /// Jobs killed for exceeding their deadline.
-    pub deadline_kills: u64,
-    /// Submits shed by admission control with a typed `overloaded` error.
-    pub shed_submits: u64,
-    /// Torn cache entries quarantined by the startup recovery scan.
-    pub cache_quarantined: u64,
-    /// Memo-cache stores that failed (memoization lost, correctness kept).
-    pub cache_store_failures: u64,
-    /// Chaos injections fired so far (0 outside chaos drills).
-    pub chaos_injections: u64,
-}
-
-/// The `(wire key, field)` list of a status snapshot; one table drives the
-/// encoder, the parser, and the status display so they cannot disagree.
-pub const STATUS_FIELDS: &[&str] = &[
-    "jobs_submitted",
-    "jobs_completed",
-    "jobs_failed",
-    "executed",
-    "cache_hits",
-    "memo_hits",
-    "coalesced",
-    "backpressure_rejections",
-    "quota_rejections",
-    "unauthorized_rejections",
-    "protocol_errors",
-    "inflight_jobs",
-    "threads",
-    "max_inflight",
-    "tenants",
-    "memo_shards",
-    "workers_alive",
-    "worker_restarts",
-    "deadline_kills",
-    "shed_submits",
-    "cache_quarantined",
-    "cache_store_failures",
-    "chaos_injections",
-];
-
-impl StatusSnapshot {
-    /// The snapshot's fields in canonical wire order.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("jobs_submitted", self.jobs_submitted),
-            ("jobs_completed", self.jobs_completed),
-            ("jobs_failed", self.jobs_failed),
-            ("executed", self.executed),
-            ("cache_hits", self.cache_hits),
-            ("memo_hits", self.memo_hits),
-            ("coalesced", self.coalesced),
-            ("backpressure_rejections", self.backpressure_rejections),
-            ("quota_rejections", self.quota_rejections),
-            ("unauthorized_rejections", self.unauthorized_rejections),
-            ("protocol_errors", self.protocol_errors),
-            ("inflight_jobs", self.inflight_jobs),
-            ("threads", self.threads),
-            ("max_inflight", self.max_inflight),
-            ("tenants", self.tenants),
-            ("memo_shards", self.memo_shards),
-            ("workers_alive", self.workers_alive),
-            ("worker_restarts", self.worker_restarts),
-            ("deadline_kills", self.deadline_kills),
-            ("shed_submits", self.shed_submits),
-            ("cache_quarantined", self.cache_quarantined),
-            ("cache_store_failures", self.cache_store_failures),
-            ("chaos_injections", self.chaos_injections),
-        ]
-    }
-
-    fn from_object(obj: &Object) -> Result<StatusSnapshot, String> {
-        let get = |key: &str| -> Result<u64, String> {
-            obj.get_num(key)
-                .ok_or_else(|| format!("status response missing integer field {key:?}"))
-        };
-        Ok(StatusSnapshot {
-            jobs_submitted: get("jobs_submitted")?,
-            jobs_completed: get("jobs_completed")?,
-            jobs_failed: get("jobs_failed")?,
-            executed: get("executed")?,
-            cache_hits: get("cache_hits")?,
-            memo_hits: get("memo_hits")?,
-            coalesced: get("coalesced")?,
-            backpressure_rejections: get("backpressure_rejections")?,
-            quota_rejections: get("quota_rejections")?,
-            unauthorized_rejections: get("unauthorized_rejections")?,
-            protocol_errors: get("protocol_errors")?,
-            inflight_jobs: get("inflight_jobs")?,
-            threads: get("threads")?,
-            max_inflight: get("max_inflight")?,
-            tenants: get("tenants")?,
-            memo_shards: get("memo_shards")?,
-            workers_alive: get("workers_alive")?,
-            worker_restarts: get("worker_restarts")?,
-            deadline_kills: get("deadline_kills")?,
-            shed_submits: get("shed_submits")?,
-            cache_quarantined: get("cache_quarantined")?,
-            cache_store_failures: get("cache_store_failures")?,
-            chaos_injections: get("chaos_injections")?,
-        })
+wire_snapshot! {
+    /// A point-in-time snapshot of the server's counters, as carried by a
+    /// status response.
+    pub struct StatusSnapshot for "status" {
+        /// Submit requests accepted (including coalesced attachments).
+        jobs_submitted: u64,
+        /// Jobs resolved (one per distinct digest, cached or simulated).
+        jobs_completed: u64,
+        /// Jobs that failed simulation.
+        jobs_failed: u64,
+        /// Jobs resolved by simulating the cell.
+        executed: u64,
+        /// Jobs resolved from the memo cache.
+        cache_hits: u64,
+        /// Jobs served from the sharded in-memory memo index without touching
+        /// disk.
+        memo_hits: u64,
+        /// Submits that attached to an already-in-flight duplicate digest.
+        coalesced: u64,
+        /// Submits rejected for exceeding the per-connection in-flight cap
+        /// or a tenant's queue share.
+        backpressure_rejections: u64,
+        /// Submits rejected for exceeding the tenant's max-in-flight quota.
+        quota_rejections: u64,
+        /// Submits rejected for a missing or unknown tenant token.
+        unauthorized_rejections: u64,
+        /// Request lines answered with a protocol error envelope.
+        protocol_errors: u64,
+        /// Jobs currently queued or executing.
+        inflight_jobs: u64,
+        /// Worker threads serving the job queue.
+        threads: u64,
+        /// Per-connection in-flight request cap.
+        max_inflight: u64,
+        /// Configured tenants (0 when the server runs open).
+        tenants: u64,
+        /// Shard count of the always-on in-memory memo index.
+        memo_shards: u64,
+        /// Worker threads currently alive (== `threads` unless one is being
+        /// respawned right now).
+        workers_alive: u64,
+        /// Workers respawned by the supervisor after a panic.
+        worker_restarts: u64,
+        /// Jobs killed for exceeding their deadline.
+        deadline_kills: u64,
+        /// Submits shed by admission control with a typed `overloaded` error.
+        shed_submits: u64,
+        /// Torn cache entries quarantined by the startup recovery scan.
+        cache_quarantined: u64,
+        /// Memo-cache stores that failed (memoization lost, correctness kept).
+        cache_store_failures: u64,
+        /// Chaos injections fired so far (0 outside chaos drills).
+        chaos_injections: u64,
     }
 }
 
@@ -759,9 +695,7 @@ pub fn error_response(id: Option<&str>, code: ErrorCode, message: &str) -> Strin
 /// `ctbia-metrics-v1` document when the request asked for one.
 pub fn status_response(id: &str, snapshot: &StatusSnapshot, metrics: Option<&str>) -> String {
     let mut obj = envelope(id, true, "status");
-    for (key, value) in snapshot.fields() {
-        obj.push_num(key, value);
-    }
+    snapshot.encode(&mut obj);
     if let Some(doc) = metrics {
         obj.push_str("metrics", doc);
     }
@@ -776,10 +710,7 @@ pub fn pong_response(id: &str) -> String {
 /// Encodes a health response.
 pub fn health_response(id: &str, health: &HealthSnapshot) -> String {
     let mut obj = envelope(id, true, "health");
-    for (key, value) in health.fields() {
-        obj.push_num(key, value);
-    }
-    obj.push_bool("shutting_down", health.shutting_down);
+    health.encode(&mut obj);
     obj.to_line()
 }
 
@@ -1066,6 +997,242 @@ mod tests {
         ] {
             assert!(!code.retryable(), "{code:?} must not be retryable");
         }
+    }
+
+    /// A status response whose 23 fields all differ pins each key to its
+    /// field and the wire order: swapping any two changes the line.
+    #[test]
+    fn status_response_bytes_are_pinned() {
+        let snapshot = StatusSnapshot {
+            jobs_submitted: 1,
+            jobs_completed: 2,
+            jobs_failed: 3,
+            executed: 4,
+            cache_hits: 5,
+            memo_hits: 6,
+            coalesced: 7,
+            backpressure_rejections: 8,
+            quota_rejections: 9,
+            unauthorized_rejections: 10,
+            protocol_errors: 11,
+            inflight_jobs: 12,
+            threads: 13,
+            max_inflight: 14,
+            tenants: 15,
+            memo_shards: 16,
+            workers_alive: 17,
+            worker_restarts: 18,
+            deadline_kills: 19,
+            shed_submits: 20,
+            cache_quarantined: 21,
+            cache_store_failures: 22,
+            chaos_injections: 23,
+        };
+        let line = status_response("s", &snapshot, Some("m"));
+        assert_eq!(
+            line,
+            "{\"schema\": \"ctbia-serve-v1\", \"id\": \"s\", \"ok\": true, \"kind\": \"status\", \
+             \"jobs_submitted\": 1, \"jobs_completed\": 2, \"jobs_failed\": 3, \"executed\": 4, \
+             \"cache_hits\": 5, \"memo_hits\": 6, \"coalesced\": 7, \
+             \"backpressure_rejections\": 8, \"quota_rejections\": 9, \
+             \"unauthorized_rejections\": 10, \"protocol_errors\": 11, \"inflight_jobs\": 12, \
+             \"threads\": 13, \"max_inflight\": 14, \"tenants\": 15, \"memo_shards\": 16, \
+             \"workers_alive\": 17, \"worker_restarts\": 18, \"deadline_kills\": 19, \
+             \"shed_submits\": 20, \"cache_quarantined\": 21, \"cache_store_failures\": 22, \
+             \"chaos_injections\": 23, \"metrics\": \"m\"}"
+        );
+        match parse_response(&line).unwrap() {
+            Response::Status {
+                snapshot: parsed, ..
+            } => assert_eq!(parsed, snapshot),
+            other => panic!("wrong kind: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn health_response_bytes_are_pinned() {
+        let health = HealthSnapshot {
+            queue_depth: 1,
+            queue_limit: 2,
+            workers_alive: 3,
+            worker_restarts: 4,
+            deadline_kills: 5,
+            shed_submits: 6,
+            cache_quarantined: 7,
+            shutting_down: true,
+        };
+        let line = health_response("h", &health);
+        assert_eq!(
+            line,
+            "{\"schema\": \"ctbia-serve-v1\", \"id\": \"h\", \"ok\": true, \"kind\": \"health\", \
+             \"queue_depth\": 1, \"queue_limit\": 2, \"workers_alive\": 3, \
+             \"worker_restarts\": 4, \"deadline_kills\": 5, \"shed_submits\": 6, \
+             \"cache_quarantined\": 7, \"shutting_down\": true}"
+        );
+        match parse_response(&line).unwrap() {
+            Response::Health { health: parsed, .. } => assert_eq!(parsed, health),
+            other => panic!("wrong kind: {other:?}"),
+        }
+    }
+
+    /// Every malformed request line, with the exact code and message it
+    /// draws. The two-fault lines pin which fault is reported first: an
+    /// unknown key before any mistyped one, then `token`, then the op's
+    /// fields in a fixed order, whatever their order on the line.
+    #[test]
+    fn malformed_requests_draw_pinned_errors() {
+        const HEAD: &str = "{\"schema\": \"ctbia-serve-v1\", \"id\": \"1\", ";
+        let cases: &[(&str, ErrorCode, &str)] = &[
+            (
+                "\"op\": \"submit\", \"workload\": \"hist\", \"size\": \"big\"}",
+                ErrorCode::BadRequest,
+                "\"size\" must be a non-negative integer",
+            ),
+            (
+                "\"op\": \"submit\", \"workload\": \"hist\", \"strategy\": 1}",
+                ErrorCode::BadRequest,
+                "\"strategy\" must be a string",
+            ),
+            (
+                "\"op\": \"submit\", \"workload\": \"hist\", \"placement\": true}",
+                ErrorCode::BadRequest,
+                "\"placement\" must be a string",
+            ),
+            (
+                "\"op\": \"submit\", \"workload\": \"hist\", \"eval\": \"yes\"}",
+                ErrorCode::BadRequest,
+                "\"eval\" must be a boolean",
+            ),
+            (
+                "\"op\": \"submit\", \"workload\": \"hist\", \"deadline_ms\": false}",
+                ErrorCode::BadRequest,
+                "\"deadline_ms\" must be a non-negative integer",
+            ),
+            (
+                "\"op\": \"submit\", \"workload\": \"hist\", \"token\": 99}",
+                ErrorCode::BadRequest,
+                "\"token\" must be a string",
+            ),
+            (
+                "\"op\": \"submit\"}",
+                ErrorCode::BadRequest,
+                "submit requires a string field \"workload\"",
+            ),
+            (
+                "\"op\": \"submit\", \"workload\": 7}",
+                ErrorCode::BadRequest,
+                "submit requires a string field \"workload\"",
+            ),
+            (
+                "\"op\": \"submit\", \"workload\": \"hist\", \"metrics\": true}",
+                ErrorCode::BadRequest,
+                "unknown field \"metrics\" for op \"submit\"",
+            ),
+            (
+                "\"op\": \"status\", \"metrics\": 1}",
+                ErrorCode::BadRequest,
+                "\"metrics\" must be a boolean",
+            ),
+            (
+                "\"op\": \"status\", \"token\": true}",
+                ErrorCode::BadRequest,
+                "\"token\" must be a string",
+            ),
+            (
+                "\"op\": \"status\", \"workload\": \"hist\"}",
+                ErrorCode::BadRequest,
+                "unknown field \"workload\" for op \"status\"",
+            ),
+            (
+                "\"op\": \"ping\", \"token\": 5}",
+                ErrorCode::BadRequest,
+                "\"token\" must be a string",
+            ),
+            (
+                "\"op\": \"ping\", \"metrics\": true}",
+                ErrorCode::BadRequest,
+                "unknown field \"metrics\" for op \"ping\"",
+            ),
+            (
+                "\"op\": \"health\", \"token\": 5}",
+                ErrorCode::BadRequest,
+                "\"token\" must be a string",
+            ),
+            (
+                "\"op\": \"health\", \"extra\": 1}",
+                ErrorCode::BadRequest,
+                "unknown field \"extra\" for op \"health\"",
+            ),
+            (
+                "\"op\": \"dance\"}",
+                ErrorCode::UnknownOp,
+                "unknown op \"dance\" (submit, status, ping or health)",
+            ),
+            (
+                "\"op\": 3}",
+                ErrorCode::BadRequest,
+                "missing string field \"op\"",
+            ),
+            // Two faults each: the first is the one reported.
+            (
+                "\"op\": \"submit\", \"workload\": \"hist\", \"size\": \"big\", \"extra\": 1}",
+                ErrorCode::BadRequest,
+                "unknown field \"extra\" for op \"submit\"",
+            ),
+            (
+                "\"op\": \"submit\", \"eval\": 1, \"size\": \"big\", \"workload\": \"hist\"}",
+                ErrorCode::BadRequest,
+                "\"size\" must be a non-negative integer",
+            ),
+            (
+                "\"op\": \"submit\", \"workload\": 7, \"token\": 1}",
+                ErrorCode::BadRequest,
+                "\"token\" must be a string",
+            ),
+            (
+                "\"op\": \"submit\", \"size\": \"big\"}",
+                ErrorCode::BadRequest,
+                "submit requires a string field \"workload\"",
+            ),
+        ];
+        for (tail, code, message) in cases {
+            let line = format!("{HEAD}{tail}");
+            let err = parse_request(&line).unwrap_err();
+            assert_eq!(
+                (err.id.as_deref(), err.code, err.message.as_str()),
+                (Some("1"), *code, *message),
+                "line {line}"
+            );
+        }
+        let envelope_faults: &[(&str, ErrorCode, &str)] = &[
+            (
+                "{\"schema\": \"ctbia-serve-v1\", \"op\": \"ping\"}",
+                ErrorCode::BadRequest,
+                "missing string field \"id\"",
+            ),
+            (
+                "{\"schema\": \"ctbia-serve-v1\", \"id\": \"\", \"op\": \"ping\"}",
+                ErrorCode::BadRequest,
+                "\"id\" must be a non-empty string of at most 128 characters",
+            ),
+        ];
+        for (line, code, message) in envelope_faults {
+            let err = parse_request(line).unwrap_err();
+            assert_eq!(
+                (err.id, err.code, err.message.as_str()),
+                (None, *code, *message),
+                "line {line}"
+            );
+        }
+        let err = parse_request("{\"id\": \"2\", \"op\": \"ping\"}").unwrap_err();
+        assert_eq!(
+            (err.id.as_deref(), err.code, err.message.as_str()),
+            (
+                Some("2"),
+                ErrorCode::BadSchema,
+                "missing string field \"schema\""
+            )
+        );
     }
 
     #[test]

@@ -60,7 +60,9 @@
 #                                memo cache with the digest the direct
 #                                run reported (over UDS and again over
 #                                TCP, where the memo index must answer
-#                                it), query status --metrics, and exit
+#                                it), query status --metrics, check
+#                                that `ctbia status` prints the 23
+#                                status keys in wire order, and exit
 #                                cleanly on SIGTERM; every live-daemon
 #                                client step runs under a hard `timeout`
 #                                so a wedged daemon fails the gate
@@ -68,7 +70,8 @@
 #  13. chaos smoke             -- a daemon with one injected worker panic
 #                                answers the poisoned submit cell-failed,
 #                                respawns the worker, serves the retry,
-#                                reports the restart via `ctbia health`,
+#                                reports the restart via `ctbia health`
+#                                (whose 8 keys must be in wire order),
 #                                and drains cleanly on SIGTERM
 #
 # The script writes no tracked file: a run on a clean checkout leaves
@@ -250,6 +253,17 @@ drain_or_die() {
     wait "$pid"
 }
 
+# Reads a `ctbia status`/`ctbia health` listing on stdin and fails the
+# gate unless its first column is exactly the given keys, in order.
+first_column_is() {
+    local what="$1" want="$2" got
+    got=$(awk '{print $1}' | xargs)
+    if [ "$got" != "$want" ]; then
+        echo "$what keys: got '$got', want '$want'" >&2
+        exit 1
+    fi
+}
+
 # Live serve cycle. Prime the memo cache with a direct run and record the
 # cell's digest; a served submit for the same cell must then come back
 # from the cache with that exact digest, and SIGTERM must drain cleanly.
@@ -285,6 +299,12 @@ echo "$SUBMIT_OUT" | grep -q "cached=yes"
 run timeout 60 ./target/release/ctbia status --socket "$SOCK" --metrics
 grep -q '"schema": "ctbia-metrics-v1"' SERVE_metrics.json
 grep -q '"serve.cache_hits": 1' SERVE_metrics.json
+echo "==> ctbia status lists the 23 status keys in wire order"
+timeout 60 ./target/release/ctbia status --socket "$SOCK" | first_column_is "ctbia status" \
+    "jobs_submitted jobs_completed jobs_failed executed cache_hits memo_hits coalesced \
+backpressure_rejections quota_rejections unauthorized_rejections protocol_errors \
+inflight_jobs threads max_inflight tenants memo_shards workers_alive worker_restarts \
+deadline_kills shed_submits cache_quarantined cache_store_failures chaos_injections"
 # The same daemon serves the same cell over TCP with the same digest.
 echo "==> ctbia submit --tcp $TCP_ADDR hist:200:bia:l1d"
 timeout 60 ./target/release/ctbia submit --tcp "$TCP_ADDR" hist:200:bia:l1d \
@@ -326,6 +346,9 @@ timeout 60 ./target/release/ctbia submit --socket "$CSOCK" --retries 3 --backoff
 HEALTH_OUT=$(timeout 60 ./target/release/ctbia health --socket "$CSOCK")
 echo "$HEALTH_OUT"
 echo "$HEALTH_OUT" | grep -Eq "worker_restarts +1"
+echo "$HEALTH_OUT" | first_column_is "ctbia health" \
+    "queue_depth queue_limit workers_alive worker_restarts deadline_kills shed_submits \
+cache_quarantined shutting_down"
 kill -TERM "$CHAOS_PID"
 drain_or_die "$CHAOS_PID"
 test ! -e "$CSOCK"

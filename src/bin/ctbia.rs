@@ -33,9 +33,7 @@ use ctbia::sim::hierarchy::Level;
 use ctbia::trace::{JsonlSink, MetricsDoc, MetricsSink, Phase, TeeSink};
 use ctbia::verify::table::{grid_row, grid_summary};
 use ctbia::verify::{verify_grid, verify_seeds, VerifyCell, VerifyEngine, VerifyReport};
-use ctbia::workloads::{
-    BinarySearch, Dijkstra, HeapPop, Histogram, Permutation, Strategy, Workload,
-};
+use ctbia::workloads::Strategy;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -116,17 +114,6 @@ const DEFAULT_SOCKET: &str = "results/ctbia.sock";
 
 const POSITIVE: &str = "expects a positive integer";
 const MILLISECONDS: &str = "expects an integer (milliseconds)";
-
-fn make_workload(name: &str, size: usize) -> Result<Box<dyn Workload>, String> {
-    Ok(match name {
-        "dijkstra" | "dij" => Box::new(Dijkstra::new(size.min(256))),
-        "histogram" | "hist" => Box::new(Histogram::new(size)),
-        "permutation" | "perm" => Box::new(Permutation::new(size)),
-        "binary-search" | "bin" => Box::new(BinarySearch::new(size)),
-        "heappop" | "heap" => Box::new(HeapPop::new(size)),
-        other => return Err(format!("unknown workload '{other}' (try `ctbia list`)")),
-    })
-}
 
 fn parse_spec_window(s: &str) -> Result<u32, String> {
     s.parse()
@@ -555,9 +542,9 @@ fn cmd_leakage(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("leakage: missing workload name")?;
     let size = match args.get(1) {
         Some(s) => parse_size(s)?,
-        None => 500,
+        None => WorkloadSpec::default_size(name).min(500),
     };
-    make_workload(name, size)?; // validate the name up front
+    let spec = WorkloadSpec::named(name, size)?;
     let secrets: Vec<u64> = (0..8).map(|i| 1 + i * 97).collect();
     println!(
         "empirical leakage of {name}_{size} over {} random secrets:",
@@ -577,7 +564,7 @@ fn cmd_leakage(args: &[String]) -> Result<(), String> {
                 }
             },
             |m, seed| {
-                let _ = make_seeded(name, size, seed).run(m, strategy);
+                let _ = spec.build_reseeded(seed).run(m, strategy);
             },
             &secrets,
             Level::L1d,
@@ -750,27 +737,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         return Err(format!("{failures} cell(s) failed certification"));
     }
     Ok(())
-}
-
-fn make_seeded(name: &str, size: usize, seed: u64) -> Box<dyn Workload> {
-    match name {
-        "dijkstra" | "dij" => Box::new(Dijkstra {
-            vertices: size.min(64),
-            seed,
-        }),
-        "histogram" | "hist" => Box::new(Histogram { size, seed }),
-        "permutation" | "perm" => Box::new(Permutation { size, seed }),
-        "binary-search" | "bin" => Box::new(BinarySearch {
-            size,
-            searches: 10,
-            seed,
-        }),
-        _ => Box::new(HeapPop {
-            size,
-            pops: 16.min(size),
-            seed,
-        }),
-    }
 }
 
 /// `ctbia serve [--socket PATH] [--threads N] [--max-inflight M]

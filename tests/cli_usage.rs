@@ -1,7 +1,8 @@
 //! The README may only show `ctbia` subcommands the binary's own usage
 //! text lists, removed subcommands must fail as unknown, and every listed
-//! subcommand answers `--help`/`-h` with its own usage lines. Runs the
-//! built `ctbia` binary; starts no daemon.
+//! subcommand answers `--help`/`-h` with its own usage lines; `leakage`
+//! accepts every workload name the harness knows. Runs the built `ctbia`
+//! binary; starts no daemon.
 
 use std::collections::BTreeSet;
 use std::process::Command;
@@ -123,4 +124,21 @@ fn every_subcommand_prints_its_usage_lines_on_help() {
             );
         }
     }
+}
+
+#[test]
+fn leakage_takes_every_named_workload() {
+    let out = ctbia(&["leakage", "leaky-bin", "64"]);
+    assert!(
+        out.status.success(),
+        "`ctbia leakage leaky-bin 64`: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = ctbia(&["leakage", "nope"]);
+    assert!(!out.status.success(), "`ctbia leakage nope` must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown workload"),
+        "`ctbia leakage nope` stderr: {stderr}"
+    );
 }
